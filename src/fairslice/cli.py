@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation error, 3 procedure undefined in strict
-mode, 4 counterexample mismatch.
+Exit codes: 0 success, 2 validation error (including a file that cannot be
+read or written), 3 procedure undefined in strict mode, 4 counterexample
+mismatch.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import EXIT_OK, FairsliceError, MismatchError
+from .errors import EXIT_OK, EXIT_VALIDATION, FairsliceError, MismatchError
 from .harness import (
     emit_report,
     load_allocation,
@@ -187,6 +188,9 @@ def main(argv=None) -> int:
     except FairsliceError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_status
+    except OSError as exc:
+        print(f"error [IO_ERROR]: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -168,12 +168,17 @@ def load_document(source: Union[str, dict]) -> ScenarioDocument:
     if doc.get("procedure") is not None:
         raw = _require_mapping(doc["procedure"], "procedure")
         options = _require_mapping(raw.get("options", {}), "procedure.options")
+        strict = options.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ParseError(f"procedure.options.strict: expected true or false, got {strict!r}")
         tie = options.get("tie", "lowest")
+        if not isinstance(tie, str):
+            raise ParseError(f"procedure.options.tie: expected a string, got {tie!r}")
         procedure = ProcedureSpec(
             name=raw.get("name", ""),
-            strict=bool(options.get("strict", False)),
+            strict=strict,
             cutter=options.get("cutter"),
-            tie=parse_tie(tie) if isinstance(tie, str) else TIE_LOWEST,
+            tie=parse_tie(tie),
         )
     truth = None
     if doc.get("truth") is not None:

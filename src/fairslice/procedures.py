@@ -55,10 +55,6 @@ class TieRule:
             raise ValueError("seeded tie rule needs a seed")
 
     @classmethod
-    def lowest_index(cls) -> "TieRule":
-        return cls()
-
-    @classmethod
     def seeded(cls, seed: int) -> "TieRule":
         return cls(mode="seeded", seed=seed)
 

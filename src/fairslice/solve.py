@@ -2,8 +2,9 @@
 
 Two independent engines live here: a parametric solver for the equal-value
 cut systems (greedy leftmost cuts, walked segment by segment over the
-target value), and a dense two-phase rational simplex with Bland's rule
-used to decide Pareto domination on cell decompositions.
+target value), and a dense two-phase exact simplex with Bland's rule, on
+integer tableau rows, used to decide Pareto domination on cell
+decompositions.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InfeasibleSeedError, InsufficientMassError, UnboundedError
@@ -214,7 +216,7 @@ def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> Optional[str]:
         if v < 0:
             return f"x[{j}] = {v} violates nonnegativity"
     for k, c in enumerate(lp.constraints):
-        lhs = sum((a * v for a, v in zip(c.coeffs, point)), ZERO)
+        lhs = sum((a * v for a, v in zip(c.coeffs, point) if a and v), ZERO)
         ok = (
             lhs <= c.rhs
             if c.sense == "<="
@@ -232,126 +234,166 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
 
     The seed is only used to certify feasibility up front; the optimum is
     found from scratch. Bland's rule rules out cycling, so termination is
-    unconditional, and every tableau entry stays rational.
+    unconditional. The tableau is fraction-free: each row is a list of int
+    numerators over one positive row denominator, divided by their gcd
+    after every update. Every entry is the exact rational a ``Fraction``
+    tableau would hold, so every pivot choice is the same; only the final
+    basic values become fractions.
     """
     point = tuple(as_rational(v) for v in seed)
     violation = check_point(lp, point)
     if violation is not None:
         raise InfeasibleSeedError(violation)
 
-    rows = []
+    senses = []
     for c in lp.constraints:
-        coeffs, sense, rhs = list(c.coeffs), c.sense, c.rhs
-        if rhs < 0:
-            coeffs = [-a for a in coeffs]
-            rhs = -rhs
+        sense = c.sense
+        if c.rhs < 0:
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        rows.append((coeffs, sense, rhs))
+        senses.append(sense)
 
     n = lp.n_vars
     next_col = n
     slack_col: dict[int, int] = {}
     art_col: dict[int, int] = {}
-    for i, (_, sense, _) in enumerate(rows):
+    for i, sense in enumerate(senses):
         if sense != "==":
             slack_col[i] = next_col
             next_col += 1
-    for i, (_, sense, _) in enumerate(rows):
+    first_art = next_col
+    for i, sense in enumerate(senses):
         if sense != "<=":
             art_col[i] = next_col
             next_col += 1
     width = next_col
 
-    tableau: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        row = [ZERO] * (width + 1)
-        for j, a in enumerate(coeffs):
-            row[j] = a
+    for i, c in enumerate(lp.constraints):
+        terms = [(j, a) for j, a in enumerate(c.coeffs) if a]
+        den = lcm(c.rhs.denominator, *[a.denominator for _, a in terms])
+        sign = -1 if c.rhs < 0 else 1
+        row = [0] * (width + 1)
+        for j, a in terms:
+            row[j] = sign * a.numerator * (den // a.denominator)
         if i in slack_col:
-            row[slack_col[i]] = ONE if sense == "<=" else -ONE
+            row[slack_col[i]] = den if senses[i] == "<=" else -den
         if i in art_col:
-            row[art_col[i]] = ONE
-        row[width] = rhs
-        tableau.append(row)
+            row[art_col[i]] = den
+        row[width] = sign * c.rhs.numerator * (den // c.rhs.denominator)
+        rows.append(row)
+        dens.append(den)
         basis.append(art_col[i] if i in art_col else slack_col[i])
 
-    art_cols = frozenset(art_col.values())
-    if art_cols:
-        objrow = [ZERO] * (width + 1)
-        for col in art_cols:
-            objrow[col] = -ONE
+    if art_col:
+        den = lcm(*[dens[i] for i in art_col])
+        obj = [0] * (width + 1)
+        for i in art_col:
+            scale = den // dens[i]
+            obj = [x + scale * y for x, y in zip(obj, rows[i])]
+        for col in art_col.values():
+            obj[col] -= den
+        _optimize(rows, dens, basis, [obj, den])
         for i, b in enumerate(basis):
-            if b in art_cols:
-                objrow = [x + y for x, y in zip(objrow, tableau[i])]
-        _optimize(tableau, basis, objrow, width, blocked=frozenset())
-        for i, b in enumerate(basis):
-            if b in art_cols and tableau[i][width] != 0:
+            if b >= first_art and rows[i][width] != 0:
                 raise InfeasibleSeedError(
                     "constraints proved infeasible despite the seed; seed check is broken"
                 )
         for i in reversed(range(len(basis))):
-            if basis[i] not in art_cols:
+            if basis[i] < first_art:
                 continue
-            pivot_col = next(
-                (j for j in range(width) if j not in art_cols and tableau[i][j] != 0),
-                None,
-            )
+            pivot_col = next((j for j in range(first_art) if rows[i][j] != 0), None)
             if pivot_col is None:
-                del tableau[i]
-                del basis[i]
+                del rows[i], dens[i], basis[i]
             else:
-                _pivot(tableau, basis, None, i, pivot_col)
+                _pivot(rows, dens, basis, None, i, pivot_col)
+        # No artificial column is basic now, and none may enter again.
+        for row in rows:
+            del row[first_art:width]
+        width = first_art
 
-    objrow = [ZERO] * (width + 1)
+    den = lcm(*[cj.denominator for cj in lp.objective])
+    obj = [0] * (width + 1)
     for j, cj in enumerate(lp.objective):
-        objrow[j] = cj
+        obj[j] = cj.numerator * (den // cj.denominator)
+    objective = [obj, den]
     for i, b in enumerate(basis):
-        if objrow[b] != 0:
-            coef = objrow[b]
-            objrow = [x - coef * y for x, y in zip(objrow, tableau[i])]
-    _optimize(tableau, basis, objrow, width, blocked=art_cols)
+        if objective[0][b] != 0:
+            objective[:] = _eliminate(objective[0], objective[1], rows[i], b)
+    _optimize(rows, dens, basis, objective)
 
     solution = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            solution[b] = tableau[i][width]
+            solution[b] = Fraction(rows[i][width], dens[i])
     value = sum((cj * xj for cj, xj in zip(lp.objective, solution)), ZERO)
     return SimplexResult(value=value, point=tuple(solution))
 
 
-def _optimize(tableau, basis, objrow, width, blocked):
+def _optimize(rows, dens, basis, objective):
+    """Pivot by Bland's rule until no objective entry is positive.
+
+    ``objective`` is a mutable [numerators, denominator] pair. A row's
+    ratio rhs/a is a quotient of its own numerators, so two ratios compare
+    by cross-multiplying.
+    """
+    width = len(objective[0]) - 1
     while True:
-        enter = next(
-            (j for j in range(width) if j not in blocked and objrow[j] > 0), None
-        )
+        obj = objective[0]
+        enter = next((j for j in range(width) if obj[j] > 0), None)
         if enter is None:
             return
         leave = None
-        best = None
-        for i, row in enumerate(tableau):
+        for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave is not None:
+                    lhs, rhs = row[width] * best_a, best_rhs * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, best_rhs, best_a = i, row[width], a
         if leave is None:
             raise UnboundedError("objective is unbounded above")
-        _pivot(tableau, basis, objrow, leave, enter)
+        _pivot(rows, dens, basis, objective, leave, enter)
 
 
-def _pivot(tableau, basis, objrow, leave, enter):
-    pivot = tableau[leave][enter]
-    tableau[leave] = [a / pivot for a in tableau[leave]]
-    for i, row in enumerate(tableau):
-        if i != leave and row[enter] != 0:
-            factor = row[enter]
-            tableau[i] = [a - factor * b for a, b in zip(row, tableau[leave])]
-    if objrow is not None and objrow[enter] != 0:
-        factor = objrow[enter]
-        objrow[:] = [a - factor * b for a, b in zip(objrow, tableau[leave])]
+def _pivot(rows, dens, basis, objective, leave, enter):
+    """Make ``enter`` basic in row ``leave``: that row's value is its
+    numerators over its own entry at ``enter`` (negated if that entry is
+    negative), and the column is then eliminated from every other row."""
+    row = rows[leave]
+    if row[enter] < 0:
+        row = [-a for a in row]
+    g = gcd(*row)
+    if g > 1:
+        row = [a // g for a in row]
+    rows[leave] = row
+    dens[leave] = row[enter]
+    for i, other in enumerate(rows):
+        if i != leave and other[enter] != 0:
+            rows[i], dens[i] = _eliminate(other, dens[i], row, enter)
+    if objective is not None and objective[0][enter] != 0:
+        objective[:] = _eliminate(objective[0], objective[1], row, enter)
     basis[leave] = enter
+
+
+def _eliminate(row, den, pivot_row, col):
+    """Subtract the multiple of a basic row that zeroes ``row[col]``.
+
+    ``row`` holds numerators over ``den``. ``pivot_row`` is basic in
+    ``col``, so its entry there equals its own (positive) denominator p,
+    and row - (f/den)·pivot_row/p = (row·p - f·pivot_row) / (den·p).
+    Returns the new numerators and denominator, reduced by their gcd.
+    """
+    p, f = pivot_row[col], row[col]
+    new = [a * p - f * b for a, b in zip(row, pivot_row)]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [a // g for a in new]
+        den //= g
+    return new, den
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +425,16 @@ def decompose(
                 points.add(iv.hi)
     points.update(as_rational(x) for x in extra_cuts)
     bounds = tuple(sorted(p for p in points if ZERO <= p <= ONE))
-    cells = tuple(
-        Interval(a, b) for a, b in zip(bounds, bounds[1:]) if b > a
-    )
+    # Tuples built from lists, not generators: tuple(generator) allocates
+    # ten slots and shrinks, and CPython parks each shrunk tuple on its
+    # size's free list when it dies, so resident memory would grow with
+    # every call until those free lists fill.
+    cells = tuple([Interval(a, b) for a, b in zip(bounds, bounds[1:]) if b > a])
     densities = tuple(
-        tuple(density.density_at(cell.lo) for cell in cells)
-        for _, density in scenario.players
+        [
+            tuple([density.density_at(cell.lo) for cell in cells])
+            for _, density in scenario.players
+        ]
     )
     return CellDecomposition(bounds, cells, densities)
 

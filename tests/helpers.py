@@ -55,6 +55,26 @@ def random_scenario(rng, n, max_pieces=4, pool=BREAK_POOL, allow_zero=True):
     )
 
 
+def fine_grid_scenario(rng, n, k):
+    """n players, each with k equal-width pieces of integer weight 0-5 (not
+    all zero), normalized; zero weights give zero-density plateaus."""
+    players = []
+    for i in range(n):
+        while True:
+            weights = [rng.randint(0, 5) for _ in range(k)]
+            if any(weights):
+                break
+        total = sum(weights)
+        density = StepDensity.of(
+            *(
+                (Fraction(j, k), Fraction(j + 1, k), Fraction(w * k, total))
+                for j, w in enumerate(weights)
+            )
+        )
+        players.append((f"p{i + 1}", density))
+    return Scenario(tuple(players))
+
+
 def random_allocation(rng, scenario, pool=BREAK_POOL):
     """A valid partition: contiguous cuts, sometimes alternating pieces."""
     names = list(scenario.names)

@@ -99,6 +99,28 @@ def test_load_document_with_procedure_and_truth():
     assert document.truth.density("A").cdf(HALF) == HALF
 
 
+def test_load_document_rejects_non_bool_strict():
+    for strict in ("false", "true", 0, 1, None):
+        with pytest.raises(ParseError, match="strict"):
+            load_document(
+                doc(
+                    [uniform_player("A"), uniform_player("B")],
+                    procedure={"name": "sp-e", "options": {"strict": strict}},
+                )
+            )
+
+
+def test_load_document_rejects_non_string_tie():
+    for tie in (7, None, ["lowest"]):
+        with pytest.raises(ParseError, match="tie"):
+            load_document(
+                doc(
+                    [uniform_player("A"), uniform_player("B")],
+                    procedure={"name": "sp-e", "options": {"tie": tie}},
+                )
+            )
+
+
 def test_parse_tie():
     assert parse_tie("lowest").mode == "lowest"
     assert parse_tie("seed:42") == TieRule.seeded(42)
@@ -405,3 +427,10 @@ def test_cli_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["run", str(bad), "--procedure", "moving-knife"]) == 2
+
+
+def test_cli_missing_file_exits_2_with_one_line(capsys):
+    assert main(["run", "/nonexistent.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [IO_ERROR]: ") and "/nonexistent.json" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

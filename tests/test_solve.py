@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -19,13 +20,16 @@ from fairslice import (
     equal_value_solve,
     equitability,
     greedy_cuts,
+    moving_knife,
     pareto_improve,
     simplex_max,
     utilitarian_bound,
 )
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
+from fairslice.solve import check_point
 from helpers import (
     QUARTER_POOL,
+    fine_grid_scenario,
     grid_affine_equal_value,
     grid_screen_no_solution,
     random_allocation,
@@ -191,6 +195,81 @@ def test_simplex_against_vertex_enumeration_sample():
         oracle = vertex_enumeration_max(lp)
         assert oracle is not None
         assert result.value == oracle
+
+
+def test_simplex_drops_redundant_equality_rows():
+    # A copy of an == row (scaled by -2, so it is also sign-flipped) and an
+    # all-zero == row leave an artificial variable basic after Phase 1 with
+    # no real column to pivot on, so the drive-out deletes those rows.
+    rng = random.Random(41)
+    for _ in range(30):
+        plain, seed = random_lp(rng)
+        equalities = [c for c in plain.constraints if c.sense == "=="]
+        if equalities:
+            row = rng.choice(equalities)
+        else:
+            coeffs = tuple(F(rng.randint(1, 5)) for _ in range(plain.n_vars))
+            row = LinearConstraint(coeffs, "==", sum(a * x for a, x in zip(coeffs, seed)))
+            plain = LinearProgram(plain.n_vars, plain.objective, (*plain.constraints, row))
+        redundant = LinearProgram(
+            plain.n_vars,
+            plain.objective,
+            (
+                LinearConstraint(tuple(-2 * a for a in row.coeffs), "==", -2 * row.rhs),
+                *plain.constraints,
+                LinearConstraint((ZERO,) * plain.n_vars, "==", ZERO),
+            ),
+        )
+        oracle = vertex_enumeration_max(plain)
+        assert oracle is not None
+        result = simplex_max(redundant, seed)
+        assert result.value == oracle == simplex_max(plain, seed).value
+        assert check_point(redundant, result.point) is None
+
+
+def _columns_reversed(lp, seed):
+    constraints = tuple(
+        LinearConstraint(c.coeffs[::-1], c.sense, c.rhs) for c in lp.constraints
+    )
+    return LinearProgram(lp.n_vars, lp.objective[::-1], constraints), seed[::-1]
+
+
+# sha256 of the rendered witnesses in the test below.
+PINNED_WITNESSES_SHA256 = "8307cdd86efda6dcf907a964c2a77346c18c766370889e8e1602d4e457f0194c"
+
+
+def test_pareto_witness_vertex_pinned_on_fine_grids():
+    # Which optimal vertex the simplex returns is part of its output: the
+    # witness allocation. On these instances the optimum is often not unique
+    # (the LP with its columns reversed ends at another optimal point), so a
+    # change of pivot rule or starting basis can keep every value and the
+    # verdict yet move the witness. The hash pins the exact witnesses.
+    rng = random.Random(2024)
+    rendered = []
+    several_optima = 0
+    for _ in range(16):
+        scenario = fine_grid_scenario(rng, 3, rng.choice((6, 8, 10)))
+        allocation = moving_knife(scenario).allocation
+        lp, seed, _, _ = build_improvement_lp(scenario, allocation)
+        result = simplex_max(lp, seed)
+        mirrored = simplex_max(*_columns_reversed(lp, seed))
+        assert mirrored.value == result.value
+        several_optima += mirrored.point[::-1] != result.point
+        witness = pareto_improve(scenario, allocation)
+        if witness is None:
+            rendered.append("optimal")
+            continue
+        rendered.append(
+            ";".join(
+                f"{name}:"
+                + ",".join(f"{iv.lo}-{iv.hi}" for iv in witness.allocation.portion(name).intervals)
+                + f":{witness.gains[name]}"
+                for name in scenario.names
+            )
+        )
+    assert several_optima >= 4
+    digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
+    assert digest == PINNED_WITNESSES_SHA256, "\n".join(rendered)
 
 
 # --- cells and Pareto ---------------------------------------------------------
