@@ -36,6 +36,13 @@ class InvalidDensityError(FairsliceError):
         self.violations = tuple(violations)
 
 
+class InvalidPlayersError(FairsliceError, ValueError):
+    """A procedure cannot run on these players: the wrong number of them,
+    or an option that names no player."""
+
+    code = "INVALID_PLAYERS"
+
+
 class InsufficientMassError(FairsliceError):
     """A quantile was requested beyond the mass remaining in the suffix."""
 

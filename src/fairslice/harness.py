@@ -174,10 +174,13 @@ def load_document(source: Union[str, dict]) -> ScenarioDocument:
         tie = options.get("tie", "lowest")
         if not isinstance(tie, str):
             raise ParseError(f"procedure.options.tie: expected a string, got {tie!r}")
+        cutter = options.get("cutter")
+        if "cutter" in options and not isinstance(cutter, str):
+            raise ParseError(f"procedure.options.cutter: expected a player name, got {cutter!r}")
         procedure = ProcedureSpec(
             name=raw.get("name", ""),
             strict=strict,
-            cutter=options.get("cutter"),
+            cutter=cutter,
             tie=parse_tie(tie),
         )
     truth = None

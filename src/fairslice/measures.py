@@ -8,8 +8,11 @@ top compare values exactly, with no tolerance anywhere.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -27,6 +30,10 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+# Longer literals are refused before parsing: CPython will not convert an
+# integer string of more than 4300 digits (its default int_max_str_digits).
+_MAX_LITERAL_CHARS = 4300
+_LO = attrgetter("lo")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -47,6 +54,11 @@ def as_rational(value: RationalLike) -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
+        if len(text) > _MAX_LITERAL_CHARS:
+            raise ParseError(
+                f"rational literal of {len(text)} characters exceeds the "
+                f"{_MAX_LITERAL_CHARS}-character limit"
+            )
         if not _RATIONAL_RE.fullmatch(text):
             raise ParseError(f"not a rational literal: {value!r}")
         return Fraction(text)
@@ -209,6 +221,13 @@ class StepDensity:
 
     Pieces are stored exactly as declared (no merging), which keeps
     document round-trips value-faithful.
+
+    The queries (``mass``, ``cdf``, ``quantile``, ``quantile_left``,
+    ``median_interval``, ``density_at``) assume a validated density, sorted
+    pieces tiling [0, 1]; every engine entry point validates first. The
+    first query builds a cumulative-mass index in O(k) for k pieces; each
+    query after that costs O(log k) (a bisection plus a few exact
+    operations).
     """
 
     pieces: tuple[Piece, ...]
@@ -260,24 +279,77 @@ class StepDensity:
             details = "; ".join(f"{v.code}: {v.detail}" for v in report.violations)
             raise InvalidDensityError(f"invalid {label}: {details}", report.violations)
 
-    def mass(self, region: Union[Interval, IntervalSet]) -> Fraction:
-        """Exact measure of a region: sum of density times overlap length."""
-        spans = (region,) if isinstance(region, Interval) else region.intervals
-        total = ZERO
+    @cached_property
+    def _cum(self) -> tuple[Fraction, ...]:
+        """Entry j is the mass of [0, pieces[j].lo]; the last is the total.
+
+        Not a dataclass field, so equality and hashing ignore it. Built from
+        a list; a zero-density piece repeats the previous entry's object.
+        """
+        acc = ZERO
+        cum = [acc]
         for piece in self.pieces:
-            if piece.density == 0:
-                continue
-            for span in spans:
-                overlap = min(piece.hi, span.hi) - max(piece.lo, span.lo)
-                if overlap > 0:
-                    total += piece.density * overlap
-        return total
+            if piece.density:
+                acc += piece.density * (piece.hi - piece.lo)
+            cum.append(acc)
+        return tuple(cum)
+
+    def _locate(self, x: Fraction) -> int:
+        """Index of the last piece starting at or left of x (0 if none)."""
+        return max(bisect_right(self.pieces, x, key=_LO) - 1, 0)
+
+    def _cdf(self, x: Fraction) -> Fraction:
+        j = self._locate(x)
+        piece = self.pieces[j]
+        if not piece.density:
+            return self._cum[j]
+        return self._cum[j] + piece.density * (x - piece.lo)
+
+    def mass(self, region: Union[Interval, IntervalSet]) -> Fraction:
+        """Exact measure of a region: the cdf difference across each span."""
+        if isinstance(region, Interval):
+            return self._cdf(region.hi) - self._cdf(region.lo)
+        return sum((self._cdf(s.hi) - self._cdf(s.lo) for s in region.intervals), ZERO)
 
     def cdf(self, x: RationalLike) -> Fraction:
         x = as_rational(x)
         if not (ZERO <= x <= ONE):
             raise ValueError(f"cdf argument {x} outside [0, 1]")
-        return self.mass(Interval(ZERO, x))
+        return self._cdf(x)
+
+    def quantile(
+        self, target: RationalLike, start: RationalLike = ZERO, side: str = "left"
+    ) -> Fraction:
+        """The cut x >= ``start`` where mass([start, x]) reaches ``target``.
+
+        ``side="left"``: the leftmost x with mass([start, x]) >= target.
+        ``side="right"``: the supremum of the x with mass([start, x]) <=
+        target, the far end of any zero-density plateau after the left cut
+        (1 when the suffix holds exactly ``target``). Raises
+        InsufficientMassError when the suffix holds less than ``target``.
+        """
+        target = as_rational(target)
+        start = as_rational(start)
+        if target < 0:
+            raise ValueError(f"quantile target {target} is negative")
+        if not (ZERO <= start <= ONE):
+            raise ValueError(f"quantile anchor {start} outside [0, 1]")
+        if side not in ("left", "right"):
+            raise ValueError(f"unknown quantile side {side!r}")
+        if side == "left" and target == 0:
+            return start
+        cum = self._cum
+        base = self._cdf(start)
+        level = base + target
+        if level > cum[-1]:
+            raise InsufficientMassError(
+                f"only {cum[-1] - base} mass available in [{start}, 1], needed {target}"
+            )
+        j = (bisect_left if side == "left" else bisect_right)(cum, level) - 1
+        if j == len(self.pieces):
+            return ONE
+        piece = self.pieces[j]
+        return piece.lo + (level - cum[j]) / piece.density
 
     def quantile_left(self, target: RationalLike, start: RationalLike = ZERO) -> Fraction:
         """Leftmost x at or right of ``start`` with mass([start, x]) >= target.
@@ -286,44 +358,14 @@ class StepDensity:
         equal-value cuts) a single primitive instead of repeated density
         restrictions.
         """
-        target = as_rational(target)
-        start = as_rational(start)
-        if target < 0:
-            raise ValueError(f"quantile target {target} is negative")
-        if not (ZERO <= start <= ONE):
-            raise ValueError(f"quantile anchor {start} outside [0, 1]")
-        if target == 0:
-            return start
-        acc = ZERO
-        for piece in self.pieces:
-            seg_lo = max(piece.lo, start)
-            if seg_lo >= piece.hi or piece.density == 0:
-                continue
-            gained = piece.density * (piece.hi - seg_lo)
-            if acc + gained >= target:
-                return seg_lo + (target - acc) / piece.density
-            acc += gained
-        raise InsufficientMassError(
-            f"only {acc} mass available in [{start}, 1], needed {target}"
-        )
+        return self.quantile(target, start)
 
     def median_interval(self) -> Interval:
         """Closed set of points where the cdf equals one half.
 
         Degenerate (lo == hi) exactly when the median is unique.
         """
-        lo = self.quantile_left(HALF)
-        acc = ZERO
-        hi = ZERO
-        for piece in reversed(self.pieces):
-            if piece.density == 0 or piece.lo >= piece.hi:
-                continue
-            gained = piece.density * (piece.hi - piece.lo)
-            if acc + gained >= HALF:
-                hi = piece.hi - (HALF - acc) / piece.density
-                break
-            acc += gained
-        return Interval(lo, hi)
+        return Interval(self.quantile(HALF), self.quantile(HALF, side="right"))
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         points = {ZERO, ONE}
@@ -335,10 +377,8 @@ class StepDensity:
     def density_at(self, x: RationalLike) -> Fraction:
         """Density just right of x (pieces are read as half-open [lo, hi))."""
         x = as_rational(x)
-        for piece in self.pieces:
-            if piece.lo <= x < piece.hi:
-                return piece.density
-        return ZERO
+        piece = self.pieces[self._locate(x)]
+        return piece.density if piece.lo <= x < piece.hi else ZERO
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import EPUndefinedError, NoFeasibleOrderingError, NonUniqueMedianError
+from .errors import (
+    EPUndefinedError,
+    InvalidPlayersError,
+    NoFeasibleOrderingError,
+    NonUniqueMedianError,
+)
 from .measures import (
     ONE,
     ZERO,
@@ -133,9 +138,13 @@ def declared_values(scenario: Scenario, allocation: Allocation) -> dict:
 
 def _require_players(scenario: Scenario, minimum: int, exactly: bool = False) -> None:
     if exactly and scenario.n != minimum:
-        raise ValueError(f"this procedure needs exactly {minimum} players, got {scenario.n}")
+        raise InvalidPlayersError(
+            f"this procedure needs exactly {minimum} players, got {scenario.n}"
+        )
     if scenario.n < minimum:
-        raise ValueError(f"this procedure needs at least {minimum} players, got {scenario.n}")
+        raise InvalidPlayersError(
+            f"this procedure needs at least {minimum} players, got {scenario.n}"
+        )
 
 
 def cut_and_choose(
@@ -155,7 +164,7 @@ def cut_and_choose(
     """
     _require_players(scenario, 2, exactly=True)
     if cutter not in scenario.names:
-        raise ValueError(f"unknown cutter {cutter!r}")
+        raise InvalidPlayersError(f"unknown cutter {cutter!r}")
     chooser = next(name for name in scenario.names if name != cutter)
     median = scenario.density(cutter).median_interval()
     if strict and median.lo != median.hi:
@@ -354,13 +363,13 @@ def ep_for_ordering(scenario: Scenario, ordering: Sequence):
     return solution.cuts, solution.common_value
 
 
-def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
-    """Solve the equal-value system for every assignment of pieces.
+def _ep_orderings(scenario: Scenario, strict: bool = False):
+    """Solve the equal-value system once for every assignment of pieces.
 
-    Strict mode raises as soon as any of the n! assignments is infeasible,
-    naming all of them. Lenient mode returns the feasible assignment with
-    the largest common value, breaking ties toward the lexicographically
-    smallest permutation in scenario order.
+    Returns the feasible (ordering names, solution) pairs in permutation
+    order, and the infeasible orderings. Strict mode raises as soon as any
+    of the n! assignments is infeasible, naming all of them; either mode
+    raises when none is feasible.
     """
     _require_players(scenario, 2)
     names = scenario.names
@@ -379,16 +388,33 @@ def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
         raise NoFeasibleOrderingError(
             "no assignment of pieces admits equalizing cutpoints"
         )
+    return feasible, infeasible
+
+
+def _ep_outcome(ordering: tuple[str, ...], solution) -> ProcedureOutcome:
+    """The contiguous allocation one equal-value solution induces."""
+    return ProcedureOutcome(
+        allocation=contiguous_allocation(ordering, solution.cuts),
+        cuts=solution.cuts,
+        ordering=ordering,
+        common_value=solution.common_value,
+    )
+
+
+def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
+    """Solve the equal-value system for every assignment of pieces.
+
+    Strict mode raises as soon as any of the n! assignments is infeasible,
+    naming all of them. Lenient mode returns the feasible assignment with
+    the largest common value, breaking ties toward the lexicographically
+    smallest permutation in scenario order.
+    """
+    feasible, _ = _ep_orderings(scenario, strict)
     best_names, best = feasible[0]
     for ordered_names, solution in feasible[1:]:
         if solution.common_value > best.common_value:
             best_names, best = ordered_names, solution
-    return ProcedureOutcome(
-        allocation=contiguous_allocation(best_names, best.cuts),
-        cuts=best.cuts,
-        ordering=best_names,
-        common_value=best.common_value,
-    )
+    return _ep_outcome(best_names, best)
 
 
 def run_procedure(

@@ -41,6 +41,20 @@ def as_permutation(scenario: Scenario, ordering: Sequence) -> tuple[int, ...]:
     return tuple(idx)
 
 
+def _chain(ordered: Sequence[StepDensity], target: Fraction) -> Optional[list[Fraction]]:
+    """Leftmost cuts worth ``target`` to each of ordered[:-1] in turn, or
+    None when one of them runs out of mass."""
+    position = ZERO
+    cuts = []
+    for density in ordered[:-1]:
+        try:
+            position = density.quantile_left(target, position)
+        except InsufficientMassError:
+            return None
+        cuts.append(position)
+    return cuts
+
+
 def greedy_cuts(
     scenario: Scenario, ordering: Sequence, target: Fraction
 ) -> Optional[tuple[Fraction, ...]]:
@@ -51,40 +65,14 @@ def greedy_cuts(
     piece (the remainder) is not checked here.
     """
     idx = as_permutation(scenario, ordering)
-    target = as_rational(target)
-    position = ZERO
-    cuts = []
-    for i in idx[:-1]:
-        density = scenario.players[i][1]
-        try:
-            position = density.quantile_left(target, start=position)
-        except InsufficientMassError:
-            return None
-        cuts.append(position)
-    return tuple(cuts)
+    cuts = _chain([scenario.players[i][1] for i in idx], as_rational(target))
+    return None if cuts is None else tuple(cuts)
 
 
 @dataclass(frozen=True)
 class EqualValueSolution:
     cuts: tuple[Fraction, ...]
     common_value: Fraction
-
-
-def _plateau_end(density: StepDensity, anchor: Fraction, target: Fraction):
-    """sup{x >= anchor : mass([anchor, x]) <= target}.
-
-    Returns None when the whole suffix holds less than ``target``.
-    """
-    acc = ZERO
-    for piece in density.pieces:
-        seg_lo = max(piece.lo, anchor)
-        if seg_lo >= piece.hi or piece.density == 0:
-            continue
-        gained = piece.density * (piece.hi - seg_lo)
-        if acc + gained > target:
-            return seg_lo + (target - acc) / piece.density
-        acc += gained
-    return ONE if acc == target else None
 
 
 def _right_limits(ordered: Sequence[StepDensity], target: Fraction):
@@ -98,12 +86,13 @@ def _right_limits(ordered: Sequence[StepDensity], target: Fraction):
     anchor, anchor_slope = ZERO, ZERO
     cuts, slopes = [], []
     for density in ordered[:-1]:
-        x = _plateau_end(density, anchor, target)
-        if x is None or x == ONE:
+        try:
+            x = density.quantile(target, anchor, "right")
+        except InsufficientMassError:
             return None
-        at_cut = density.density_at(x)
-        at_anchor = density.density_at(anchor)
-        slope = (ONE + at_anchor * anchor_slope) / at_cut
+        if x == ONE:
+            return None
+        slope = (ONE + density.density_at(anchor) * anchor_slope) / density.density_at(x)
         cuts.append(x)
         slopes.append(slope)
         anchor, anchor_slope = x, slope
@@ -128,15 +117,17 @@ def equal_value_solve(scenario: Scenario, ordering: Sequence) -> Optional[EqualV
         raise ValueError("equal-value systems need at least two players")
     ordered = [scenario.players[i][1] for i in idx]
     last = ordered[-1]
-    grid = sorted({p for _, d in scenario.players for p in d.breakpoints()})
+    # Validated densities tile [0, 1], so the piece starts plus 1 are every
+    # breakpoint.
+    grid = sorted({piece.lo for d in ordered for piece in d.pieces} | {ONE})
     t = ZERO
     # Each segment pins some cut to a fresh breakpoint, so the walk is
     # bounded by cuts times grid size; the margin covers the endpoints.
     for _ in range((len(ordered) + 1) * (len(grid) + 2)):
-        cuts = greedy_cuts(scenario, idx, t)
+        cuts = _chain(ordered, t)
         if cuts is None:
             return None
-        value = last.mass(Interval(cuts[-1], ONE))
+        value = ONE - last.cdf(cuts[-1])
         if value == t:
             return EqualValueSolution(tuple(cuts), t)
         if value < t:
@@ -145,7 +136,7 @@ def equal_value_solve(scenario: Scenario, ordering: Sequence) -> Optional[EqualV
         if limits is None:
             return None
         cuts_plus, slopes = limits
-        value_plus = last.mass(Interval(cuts_plus[-1], ONE))
+        value_plus = ONE - last.cdf(cuts_plus[-1])
         if value_plus <= t:
             return None
         value_slope = -last.density_at(cuts_plus[-1]) * slopes[-1]
@@ -157,8 +148,8 @@ def equal_value_solve(scenario: Scenario, ordering: Sequence) -> Optional[EqualV
                 t_next = t + dt
         root = (value_plus - value_slope * t) / (ONE - value_slope)
         if t < root <= t_next:
-            cuts_root = greedy_cuts(scenario, idx, root)
-            if cuts_root is not None and last.mass(Interval(cuts_root[-1], ONE)) == root:
+            cuts_root = _chain(ordered, root)
+            if cuts_root is not None and ONE - last.cdf(cuts_root[-1]) == root:
                 return EqualValueSolution(tuple(cuts_root), root)
             raise AssertionError("equal-value walk lost its root")
         t = t_next

@@ -7,20 +7,19 @@ argument rests on that split.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .errors import InvalidPlayersError
 from .measures import Allocation, Scenario, StepDensity
 from .procedures import (
     TIE_LOWEST,
     ProcedureOutcome,
     TieRule,
     _ScriptRule,
-    contiguous_allocation,
-    ep_for_ordering,
-    equitability,
+    _ep_orderings,
+    _ep_outcome,
     run_procedure,
 )
 from .solve import DominationWitness, pareto_improve
@@ -166,21 +165,13 @@ def _enumerate_outcomes(
     tie winners, branching on each recorded tie event.
     """
     if procedure == "ep":
-        best = equitability(scenario, strict=strict).common_value
-        outcomes = []
-        for perm in itertools.permutations(range(scenario.n)):
-            result = ep_for_ordering(scenario, perm)
-            if result is not None and result[1] == best:
-                names = tuple(scenario.names[i] for i in perm)
-                outcomes.append(
-                    ProcedureOutcome(
-                        allocation=contiguous_allocation(names, result[0]),
-                        cuts=result[0],
-                        ordering=names,
-                        common_value=result[1],
-                    )
-                )
-        return outcomes
+        feasible, _ = _ep_orderings(scenario, strict)
+        best = max(solution.common_value for _, solution in feasible)
+        return [
+            _ep_outcome(names, solution)
+            for names, solution in feasible
+            if solution.common_value == best
+        ]
     outcomes = []
     pending: list[tuple[str, ...]] = [()]
     while pending:
@@ -219,9 +210,9 @@ def theorem_a_check(
     truth.require_valid("truth")
     misreport.require_valid("misreport")
     if procedure in ("cut-choose", "sp-e", "sp-p") and n != 2:
-        raise ValueError(f"{procedure} needs exactly 2 players, got {n}")
+        raise InvalidPlayersError(f"{procedure} needs exactly 2 players, got {n}")
     if n < 2:
-        raise ValueError("need at least 2 players")
+        raise InvalidPlayersError("need at least 2 players")
     scenario = Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))
     outcome = run_procedure(procedure, scenario, strict=strict, tie=tie)
     values = {

@@ -1,9 +1,11 @@
 """Shared test utilities: seeded instance generators and independent oracles.
 
-The oracles here deliberately avoid the code paths they check: the LP
-oracle enumerates vertices by brute force, the two-player Pareto oracle
-sweeps threshold allocations by density ratio, and the equal-value oracle
-scans a coarse grid and refines a bracket with exact chords.
+The oracles here deliberately avoid the code paths they check: the density
+queries are plain linear scans over the pieces (no cumulative-mass index),
+the LP oracle enumerates vertices by brute force, the two-player Pareto
+oracle sweeps threshold allocations by density ratio, and the equal-value
+oracle scans a coarse grid and refines a bracket with exact chords, on top
+of the scan queries.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from fairslice import (
-    Interval,
     LinearConstraint,
     LinearProgram,
     Scenario,
     StepDensity,
     contiguous_allocation,
-    greedy_cuts,
 )
 
 ZERO = Fraction(0)
@@ -108,6 +108,75 @@ def float_mass(density, region):
             if overlap > 0:
                 total += float(piece.density) * overlap
     return total
+
+
+# ---------------------------------------------------------------------------
+# Density-query oracle: linear scans over the pieces
+# ---------------------------------------------------------------------------
+
+
+def scan_mass(density, lo, hi):
+    """Mass of [lo, hi]: density times overlap, summed piece by piece."""
+    total = ZERO
+    for piece in density.pieces:
+        overlap = min(piece.hi, hi) - max(piece.lo, lo)
+        if overlap > 0:
+            total += piece.density * overlap
+    return total
+
+
+def scan_density_at(density, x):
+    """Density of the half-open piece [lo, hi) holding x, else 0."""
+    for piece in density.pieces:
+        if piece.lo <= x < piece.hi:
+            return piece.density
+    return ZERO
+
+
+def _scan_cut(density, start, target, reached):
+    """Walk right from ``start`` and return the first point where
+    ``reached(mass so far + gain, target)`` holds inside a positive piece,
+    with the mass gained up to there; (None, suffix mass) if none does."""
+    acc = ZERO
+    for piece in density.pieces:
+        seg_lo = max(piece.lo, start)
+        if seg_lo >= piece.hi or piece.density == 0:
+            continue
+        gained = piece.density * (piece.hi - seg_lo)
+        if reached(acc + gained, target):
+            return seg_lo + (target - acc) / piece.density, acc
+        acc += gained
+    return None, acc
+
+
+def scan_quantile_left(density, target, start=ZERO):
+    """Leftmost x >= start with mass([start, x]) >= target; None when the
+    suffix holds less than target."""
+    if target == 0:
+        return start
+    x, _ = _scan_cut(density, start, target, lambda got, want: got >= want)
+    return x
+
+
+def scan_plateau_end(density, target, start=ZERO):
+    """sup{x >= start : mass([start, x]) <= target}; None when the suffix
+    holds less than target."""
+    x, acc = _scan_cut(density, start, target, lambda got, want: got > want)
+    if x is None and acc == target:
+        return ONE
+    return x
+
+
+def scan_greedy_cuts(scenario, ordering, target):
+    """Chained leftmost scan quantiles for all players but the last."""
+    position = ZERO
+    cuts = []
+    for i in ordering[:-1]:
+        position = scan_quantile_left(scenario.players[i][1], target, position)
+        if position is None:
+            return None
+        cuts.append(position)
+    return tuple(cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +337,11 @@ def ratio_sweep_dominated(scenario, allocation):
 
 
 def _last_piece_value(scenario, ordering, t):
-    cuts = greedy_cuts(scenario, ordering, t)
+    cuts = scan_greedy_cuts(scenario, ordering, t)
     if cuts is None:
         return None
     last = scenario.players[ordering[-1]][1]
-    return last.mass(Interval(cuts[-1], ONE))
+    return scan_mass(last, cuts[-1], ONE)
 
 
 def grid_affine_equal_value(scenario, ordering, steps=1000):
@@ -288,7 +357,7 @@ def grid_affine_equal_value(scenario, ordering, steps=1000):
     prev_t = ZERO
     prev_f = _last_piece_value(scenario, ordering, ZERO)
     if prev_f == ZERO:
-        return greedy_cuts(scenario, ordering, ZERO), ZERO
+        return scan_greedy_cuts(scenario, ordering, ZERO), ZERO
     for k in range(1, steps + 1):
         t = Fraction(k, steps)
         value = _last_piece_value(scenario, ordering, t)
@@ -296,19 +365,19 @@ def grid_affine_equal_value(scenario, ordering, steps=1000):
             return None
         f = value - t
         if f == 0:
-            return greedy_cuts(scenario, ordering, t), t
+            return scan_greedy_cuts(scenario, ordering, t), t
         if prev_f is not None and prev_f > 0 > f:
             lo, f_lo, hi, f_hi = prev_t, prev_f, t, f
             for _ in range(80):
                 chord = lo + f_lo * (hi - lo) / (f_lo - f_hi)
                 chord_value = _last_piece_value(scenario, ordering, chord)
                 if chord_value is not None and chord_value == chord:
-                    return greedy_cuts(scenario, ordering, chord), chord
+                    return scan_greedy_cuts(scenario, ordering, chord), chord
                 mid = (lo + hi) / 2
                 mid_value = _last_piece_value(scenario, ordering, mid)
                 f_mid = (mid_value - mid) if mid_value is not None else -mid
                 if f_mid == 0:
-                    return greedy_cuts(scenario, ordering, mid), mid
+                    return scan_greedy_cuts(scenario, ordering, mid), mid
                 if f_mid > 0:
                     lo, f_lo = mid, f_mid
                 else:

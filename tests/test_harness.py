@@ -121,6 +121,17 @@ def test_load_document_rejects_non_string_tie():
             )
 
 
+def test_load_document_rejects_non_string_cutter():
+    for cutter in (7, None, ["A"]):
+        with pytest.raises(ParseError, match="cutter"):
+            load_document(
+                doc(
+                    [uniform_player("A"), uniform_player("B")],
+                    procedure={"name": "cut-choose", "options": {"cutter": cutter}},
+                )
+            )
+
+
 def test_parse_tie():
     assert parse_tie("lowest").mode == "lowest"
     assert parse_tie("seed:42") == TieRule.seeded(42)
@@ -433,4 +444,25 @@ def test_cli_missing_file_exits_2_with_one_line(capsys):
     assert main(["run", "/nonexistent.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [IO_ERROR]: ") and "/nonexistent.json" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "players, options, code",
+    [
+        (["A", "B", "C"], {}, "INVALID_PLAYERS"),
+        (["A", "B"], {"cutter": "Z"}, "INVALID_PLAYERS"),
+        (["A", "B"], {"cutter": 7}, "PARSE_ERROR"),
+    ],
+)
+def test_cli_run_bad_players_exit_2_with_one_line(tmp_path, capsys, players, options, code):
+    path = tmp_path / "scenario.json"
+    document = doc(
+        [uniform_player(name) for name in players],
+        procedure={"name": "cut-choose", "options": options},
+    )
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{code}]: ")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -20,7 +20,15 @@ from fairslice import (
     StepDensity,
     as_rational,
 )
-from helpers import BREAK_POOL, float_mass, random_density
+from helpers import (
+    BREAK_POOL,
+    float_mass,
+    random_density,
+    scan_density_at,
+    scan_mass,
+    scan_plateau_end,
+    scan_quantile_left,
+)
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
 
@@ -40,6 +48,13 @@ def test_as_rational_accepts_ints_fractions_and_strings():
 def test_as_rational_rejects_inexact_or_malformed(bad):
     with pytest.raises(ParseError):
         as_rational(bad)
+
+
+def test_as_rational_caps_literal_length():
+    assert as_rational("1" * 4300) == F(int("1" * 4300))
+    for huge in ("1" * 4301, "1" * 5000, "1/" + "3" * 5000, "-" + "7" * 4300):
+        with pytest.raises(ParseError, match="limit"):
+            as_rational(huge)
 
 
 # --- intervals and interval sets -------------------------------------------
@@ -212,6 +227,40 @@ def test_median_plateau(d):
         assert d.cdf(med.lo) == HALF
         assert d.cdf(med.hi) == HALF
         assert d.cdf(med.midpoint) == HALF
+
+
+@settings(max_examples=150)
+@given(densities(max_pieces=6), interval_sets(), st.data())
+def test_index_queries_match_scan_reference(d, s, data):
+    """Every query served by the cumulative-mass index equals a linear scan,
+    on anchors and query points that sit exactly on breakpoints, with
+    targets that end exactly where zero-density plateaus start or stop."""
+    points = sorted({*d.breakpoints(), *BREAK_POOL, F(1, 7), F(5, 7)})
+    start = data.draw(st.sampled_from(points), label="start")
+    assert d.mass(s) == sum((scan_mass(d, iv.lo, iv.hi) for iv in s.intervals), ZERO)
+    for x in points:
+        assert d.mass(Interval(start, x) if x >= start else Interval(x, start)) == (
+            scan_mass(d, min(start, x), max(start, x))
+        )
+        assert d.cdf(x) == scan_mass(d, ZERO, x)
+        assert d.density_at(x) == scan_density_at(d, x)
+    targets = {ZERO, F(1, 3), HALF, ONE, F(3, 2)}
+    targets.update(scan_mass(d, start, x) for x in points if x >= start)
+    for target in sorted(targets):
+        left = scan_quantile_left(d, target, start)
+        right = scan_plateau_end(d, target, start)
+        if left is None:  # the suffix holds less than target
+            assert right is None
+            with pytest.raises(InsufficientMassError):
+                d.quantile_left(target, start=start)
+            with pytest.raises(InsufficientMassError):
+                d.quantile(target, start, "right")
+        else:
+            assert d.quantile_left(target, start=start) == left, target
+            assert d.quantile(target, start, "right") == right, target
+    assert d.median_interval() == Interval(
+        scan_quantile_left(d, HALF), scan_plateau_end(d, HALF)
+    )
 
 
 @settings(max_examples=60)
