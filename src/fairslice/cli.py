@@ -22,7 +22,6 @@ from .harness import (
 )
 from .procedures import PROCEDURE_NAMES, declared_values, run_procedure
 from .verify import (
-    TruthProfile,
     envy_free_check,
     pareto_optimal_check,
     proportional_check,
@@ -112,8 +111,7 @@ def _cmd_verify(args) -> int:
     )
     truth = document.truth
     if args.truth:
-        truth_doc = load_document(Path(args.truth).read_text(encoding="utf-8"))
-        truth = TruthProfile(truth_doc.scenario.players)
+        truth = load_document(Path(args.truth).read_text(encoding="utf-8")).scenario
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in wanted if c not in CHECKS]
     if unknown:

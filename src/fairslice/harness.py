@@ -25,6 +25,7 @@ from .measures import (
     Scenario,
     StepDensity,
     as_rational,
+    declared_values,
 )
 from .procedures import (
     EQUITABLE,
@@ -39,7 +40,7 @@ from .procedures import (
     surplus_divide,
 )
 from .solve import build_improvement_lp, simplex_max, utilitarian_bound
-from .verify import TruthProfile, pareto_optimal_check
+from .verify import pareto_optimal_check
 
 SCHEMA = "fairslice/1"
 
@@ -152,7 +153,7 @@ class ProcedureSpec:
 class ScenarioDocument:
     scenario: Scenario
     procedure: Optional[ProcedureSpec] = None
-    truth: Optional[TruthProfile] = None
+    truth: Optional[Scenario] = None
 
 
 def load_document(source: Union[str, dict]) -> ScenarioDocument:
@@ -185,7 +186,15 @@ def load_document(source: Union[str, dict]) -> ScenarioDocument:
         )
     truth = None
     if doc.get("truth") is not None:
-        truth = TruthProfile(_players_from(doc["truth"], "truth"))
+        try:
+            truth = Scenario(_players_from(doc["truth"], "truth"))
+        except ValueError as exc:
+            raise ParseError(f"truth: {exc}") from None
+        if set(truth.names) != set(scenario.names):
+            raise ParseError(
+                f"truth names players {sorted(truth.names)}, "
+                f"scenario has {sorted(scenario.names)}"
+            )
     return ScenarioDocument(scenario=scenario, procedure=procedure, truth=truth)
 
 
@@ -196,7 +205,7 @@ def load_scenario(source: Union[str, dict]) -> Scenario:
 def save_scenario(
     scenario: Scenario,
     procedure: Optional[ProcedureSpec] = None,
-    truth: Optional[TruthProfile] = None,
+    truth: Optional[Scenario] = None,
 ) -> str:
     doc: dict = {"schema": SCHEMA, "players": _players_doc(scenario.players)}
     if procedure is not None:
@@ -209,7 +218,7 @@ def save_scenario(
             options["tie"] = "lowest"
         doc["procedure"] = {"name": procedure.name, "options": options}
     if truth is not None:
-        doc["truth"] = _players_doc(truth.densities)
+        doc["truth"] = _players_doc(truth.players)
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -627,9 +636,7 @@ CASES: dict[int, CounterexampleCase] = {
 
 
 def _values_tuple(scenario: Scenario, allocation: Allocation) -> tuple[Fraction, ...]:
-    return tuple(
-        density.mass(allocation.portion(name)) for name, density in scenario.players
-    )
+    return tuple(declared_values(scenario, allocation).values())
 
 
 def _weakly_dominates(better: Sequence[Fraction], worse: Sequence[Fraction]) -> bool:

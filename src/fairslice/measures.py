@@ -464,3 +464,10 @@ class Allocation:
 
     def as_dict(self) -> dict[str, IntervalSet]:
         return dict(self.portions)
+
+
+def declared_values(scenario: Scenario, allocation: Allocation) -> dict:
+    return {
+        name: density.mass(allocation.portion(name))
+        for name, density in scenario.players
+    }

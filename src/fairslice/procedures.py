@@ -28,6 +28,7 @@ from .measures import (
     IntervalSet,
     Scenario,
     StepDensity,
+    declared_values,  # re-exported: the CLI and callers read it from here
 )
 from . import solve
 
@@ -54,7 +55,7 @@ class TieRule:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode not in ("lowest", "seeded", "scripted"):
+        if self.mode not in ("lowest", "seeded"):
             raise ValueError(f"unknown tie mode {self.mode!r}")
         if self.mode == "seeded" and self.seed is None:
             raise ValueError("seeded tie rule needs a seed")
@@ -74,14 +75,14 @@ TIE_LOWEST = TieRule()
 
 
 @dataclass(frozen=True)
-class _ScriptRule(TieRule):
+class _ScriptRule:
     """Replays a fixed list of tie winners, then falls back to first-listed.
 
     Used by the verify module to enumerate every way the ties in a run
-    could have been resolved.
+    could have been resolved. The procedures only call ``resolver()``, so
+    this stands in for a TieRule without being one.
     """
 
-    mode: str = "scripted"
     script: tuple[str, ...] = ()
 
     def resolver(self) -> TieResolver:
@@ -127,13 +128,6 @@ def contiguous_allocation(ordering: Sequence[str], cuts: Sequence[Fraction]) -> 
         portion = IntervalSet((Interval(lo, hi),)) if hi > lo else IntervalSet()
         portions.append((name, portion))
     return Allocation(tuple(portions))
-
-
-def declared_values(scenario: Scenario, allocation: Allocation) -> dict:
-    return {
-        name: density.mass(allocation.portion(name))
-        for name, density in scenario.players
-    }
 
 
 def _require_players(scenario: Scenario, minimum: int, exactly: bool = False) -> None:

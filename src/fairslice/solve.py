@@ -25,6 +25,7 @@ from .measures import (
     Scenario,
     StepDensity,
     as_rational,
+    declared_values,
 )
 
 
@@ -468,9 +469,7 @@ def build_improvement_lp(
         [dec.densities[i][c] * dec.cells[c].length for c in range(m)]
         for i in range(n)
     ]
-    base = tuple(
-        density.mass(allocation.portion(name)) for name, density in scenario.players
-    )
+    base = tuple(declared_values(scenario, allocation).values())
 
     def var(i: int, c: int) -> int:
         return i * m + c
@@ -531,10 +530,7 @@ def pareto_improve(
     witness_alloc = Allocation(
         tuple((name, IntervalSet(tuple(ivs))) for name, ivs in pieces.items())
     )
-    values = {
-        name: density.mass(witness_alloc.portion(name))
-        for name, density in scenario.players
-    }
+    values = declared_values(scenario, witness_alloc)
     gains = {
         name: values[name] - base[i] for i, (name, _) in enumerate(scenario.players)
     }

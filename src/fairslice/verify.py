@@ -2,17 +2,18 @@
 
 Every checker separates the densities that drove a procedure (declared)
 from the densities an outcome is scored with (truth); every manipulation
-argument rests on that split.
+argument rests on that split. A truth profile is an ordinary ``Scenario``
+naming the same players, in any order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidPlayersError
-from .measures import Allocation, Scenario, StepDensity
+from .measures import Allocation, Scenario, StepDensity, declared_values
 from .procedures import (
     TIE_LOWEST,
     ProcedureOutcome,
@@ -23,44 +24,6 @@ from .procedures import (
     run_procedure,
 )
 from .solve import DominationWitness, pareto_improve
-
-
-@dataclass(frozen=True)
-class TruthProfile:
-    """Per-player true densities, possibly different from the declared ones."""
-
-    densities: tuple[tuple[str, StepDensity], ...]
-
-    def __post_init__(self):
-        names = [name for name, _ in self.densities]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate names in truth profile: {names}")
-        for name, density in self.densities:
-            density.require_valid(f"true density for {name!r}")
-
-    @classmethod
-    def of(cls, mapping: Mapping[str, StepDensity]) -> "TruthProfile":
-        return cls(tuple(mapping.items()))
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "TruthProfile":
-        return cls(scenario.players)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.densities)
-
-    def density(self, name: str) -> StepDensity:
-        for player, density in self.densities:
-            if player == name:
-                return density
-        raise KeyError(name)
-
-    def require_same_players(self, scenario: Scenario) -> None:
-        if set(self.names) != set(scenario.names):
-            raise ValueError(
-                f"truth profile names {self.names} do not match scenario {scenario.names}"
-            )
 
 
 @dataclass(frozen=True)
@@ -76,22 +39,29 @@ class PropertyReport:
     details: Optional[dict] = None
 
 
-def _truth_or_declared(scenario: Scenario, truth: Optional[TruthProfile]) -> TruthProfile:
-    profile = truth if truth is not None else TruthProfile.from_scenario(scenario)
-    profile.require_same_players(scenario)
-    return profile
+def _scored(scenario: Scenario, truth: Optional[Scenario]) -> Scenario:
+    """The densities to score with, in the scenario's player order.
+
+    The order matters: it fixes the Pareto LP's columns, hence its pivots
+    and witnesses.
+    """
+    if truth is None:
+        return scenario
+    if truth.names == scenario.names:
+        return truth
+    if set(truth.names) != set(scenario.names):
+        raise InvalidPlayersError(
+            f"truth names {truth.names} do not match scenario {scenario.names}"
+        )
+    return Scenario(tuple((name, truth.density(name)) for name in scenario.names))
 
 
 def proportional_check(
-    scenario: Scenario, allocation: Allocation, truth: Optional[TruthProfile] = None
+    scenario: Scenario, allocation: Allocation, truth: Optional[Scenario] = None
 ) -> PropertyReport:
     """Does every player get at least 1/n of the cake by their true measure?"""
-    profile = _truth_or_declared(scenario, truth)
     share = Fraction(1, scenario.n)
-    values = {
-        name: profile.density(name).mass(allocation.portion(name))
-        for name in scenario.names
-    }
+    values = declared_values(_scored(scenario, truth), allocation)
     verdicts = {name: values[name] >= share for name in scenario.names}
     return PropertyReport(
         check="proportional",
@@ -103,16 +73,14 @@ def proportional_check(
 
 
 def envy_free_check(
-    scenario: Scenario, allocation: Allocation, truth: Optional[TruthProfile] = None
+    scenario: Scenario, allocation: Allocation, truth: Optional[Scenario] = None
 ) -> PropertyReport:
     """Does anyone value another player's portion above their own?"""
-    profile = _truth_or_declared(scenario, truth)
     matrix = {
         viewer: {
-            owner: profile.density(viewer).mass(allocation.portion(owner))
-            for owner in scenario.names
+            owner: density.mass(allocation.portion(owner)) for owner in scenario.names
         }
-        for viewer in scenario.names
+        for viewer, density in _scored(scenario, truth).players
     }
     values = {name: matrix[name][name] for name in scenario.names}
     verdicts = {
@@ -131,19 +99,13 @@ def envy_free_check(
 def pareto_optimal_check(
     scenario: Scenario,
     allocation: Allocation,
-    truth: Optional[TruthProfile] = None,
+    truth: Optional[Scenario] = None,
     extra_cuts: Sequence = (),
 ) -> PropertyReport:
     """Is there no allocation better for someone and worse for no one?"""
-    profile = _truth_or_declared(scenario, truth)
-    truth_scenario = Scenario(
-        tuple((name, profile.density(name)) for name in scenario.names)
-    )
-    witness = pareto_improve(truth_scenario, allocation, extra_cuts)
-    values = {
-        name: profile.density(name).mass(allocation.portion(name))
-        for name in scenario.names
-    }
+    profile = _scored(scenario, truth)
+    witness = pareto_improve(profile, allocation, extra_cuts)
+    values = declared_values(profile, allocation)
     optimal = witness is None
     return PropertyReport(
         check="pareto",

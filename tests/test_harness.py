@@ -9,6 +9,7 @@ from fairslice import (
     InvalidDensityError,
     MismatchError,
     ParseError,
+    Scenario,
     TieRule,
     emit_report,
     load_allocation,
@@ -20,7 +21,7 @@ from fairslice import (
 )
 from fairslice.cli import main
 from fairslice.harness import ComparisonEntry, ComparisonReport, parse_tie
-from helpers import random_scenario
+from helpers import random_density, random_scenario
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
 
@@ -46,6 +47,11 @@ CE2_DOC = doc(
         },
     ]
 )
+
+HALVES_DOC = {
+    "schema": "fairslice/1",
+    "portions": {"P1": [{"from": 0, "to": "1/2"}], "P2": [{"from": "1/2", "to": 1}]},
+}
 
 
 # --- loading -------------------------------------------------------------------
@@ -185,6 +191,15 @@ def test_save_load_round_trip_preserves_values():
         text = save_scenario(scenario)
         again = load_scenario(text)
         assert again == scenario
+
+
+def test_save_load_round_trip_preserves_truth():
+    scenario = load_scenario(CE2_DOC)
+    rng = random.Random(5)
+    truth = Scenario((("P2", random_density(rng)), ("P1", random_density(rng))))
+    document = load_document(save_scenario(scenario, truth=truth))
+    assert document.scenario == scenario
+    assert document.truth == truth
 
 
 def test_save_is_a_fixpoint_of_load():
@@ -465,4 +480,34 @@ def test_cli_run_bad_players_exit_2_with_one_line(tmp_path, capsys, players, opt
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error [{code}]: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "truth, code",
+    [
+        ([uniform_player("P1"), uniform_player("P1")], "PARSE_ERROR"),
+        ([uniform_player("P1"), uniform_player("Q")], "PARSE_ERROR"),
+        ([], "PARSE_ERROR"),
+    ],
+)
+def test_cli_verify_bad_truth_exit_2_with_one_line(tmp_path, capsys, truth, code):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**CE2_DOC, "truth": truth}), encoding="utf-8")
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(json.dumps(HALVES_DOC), encoding="utf-8")
+    assert main(["verify", str(scenario), str(allocation)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{code}]: truth")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_verify_truth_file_with_other_players_exit_2(scenario_file, tmp_path, capsys):
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(json.dumps(HALVES_DOC), encoding="utf-8")
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(doc([uniform_player("Q")])), encoding="utf-8")
+    assert main(["verify", str(scenario_file), str(allocation), "--truth", str(truth)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [INVALID_PLAYERS]: ")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -44,6 +44,13 @@ def test_tie_rule_validation():
     assert TieRule.seeded(7).seed == 7
 
 
+def test_tie_rule_refuses_scripted_mode():
+    # replaying scripted winners is verify's private business; a public
+    # "scripted" rule would break ties with an unseeded PRNG
+    with pytest.raises(ValueError):
+        TieRule(mode="scripted")
+
+
 def test_seeded_ties_replay_identically():
     scenario = Scenario(
         tuple((f"p{i}", StepDensity.uniform()) for i in range(1, 4))

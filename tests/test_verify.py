@@ -6,11 +6,11 @@ import pytest
 from fairslice import (
     Allocation,
     IntervalSet,
+    InvalidPlayersError,
     NonUniqueMedianError,
     Scenario,
     StepDensity,
     TieRule,
-    TruthProfile,
     contiguous_allocation,
     cut_and_choose,
     envy_free_check,
@@ -43,11 +43,33 @@ def ce2_p2_density():
 
 
 def test_truth_profile_checks_names(ce2):
-    truth = TruthProfile.of({"P1": StepDensity.uniform(), "P2": StepDensity.uniform()})
-    truth.require_same_players(ce2)
-    other = TruthProfile.of({"X": StepDensity.uniform()})
-    with pytest.raises(ValueError):
-        other.require_same_players(ce2)
+    halves = contiguous_allocation(("P1", "P2"), (HALF,))
+    reordered = Scenario.of({"P2": StepDensity.uniform(), "P1": StepDensity.uniform()})
+    other = Scenario.of({"X": StepDensity.uniform()})
+    assert issubclass(InvalidPlayersError, ValueError)
+    for check in (proportional_check, envy_free_check, pareto_optimal_check):
+        assert check(ce2, halves, reordered).values == {"P1": HALF, "P2": HALF}
+        with pytest.raises(InvalidPlayersError):
+            check(ce2, halves, other)
+
+
+@pytest.mark.parametrize("case", ["ce2-cut-choose", "ce5-ep"])
+def test_truth_scoring_ignores_truth_player_order(case, ce2, ce5):
+    # the LP's column order fixes Bland's pivots and so the witness; a truth
+    # listing the players in another order must score as the scenario order
+    if case == "ce2-cut-choose":
+        scenario, allocation = ce2, cut_and_choose(ce2, "P1").allocation
+    else:
+        scenario, allocation = ce5, equitability(ce5).allocation
+    reversed_truth = Scenario(tuple(reversed(scenario.players)))
+    ordered = pareto_optimal_check(scenario, allocation, scenario)
+    flipped = pareto_optimal_check(scenario, allocation, reversed_truth)
+    assert not ordered.passed and flipped.passed == ordered.passed
+    assert list(flipped.values.items()) == list(ordered.values.items())
+    assert list(flipped.witness.value_vector.items()) == list(
+        ordered.witness.value_vector.items()
+    )
+    assert flipped.witness.allocation == ordered.witness.allocation
 
 
 # --- proportionality ------------------------------------------------------------
@@ -149,7 +171,7 @@ def test_pareto_check_ce6(ce6):
 def test_pareto_check_uses_truth_not_declaration(ce2):
     # under a truth profile where both players are uniform, any split of the
     # whole cake is optimal, whatever was declared
-    truth = TruthProfile.of({"P1": StepDensity.uniform(), "P2": StepDensity.uniform()})
+    truth = Scenario.of({"P1": StepDensity.uniform(), "P2": StepDensity.uniform()})
     halves = contiguous_allocation(("P1", "P2"), (HALF,))
     report = pareto_optimal_check(ce2, halves, truth)
     assert report.passed
