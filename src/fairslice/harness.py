@@ -33,6 +33,8 @@ from .procedures import (
     PROCEDURE_NAMES,
     TIE_LOWEST,
     TieRule,
+    _best_outcome,
+    _ep_orderings,
     contiguous_allocation,
     cut_and_choose,
     equitability,
@@ -686,15 +688,18 @@ def _actuals_ce2(case: CounterexampleCase) -> dict:
 def _actuals_ce3(case: CounterexampleCase) -> dict:
     scenario = case.scenarios["main"]
     actuals: dict = {}
-    try:
-        equitability(scenario, strict=True)
+    # One solve per ordering serves both modes: strict mode fails exactly
+    # when some ordering is infeasible, lenient mode takes the best of the rest.
+    feasible, infeasible = _ep_orderings(scenario)
+    if infeasible:
+        error = EPUndefinedError(infeasible)
+        actuals["strict.error_code"] = error.code
+        actuals["strict.names_ordering_1_3_2"] = ("P1", "P3", "P2") in error.infeasible_orderings
+        actuals["strict.infeasible_orderings"] = error.infeasible_orderings
+    else:
         actuals["strict.error_code"] = None
         actuals["strict.names_ordering_1_3_2"] = False
-    except EPUndefinedError as exc:
-        actuals["strict.error_code"] = exc.code
-        actuals["strict.names_ordering_1_3_2"] = ("P1", "P3", "P2") in exc.infeasible_orderings
-        actuals["strict.infeasible_orderings"] = exc.infeasible_orderings
-    outcome = equitability(scenario, strict=False)
+    outcome = _best_outcome(feasible)
     actuals["lenient.ordering"] = outcome.ordering
     actuals["lenient.common_value"] = outcome.common_value
     actuals["lenient.cuts"] = outcome.cuts

@@ -207,7 +207,7 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
         count = len(remaining)
         calls = []
         for name, density in remaining:
-            threshold = density.mass(Interval(position, ONE)) / count
+            threshold = (ONE - density.cdf(position)) / count
             calls.append((density.quantile_left(threshold, start=position), name))
         earliest = min(point for point, _ in calls)
         tied = tuple(name for point, name in calls if point == earliest)
@@ -395,6 +395,12 @@ def _ep_outcome(ordering: tuple[str, ...], solution) -> ProcedureOutcome:
     )
 
 
+def _best_outcome(feasible) -> ProcedureOutcome:
+    """The outcome of the feasible (names, solution) pair with the largest
+    common value; ties go to the first in permutation order."""
+    return _ep_outcome(*max(feasible, key=lambda pair: pair[1].common_value))
+
+
 def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     """Solve the equal-value system for every assignment of pieces.
 
@@ -404,11 +410,7 @@ def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     smallest permutation in scenario order.
     """
     feasible, _ = _ep_orderings(scenario, strict)
-    best_names, best = feasible[0]
-    for ordered_names, solution in feasible[1:]:
-        if solution.common_value > best.common_value:
-            best_names, best = ordered_names, solution
-    return _ep_outcome(best_names, best)
+    return _best_outcome(feasible)
 
 
 def run_procedure(

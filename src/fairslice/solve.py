@@ -1,15 +1,20 @@
 """Exact solvers behind the procedures and the optimality checks.
 
 Two independent engines live here: a parametric solver for the equal-value
-cut systems (greedy leftmost cuts, walked segment by segment over the
-target value), and a dense two-phase exact simplex with Bland's rule, on
+cut systems, and a dense two-phase exact simplex with Bland's rule, on
 integer tableau rows, used to decide Pareto domination on cell
 decompositions.
+
+The equal-value solver walks the target value t upward over the affine
+segments of the greedy leftmost cuts. Cuts only move right as t grows, so
+each cut carries forward-only cursors into the pieces and cumulative-mass
+index of the densities, and a segment costs one pass over the cuts with no
+bisection. Every segment end advances some cursor, so an ordering takes at
+most about twice the total piece count of its densities in segments.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,81 +81,80 @@ class EqualValueSolution:
     common_value: Fraction
 
 
-def _right_limits(ordered: Sequence[StepDensity], target: Fraction):
-    """Right-hand limits and slopes of the greedy cuts at a given target.
-
-    As the target increases past a value where a cut sits at the start of a
-    zero-density span, the cut jumps to the far side of the span; the limit
-    positions computed here are those jump targets. Returns None when no
-    target above the current one is feasible.
-    """
-    anchor, anchor_slope = ZERO, ZERO
-    cuts, slopes = [], []
-    for density in ordered[:-1]:
-        try:
-            x = density.quantile(target, anchor, "right")
-        except InsufficientMassError:
-            return None
-        if x == ONE:
-            return None
-        slope = (ONE + density.density_at(anchor) * anchor_slope) / density.density_at(x)
-        cuts.append(x)
-        slopes.append(slope)
-        anchor, anchor_slope = x, slope
-    return cuts, slopes
-
-
 def equal_value_solve(scenario: Scenario, ordering: Sequence) -> Optional[EqualValueSolution]:
     """Find a target t whose greedy cuts give the last piece value t too.
 
     With greedy leftmost cuts the last-piece value L(t) is non-increasing,
     left-continuous, and piecewise affine, while the target itself grows, so
     L(t) = t has at most one solution. The walk visits the affine segments
-    of L in order: at each segment start it evaluates the chain exactly,
-    derives right-hand slopes for every cut, solves the affine equation on
+    of L in order. Every cut, and every point a cut is anchored at, only
+    moves right as t grows, so each cut keeps two piece cursors that only
+    step forward: the piece of its own density holding its right-hand limit,
+    and the piece of its own density holding the previous cut. At a segment
+    start one pass over the cuts reads the right-hand limits and slopes off
+    the cursors and the cumulative-mass index, solves the affine equation on
     the segment, and otherwise advances to the first target at which some
-    cut reaches the next density breakpoint. L can jump downward when a cut
-    clears a zero-density span; if the jump steps over the diagonal the
-    system has no greedy solution and None is returned.
+    cut leaves its own piece or the next density's piece holding it. L can
+    jump downward when a cut clears a zero-density span; if the jump steps
+    over the diagonal the system has no greedy solution and None is
+    returned.
+
+    L(0) = 1, and a segment that holds no root ends with L still above the
+    diagonal, so the walk chains quantiles only once, to check the root.
+    Each segment end moves some cursor forward, and a cursor over a density
+    of k pieces moves at most k - 1 times, so the walk ends within
+    2·Σk + 2 segments for Σk pieces in all; its last AssertionError marks
+    a broken invariant, not a long input.
     """
     idx = as_permutation(scenario, ordering)
     if len(idx) < 2:
         raise ValueError("equal-value systems need at least two players")
     ordered = [scenario.players[i][1] for i in idx]
-    last = ordered[-1]
-    # Validated densities tile [0, 1], so the piece starts plus 1 are every
-    # breakpoint.
-    grid = sorted({piece.lo for d in ordered for piece in d.pieces} | {ONE})
+    last = len(ordered) - 1
+    own = [0] * last
+    anchor = [0] * len(ordered)
     t = ZERO
-    # Each segment pins some cut to a fresh breakpoint, so the walk is
-    # bounded by cuts times grid size; the margin covers the endpoints.
-    for _ in range((len(ordered) + 1) * (len(grid) + 2)):
-        cuts = _chain(ordered, t)
-        if cuts is None:
-            return None
-        value = ONE - last.cdf(cuts[-1])
-        if value == t:
-            return EqualValueSolution(tuple(cuts), t)
-        if value < t:
-            return None
-        limits = _right_limits(ordered, t)
-        if limits is None:
-            return None
-        cuts_plus, slopes = limits
-        value_plus = ONE - last.cdf(cuts_plus[-1])
+    # Every segment but the last ends where some cursor steps forward, and
+    # a cursor takes fewer steps than its density has pieces.
+    for _ in range(2 * sum(len(d.pieces) for d in ordered) + 2):
+        x = slope = ZERO
+        step = None
+        for i, density in enumerate(ordered):
+            pieces, cum = density.pieces, density._cum
+            j = anchor[i]
+            while j + 1 < len(pieces) and pieces[j + 1].lo <= x:
+                j += 1
+            anchor[i] = j
+            held = pieces[j]
+            if i:
+                # Cut i - 1 stays affine until it leaves its own piece or
+                # the piece of density i that holds it.
+                dt = (min(end, held.hi) - x) / slope
+                if step is None or dt < step:
+                    step = dt
+            base = cum[j] + held.density * (x - held.lo)
+            if i == last:
+                break
+            level = base + t
+            if level >= cum[-1]:
+                return None
+            k = own[i]
+            while cum[k + 1] <= level:
+                k += 1
+            own[i] = k
+            piece = pieces[k]
+            x = piece.lo + (level - cum[k]) / piece.density
+            slope = (ONE + held.density * slope) / piece.density
+            end = piece.hi
+        value_plus = ONE - base
         if value_plus <= t:
             return None
-        value_slope = -last.density_at(cuts_plus[-1]) * slopes[-1]
-        t_next = None
-        for x, slope in zip(cuts_plus, slopes):
-            nxt = grid[bisect_right(grid, x)]
-            dt = (nxt - x) / slope
-            if t_next is None or t + dt < t_next:
-                t_next = t + dt
+        value_slope = -held.density * slope
+        t_next = t + step
         root = (value_plus - value_slope * t) / (ONE - value_slope)
         if t < root <= t_next:
             cuts_root = _chain(ordered, root)
-            if cuts_root is not None and ONE - last.cdf(cuts_root[-1]) == root:
+            if cuts_root is not None and ONE - ordered[-1].cdf(cuts_root[-1]) == root:
                 return EqualValueSolution(tuple(cuts_root), root)
             raise AssertionError("equal-value walk lost its root")
         t = t_next

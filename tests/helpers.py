@@ -57,9 +57,11 @@ def random_scenario(rng, n, max_pieces=4, pool=BREAK_POOL, allow_zero=True):
 
 def fine_grid_scenario(rng, n, k):
     """n players, each with k equal-width pieces of integer weight 0-5 (not
-    all zero), normalized; zero weights give zero-density plateaus."""
+    all zero), normalized; zero weights give zero-density plateaus. ``k``
+    may also be a sequence giving each player's piece count."""
+    counts = [k] * n if isinstance(k, int) else list(k)
     players = []
-    for i in range(n):
+    for i, k in enumerate(counts):
         while True:
             weights = [rng.randint(0, 5) for _ in range(k)]
             if any(weights):

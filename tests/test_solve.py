@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice import (
     Allocation,
@@ -36,6 +39,7 @@ from helpers import (
     random_lp,
     random_scenario,
     ratio_sweep_dominated,
+    scan_mass,
     vertex_enumeration_max,
 )
 
@@ -140,6 +144,77 @@ def test_equal_value_postcondition_on_random_scenarios():
         oracle = grid_affine_equal_value(scenario, tuple(ordering), steps=200)
         if oracle is not None:
             assert oracle[1] == solved.common_value
+
+
+@st.composite
+def equal_value_cases(draw):
+    """n = 3 or 4 players with step densities on a coarse common grid, and
+    one ordering. Zero weights give zero-density plateaus, the shared grid
+    makes cuts land on breakpoints, and players beyond the distinct pool
+    repeat one of its densities."""
+    n = draw(st.integers(3, 4))
+    grid = draw(st.sampled_from((4, 6, 12)))
+    pool = []
+    for _ in range(draw(st.integers(1, n))):
+        interior = draw(st.sets(st.integers(1, grid - 1), max_size=6))
+        bounds = [ZERO, *(F(j, grid) for j in sorted(interior)), ONE]
+        weights = draw(
+            st.lists(st.integers(0, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1)
+            .filter(any)
+        )
+        total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
+        pool.append(
+            StepDensity.of(*((a, b, w / total) for w, a, b in zip(weights, bounds, bounds[1:])))
+        )
+    densities = pool + [draw(st.sampled_from(pool)) for _ in range(n - len(pool))]
+    players = tuple((f"p{i + 1}", density) for i, density in enumerate(densities))
+    return Scenario(players), tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(equal_value_cases())
+def test_equal_value_agrees_with_grid_oracles(case):
+    scenario, ordering = case
+    # Neither AssertionError exit of the walk may fire.
+    solved = equal_value_solve(scenario, ordering)
+    oracle = grid_affine_equal_value(scenario, ordering, steps=120)
+    if solved is None:
+        assert oracle is None
+        assert grid_screen_no_solution(scenario, ordering, steps=120)
+        return
+    bounds = [ZERO, *solved.cuts, ONE]
+    assert bounds == sorted(bounds)
+    for k, player in enumerate(ordering):
+        density = scenario.players[player][1]
+        assert scan_mass(density, bounds[k], bounds[k + 1]) == solved.common_value
+    if oracle is not None:
+        assert oracle == (solved.cuts, solved.common_value)
+
+
+# sha256 of the rendered answers in the test below.
+PINNED_EQUAL_VALUE_SHA256 = "de95bee0639ffe1704670305e4e725dab2954c37e7a44c20772f4843e7f3a781"
+
+
+def test_equal_value_pinned_on_fine_grids():
+    # Every ordering of seeded fine-grid scenarios with n = 3, 4 and 5 and
+    # 6 or 9 pieces per player, so the breakpoints of the players that do
+    # not hold a given cut are not events for it. The hash pins the exact
+    # cuts and common value (or absence) of each ordering.
+    rng = random.Random(2025)
+    rendered = []
+    feasible = 0
+    for n, count in ((3, 6), (4, 4), (5, 2)):
+        for _ in range(count):
+            scenario = fine_grid_scenario(rng, n, [rng.choice((6, 9)) for _ in range(n)])
+            for perm in itertools.permutations(range(n)):
+                solved = equal_value_solve(scenario, perm)
+                feasible += solved is not None
+                rendered.append(
+                    "None" if solved is None else repr((solved.cuts, solved.common_value))
+                )
+    assert len(rendered) == 372 and feasible == 276
+    digest = hashlib.sha256("\n".join(rendered).encode()).hexdigest()
+    assert digest == PINNED_EQUAL_VALUE_SHA256
 
 
 # --- simplex ------------------------------------------------------------------
