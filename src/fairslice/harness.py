@@ -33,8 +33,9 @@ from .procedures import (
     PROCEDURE_NAMES,
     TIE_LOWEST,
     TieRule,
-    _best_outcome,
+    _best_pairs,
     _ep_orderings,
+    _ep_outcome,
     contiguous_allocation,
     cut_and_choose,
     equitability,
@@ -122,8 +123,8 @@ def _players_from(doc, path: str) -> tuple[tuple[str, StepDensity], ...]:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError(f"{path}[{k}].name: expected a nonempty string")
+        # Validated once, by the Scenario the players go into.
         density = _pieces_from(entry.get("pieces", []), f"{path}[{k}].pieces")
-        density.require_valid(f"density for {name!r}")
         players.append((name, density))
     return tuple(players)
 
@@ -699,7 +700,7 @@ def _actuals_ce3(case: CounterexampleCase) -> dict:
     else:
         actuals["strict.error_code"] = None
         actuals["strict.names_ordering_1_3_2"] = False
-    outcome = _best_outcome(feasible)
+    outcome = _ep_outcome(*_best_pairs(feasible)[0])
     actuals["lenient.ordering"] = outcome.ordering
     actuals["lenient.common_value"] = outcome.common_value
     actuals["lenient.cuts"] = outcome.cuts

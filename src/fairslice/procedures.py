@@ -26,6 +26,7 @@ from .measures import (
     Allocation,
     Interval,
     IntervalSet,
+    Piece,
     Scenario,
     StepDensity,
     declared_values,  # re-exported: the CLI and callers read it from here
@@ -241,40 +242,37 @@ def _surplus_cut(
 ) -> Fraction:
     """Cut point inside the surplus [a, b], both surplus masses positive.
 
-    The defining equation (equal surplus shares, or equal surplus share
-    proportions) is nondecreasing and piecewise affine in the cut, negative
-    at a and positive at b, so its root set is a point or a closed
-    interval; the midpoint is taken so the choice is symmetric. Both
-    players value every point of the root set identically, so the choice
-    inside it changes no one's share.
+    With L and R the players' measures and (wL, wR) = (1, 1) for equal
+    shares or (mass_right, mass_left) for equal proportions, the cut c
+    solves wL * L[a, c] = wR * R[c, b]: the mixture M = (wL * L + wR * R) /
+    (wL + wR) gives [a, c] the mass tau = wR * mass_right / (wL + wR), and
+    0 < tau < M[a, b]. The roots form the closed interval between M's left
+    and right quantiles at tau from a. Its midpoint is taken for symmetry;
+    no share depends on the choice, as both densities vanish there.
     """
-    points = {a, b}
-    for p in (*left_density.breakpoints(), *right_density.breakpoints()):
-        if a < p < b:
-            points.add(p)
-    grid = sorted(points)
+    w_left, w_right = (ONE, ONE) if variant == EQUITABLE else (mass_right, mass_left)
+    total = w_left + w_right
 
-    def residual(c: Fraction) -> Fraction:
-        left_gain = left_density.mass(Interval(a, c))
-        right_gain = right_density.mass(Interval(c, b))
-        if variant == EQUITABLE:
-            return left_gain - right_gain
-        return left_gain * mass_right - right_gain * mass_left
+    def mix(x: Fraction, y: Fraction) -> Fraction:
+        return (w_left * x + w_right * y) / total
 
-    values = [residual(g) for g in grid]
-    first = None
-    last = None
-    for j in range(len(grid) - 1):
-        span = grid[j + 1] - grid[j]
-        if first is None and values[j] < 0 <= values[j + 1]:
-            slope = (values[j + 1] - values[j]) / span
-            first = grid[j] - values[j] / slope
-        if values[j] <= 0 < values[j + 1]:
-            slope = (values[j + 1] - values[j]) / span
-            last = grid[j] - values[j] / slope
-    if first is None or last is None:
-        raise AssertionError("surplus residual failed to cross zero")
-    return (first + last) / 2
+    # M on [a, b], flattened to one piece of M's mass on each side (a > 0 and
+    # b < 1 as median points): still a density, built from [a, b]'s pieces.
+    pieces = [Piece(ZERO, a, mix(left_density.cdf(a), right_density.cdf(a)) / a)]
+    i = j = 0
+    lo = a
+    while lo < b:  # two-cursor merge of the piece lists
+        p, q = left_density.pieces[i], right_density.pieces[j]
+        hi = min(p.hi, q.hi, b)
+        if hi > lo:
+            pieces.append(Piece(lo, hi, mix(p.density, q.density)))
+            lo = hi
+        i += p.hi <= lo
+        j += q.hi <= lo
+    rest = mix(ONE - left_density.cdf(b), ONE - right_density.cdf(b))
+    mixture = StepDensity((*pieces, Piece(b, ONE, rest / (ONE - b))))
+    tau = w_right * mass_right / total
+    return (mixture.quantile(tau, a) + mixture.quantile(tau, a, "right")) / 2
 
 
 def surplus_divide(
@@ -291,8 +289,11 @@ def surplus_divide(
     the left piece. On the surplus between the medians, the equitable
     variant equalizes the two surplus shares outright, the proportional
     variant equalizes them relative to each player's value of the whole
-    surplus. When only one player values the surplus it all goes to that
-    player; when neither does the cut lands mid-surplus.
+    surplus. The cut is a quantile of the players' weighted mixture density
+    (``_surplus_cut``); when a whole interval balances, neither player
+    values any of it, so its midpoint is taken for symmetry at no cost to
+    either share. When only one player values the surplus it all goes to
+    that player; when neither does the cut lands mid-surplus.
     """
     _require_players(scenario, 2, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
@@ -395,10 +396,11 @@ def _ep_outcome(ordering: tuple[str, ...], solution) -> ProcedureOutcome:
     )
 
 
-def _best_outcome(feasible) -> ProcedureOutcome:
-    """The outcome of the feasible (names, solution) pair with the largest
-    common value; ties go to the first in permutation order."""
-    return _ep_outcome(*max(feasible, key=lambda pair: pair[1].common_value))
+def _best_pairs(feasible) -> list:
+    """The feasible (names, solution) pairs tied at the largest common
+    value, in permutation order; the first is the lenient answer."""
+    best = max(solution.common_value for _, solution in feasible)
+    return [pair for pair in feasible if pair[1].common_value == best]
 
 
 def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
@@ -410,7 +412,7 @@ def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     smallest permutation in scenario order.
     """
     feasible, _ = _ep_orderings(scenario, strict)
-    return _best_outcome(feasible)
+    return _ep_outcome(*_best_pairs(feasible)[0])
 
 
 def run_procedure(

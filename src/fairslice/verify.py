@@ -19,6 +19,7 @@ from .procedures import (
     ProcedureOutcome,
     TieRule,
     _ScriptRule,
+    _best_pairs,
     _ep_orderings,
     _ep_outcome,
     run_procedure,
@@ -128,12 +129,7 @@ def _enumerate_outcomes(
     """
     if procedure == "ep":
         feasible, _ = _ep_orderings(scenario, strict)
-        best = max(solution.common_value for _, solution in feasible)
-        return [
-            _ep_outcome(names, solution)
-            for names, solution in feasible
-            if solution.common_value == best
-        ]
+        return [_ep_outcome(*pair) for pair in _best_pairs(feasible)]
     outcomes = []
     pending: list[tuple[str, ...]] = [()]
     while pending:

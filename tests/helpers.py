@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: the density
 queries are plain linear scans over the pieces (no cumulative-mass index),
-the LP oracle enumerates vertices by brute force, the two-player Pareto
+the surplus-cut oracle scans a residual over the merged breakpoints, the
+LP oracle enumerates vertices by brute force, the two-player Pareto
 oracle sweeps threshold allocations by density ratio, and the equal-value
 oracle scans a coarse grid and refines a bracket with exact chords, on top
 of the scan queries.
@@ -179,6 +180,53 @@ def scan_greedy_cuts(scenario, ordering, target):
             return None
         cuts.append(position)
     return tuple(cuts)
+
+
+# ---------------------------------------------------------------------------
+# Surplus-cut oracle: residual scan over the merged breakpoints
+# ---------------------------------------------------------------------------
+
+
+def scan_surplus_cut(left_density, right_density, a, b, variant):
+    """Cut inside the surplus [a, b] of the median-based surplus procedure,
+    both surplus masses positive.
+
+    The residual (left gain minus right gain, or the two cross-multiplied by
+    the surplus masses for the proportional variant) is evaluated at every
+    breakpoint in [a, b]; the first and last zeros are interpolated across
+    the cells where it changes sign, and their midpoint is returned. Mass
+    queries are piece scans. Raises AssertionError if no crossing is found.
+    """
+    mass_left = scan_mass(left_density, a, b)
+    mass_right = scan_mass(right_density, a, b)
+    points = {a, b}
+    for piece in (*left_density.pieces, *right_density.pieces):
+        for p in (piece.lo, piece.hi):
+            if a < p < b:
+                points.add(p)
+    grid = sorted(points)
+
+    def residual(c):
+        left_gain = scan_mass(left_density, a, c)
+        right_gain = scan_mass(right_density, c, b)
+        if variant == "equitable":
+            return left_gain - right_gain
+        return left_gain * mass_right - right_gain * mass_left
+
+    values = [residual(g) for g in grid]
+    first = None
+    last = None
+    for j in range(len(grid) - 1):
+        span = grid[j + 1] - grid[j]
+        if first is None and values[j] < 0 <= values[j + 1]:
+            slope = (values[j + 1] - values[j]) / span
+            first = grid[j] - values[j] / slope
+        if values[j] <= 0 < values[j + 1]:
+            slope = (values[j + 1] - values[j]) / span
+            last = grid[j] - values[j] / slope
+    if first is None or last is None:
+        raise AssertionError("surplus residual failed to cross zero")
+    return (first + last) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ from fairslice import (
     MismatchError,
     ParseError,
     Scenario,
+    StepDensity,
     TieRule,
     emit_report,
     load_allocation,
@@ -103,6 +105,30 @@ def test_load_document_with_procedure_and_truth():
     assert document.procedure.strict is True
     assert document.procedure.tie == TieRule.seeded(9)
     assert document.truth.density("A").cdf(HALF) == HALF
+
+
+def test_load_document_validates_each_density_once(monkeypatch):
+    calls = []
+    validate = StepDensity.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(StepDensity, "validate", counted)
+    load_document(
+        doc(
+            [uniform_player("A"), uniform_player("B")],
+            truth=[uniform_player("A"), uniform_player("B")],
+        )
+    )
+    assert len(calls) == 4
+
+
+def test_load_reports_a_repeated_name_before_an_invalid_density():
+    bad = {"name": "A", "pieces": [{"from": 0, "to": 1, "density": "-1"}]}
+    with pytest.raises(ParseError, match="duplicate"):
+        load_scenario(doc([bad, uniform_player("A")]))
 
 
 def test_load_document_rejects_non_bool_strict():
@@ -363,6 +389,24 @@ def test_cli_paper_ce_all_pass(capsys):
     for case_id in range(1, 7):
         assert main(["paper-ce", str(case_id)]) == 0
         capsys.readouterr()
+
+
+# sha256 of the `paper-ce N` report on stdout, for N = 1..6.
+PINNED_PAPER_CE_SHA256 = {
+    1: "4c67caee1a3ffa07e302e28077019f8e6b5ae81406d6819268cfb71da9a10f56",
+    2: "832f87ceaeeeb881d03a3effe86ea15f6c29fd312ed123ed134d0445ccd5eb78",
+    3: "71df5986b5caac8d6a59940c5420495a8bd977a11297cb99190efe93fe6d6270",
+    4: "167dae4a55bb58f637e8963234455e45a2cdea6473baa6c2bc303b14646432d2",
+    5: "40ec60b79052df274a3077d9053046999a7e2ea218f407dfd669ca854cb7e93e",
+    6: "0a4affcbe4ffb62052e978375653a6682adf1e9affaaf41ab9d5b5181005d884",
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(PINNED_PAPER_CE_SHA256))
+def test_cli_paper_ce_reports_are_byte_identical(case_id, capsys):
+    assert main(["paper-ce", str(case_id)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PAPER_CE_SHA256[case_id]
 
 
 def test_cli_paper_ce_mismatch_exits_4(capsys, monkeypatch):

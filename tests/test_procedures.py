@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairslice import (
     EPUndefinedError,
@@ -20,7 +22,13 @@ from fairslice import (
     run_procedure,
     surplus_divide,
 )
-from helpers import random_scenario
+from helpers import (
+    random_scenario,
+    scan_mass,
+    scan_plateau_end,
+    scan_quantile_left,
+    scan_surplus_cut,
+)
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
 
@@ -259,6 +267,65 @@ def test_surplus_equitable_shares_equal_on_random_pairs():
             assert scenario.density(left).mass(Interval(a, cut)) == scenario.density(
                 right
             ).mass(Interval(cut, b))
+
+
+@st.composite
+def fine_grid_pairs(draw):
+    """Two players, each with k equal-width pieces (k from 8 to 24) of
+    integer weight 0-5, not all zero; zero weights give zero-density
+    plateaus, so root intervals and plateau medians occur."""
+    players = []
+    for name in ("p1", "p2"):
+        k = draw(st.integers(8, 24))
+        weights = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+        total = sum(weights)
+        density = StepDensity.of(
+            *((F(j, k), F(j + 1, k), F(w * k, total)) for j, w in enumerate(weights))
+        )
+        players.append((name, density))
+    return Scenario(tuple(players))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fine_grid_pairs())
+def test_surplus_cut_agrees_with_scan_oracle(scenario):
+    medians = {
+        name: (scan_quantile_left(density, HALF) + scan_plateau_end(density, HALF)) / 2
+        for name, density in scenario.players
+    }
+    left, right = sorted(scenario.names, key=medians.get)
+    a, b = medians[left], medians[right]
+    left_density, right_density = scenario.density(left), scenario.density(right)
+    assume(a < b)
+    assume(scan_mass(left_density, a, b) > 0 and scan_mass(right_density, a, b) > 0)
+    for variant in (EQUITABLE, PROPORTIONAL):
+        outcome = surplus_divide(scenario, variant)
+        assert outcome.ordering == (left, right)
+        oracle = scan_surplus_cut(left_density, right_density, a, b, variant)
+        assert outcome.cuts == (oracle,)
+
+
+def test_surplus_cut_is_the_midpoint_of_a_root_interval():
+    def eighths(*weights):
+        return StepDensity.of(*((F(j, 8), F(j + 1, 8), w) for j, w in enumerate(weights)))
+
+    p1 = eighths(F(16, 11), F(16, 11), 0, 0, 0, F(24, 11), F(8, 11), F(24, 11))
+    p2 = eighths(0, F(8, 3), 0, F(8, 3), 0, 0, F(4, 3), F(4, 3))
+    scenario = pair(p1, p2)
+    # Medians 11/16 and 7/16, so the surplus is [7/16, 11/16]. Both
+    # densities vanish on [1/2, 5/8], and every point of it equalizes the
+    # proportional shares; the equitable root is a single point.
+    proportional = surplus_divide(scenario, PROPORTIONAL)
+    assert proportional.ordering == ("p2", "p1")
+    assert proportional.cuts == (F(9, 16),)
+    a, b = F(7, 16), F(11, 16)
+    for root in (HALF, F(9, 16), F(5, 8)):
+        assert scan_mass(p2, a, root) * scan_mass(p1, a, b) == scan_mass(
+            p1, root, b
+        ) * scan_mass(p2, a, b)
+    equitable = surplus_divide(scenario, EQUITABLE)
+    assert equitable.ordering == ("p2", "p1")
+    assert equitable.cuts == (F(43, 88),)
 
 
 # --- equal-value procedure -----------------------------------------------------
