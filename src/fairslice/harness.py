@@ -33,9 +33,8 @@ from .procedures import (
     PROCEDURE_NAMES,
     TIE_LOWEST,
     TieRule,
-    _best_pairs,
-    _ep_orderings,
     _ep_outcome,
+    _ep_search,
     contiguous_allocation,
     cut_and_choose,
     equitability,
@@ -689,9 +688,9 @@ def _actuals_ce2(case: CounterexampleCase) -> dict:
 def _actuals_ce3(case: CounterexampleCase) -> dict:
     scenario = case.scenarios["main"]
     actuals: dict = {}
-    # One solve per ordering serves both modes: strict mode fails exactly
+    # One walk of every ordering serves both modes: strict mode fails exactly
     # when some ordering is infeasible, lenient mode takes the best of the rest.
-    feasible, infeasible = _ep_orderings(scenario)
+    tied, infeasible = _ep_search(scenario, walk_all=True)
     if infeasible:
         error = EPUndefinedError(infeasible)
         actuals["strict.error_code"] = error.code
@@ -700,7 +699,7 @@ def _actuals_ce3(case: CounterexampleCase) -> dict:
     else:
         actuals["strict.error_code"] = None
         actuals["strict.names_ordering_1_3_2"] = False
-    outcome = _ep_outcome(*_best_pairs(feasible)[0])
+    outcome = _ep_outcome(*tied[0])
     actuals["lenient.ordering"] = outcome.ordering
     actuals["lenient.common_value"] = outcome.common_value
     actuals["lenient.cuts"] = outcome.cuts

@@ -61,7 +61,10 @@ def as_rational(value: RationalLike) -> Fraction:
             )
         if not _RATIONAL_RE.fullmatch(text):
             raise ParseError(f"not a rational literal: {value!r}")
-        return Fraction(text)
+        numerator, _, denominator = text.partition("/")
+        if denominator:
+            return Fraction(int(numerator), int(denominator))
+        return Fraction(int(text))
     raise ParseError(f"cannot read a rational out of {type(value).__name__}")
 
 
@@ -393,8 +396,11 @@ class Scenario:
             raise ValueError(f"duplicate player names: {names}")
         if not names:
             raise ValueError("a scenario needs at least one player")
+        validated = set()  # ids: a density shared by several players is checked once
         for name, density in self.players:
-            density.require_valid(f"density for {name!r}")
+            if id(density) not in validated:
+                validated.add(id(density))
+                density.require_valid(f"density for {name!r}")
 
     @classmethod
     def of(cls, declarations: Mapping[str, StepDensity]) -> "Scenario":

@@ -358,32 +358,60 @@ def ep_for_ordering(scenario: Scenario, ordering: Sequence):
     return solution.cuts, solution.common_value
 
 
-def _ep_orderings(scenario: Scenario, strict: bool = False):
-    """Solve the equal-value system once for every assignment of pieces.
+def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False):
+    """The assignments of pieces tied at the largest common value.
 
-    Returns the feasible (ordering names, solution) pairs in permutation
-    order, and the infeasible orderings. Strict mode raises as soon as any
-    of the n! assignments is infeasible, naming all of them; either mode
-    raises when none is feasible.
+    Returns the (ordering names, solution) pairs tied at the best common
+    value t*, in permutation order (the first is the lenient answer), and
+    the infeasible orderings that were walked. The search keeps t* and
+    decides a later ordering by one greedy chain at t*, read as the last
+    piece's value L(t*). L is non-increasing, and a chain that fails at t*
+    fails at every larger target, so a failed chain or L(t*) < t* leaves no
+    root at or above t* and the ordering is skipped. L(t*) == t* makes t*
+    the root and the chained cuts its solution, exactly as the walk would
+    return them. Only L(t*) > t* needs the walk, whose root then beats t*.
+
+    Strict mode must name every infeasible ordering, and the CE3 replay
+    reports them too, so those callers set ``walk_all`` (strict mode
+    implies it) and every ordering is walked; a pruned search lists only
+    the infeasible orderings it happened to walk. Strict mode raises when
+    any assignment is infeasible; either mode raises when none is feasible.
     """
     _require_players(scenario, 2)
+    walk_all = walk_all or strict
     names = scenario.names
-    feasible = []
+    densities = [density for _, density in scenario.players]
+    best = None
+    tied = []
     infeasible = []
     for perm in itertools.permutations(range(scenario.n)):
         ordered_names = tuple(names[i] for i in perm)
+        if best is not None and not walk_all:
+            ordered = [densities[i] for i in perm]
+            cuts = solve._chain(ordered, best)
+            if cuts is None:
+                continue
+            last_value = ONE - ordered[-1].cdf(cuts[-1])
+            if last_value < best:
+                continue
+            if last_value == best:
+                tied.append((ordered_names, solve.EqualValueSolution(tuple(cuts), best)))
+                continue
         solution = solve.equal_value_solve(scenario, perm)
         if solution is None:
             infeasible.append(ordered_names)
-        else:
-            feasible.append((ordered_names, solution))
+        elif best is None or solution.common_value > best:
+            best = solution.common_value
+            tied = [(ordered_names, solution)]
+        elif solution.common_value == best:
+            tied.append((ordered_names, solution))
     if strict and infeasible:
         raise EPUndefinedError(infeasible)
-    if not feasible:
+    if not tied:
         raise NoFeasibleOrderingError(
             "no assignment of pieces admits equalizing cutpoints"
         )
-    return feasible, infeasible
+    return tied, infeasible
 
 
 def _ep_outcome(ordering: tuple[str, ...], solution) -> ProcedureOutcome:
@@ -396,23 +424,18 @@ def _ep_outcome(ordering: tuple[str, ...], solution) -> ProcedureOutcome:
     )
 
 
-def _best_pairs(feasible) -> list:
-    """The feasible (names, solution) pairs tied at the largest common
-    value, in permutation order; the first is the lenient answer."""
-    best = max(solution.common_value for _, solution in feasible)
-    return [pair for pair in feasible if pair[1].common_value == best]
-
-
 def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
-    """Solve the equal-value system for every assignment of pieces.
+    """Solve the equal-value system for the assignments of pieces.
 
-    Strict mode raises as soon as any of the n! assignments is infeasible,
+    Strict mode walks all n! assignments and raises if any is infeasible,
     naming all of them. Lenient mode returns the feasible assignment with
     the largest common value, breaking ties toward the lexicographically
-    smallest permutation in scenario order.
+    smallest permutation in scenario order; it walks only the assignments
+    whose greedy chain at the best value so far cannot settle them
+    (``_ep_search``).
     """
-    feasible, _ = _ep_orderings(scenario, strict)
-    return _ep_outcome(*_best_pairs(feasible)[0])
+    tied, _ = _ep_search(scenario, strict)
+    return _ep_outcome(*tied[0])
 
 
 def run_procedure(

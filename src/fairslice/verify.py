@@ -19,9 +19,8 @@ from .procedures import (
     ProcedureOutcome,
     TieRule,
     _ScriptRule,
-    _best_pairs,
-    _ep_orderings,
     _ep_outcome,
+    _ep_search,
     run_procedure,
 )
 from .solve import DominationWitness, pareto_improve
@@ -128,8 +127,8 @@ def _enumerate_outcomes(
     tie winners, branching on each recorded tie event.
     """
     if procedure == "ep":
-        feasible, _ = _ep_orderings(scenario, strict)
-        return [_ep_outcome(*pair) for pair in _best_pairs(feasible)]
+        tied, _ = _ep_search(scenario, strict)
+        return [_ep_outcome(*pair) for pair in tied]
     outcomes = []
     pending: list[tuple[str, ...]] = [()]
     while pending:
@@ -172,15 +171,21 @@ def theorem_a_check(
     if n < 2:
         raise InvalidPlayersError("need at least 2 players")
     scenario = Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))
-    outcome = run_procedure(procedure, scenario, strict=strict, tie=tie)
+    outcomes = None
+    if tie.mode == "seeded":
+        outcomes = _enumerate_outcomes(procedure, scenario, strict=strict)
+    if procedure == "ep" and outcomes:
+        # ep has no runtime ties: its outcome is the first tied assignment.
+        outcome = outcomes[0]
+    else:
+        outcome = run_procedure(procedure, scenario, strict=strict, tie=tie)
     values = {
         name: truth.mass(outcome.allocation.portion(name)) for name in scenario.names
     }
     share = Fraction(1, n)
     verdicts = {"min_value_le_fair_share": min(values.values()) <= share}
     details: dict = {"fair_share": share, "procedure": procedure}
-    if tie.mode == "seeded":
-        outcomes = _enumerate_outcomes(procedure, scenario, strict=strict)
+    if outcomes is not None:
         distinguished = scenario.names[0]
         verdicts["distinguished_player_can_end_le_fair_share"] = any(
             truth.mass(o.allocation.portion(distinguished)) <= share for o in outcomes

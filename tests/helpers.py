@@ -6,21 +6,26 @@ the surplus-cut oracle scans a residual over the merged breakpoints, the
 LP oracle enumerates vertices by brute force, the two-player Pareto
 oracle sweeps threshold allocations by density ratio, and the equal-value
 oracle scans a coarse grid and refines a bracket with exact chords, on top
-of the scan queries.
+of the scan queries. The best-ordering oracle for the equal-value
+procedure solves every ordering and keeps the maximum, with no pruning.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+
+from hypothesis import strategies as st
 
 from fairslice import (
     LinearConstraint,
     LinearProgram,
+    NoFeasibleOrderingError,
     Scenario,
     StepDensity,
     contiguous_allocation,
+    equal_value_solve,
 )
 
 ZERO = Fraction(0)
@@ -76,6 +81,22 @@ def fine_grid_scenario(rng, n, k):
         )
         players.append((f"p{i + 1}", density))
     return Scenario(tuple(players))
+
+
+def draw_grid_density(draw, grid):
+    """A density drawn with a Hypothesis ``draw`` on the 1/grid lattice: up
+    to six interior breakpoints and integer weights 0-3, not all zero, so
+    zero-density plateaus occur and cuts land on shared breakpoints."""
+    interior = draw(st.sets(st.integers(1, grid - 1), max_size=6))
+    bounds = [ZERO, *(Fraction(j, grid) for j in sorted(interior)), ONE]
+    weights = draw(
+        st.lists(st.integers(0, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1)
+        .filter(any)
+    )
+    total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
+    return StepDensity.of(
+        *((a, b, w / total) for w, a, b in zip(weights, bounds, bounds[1:]))
+    )
 
 
 def random_allocation(rng, scenario, pool=BREAK_POOL):
@@ -450,3 +471,19 @@ def grid_screen_no_solution(scenario, ordering, steps=1000):
         if value == t:
             return False
     return True
+
+
+def exhaustive_ep_best(scenario):
+    """The (names, cuts, common_value) triples of every ordering tied at the
+    largest common value, in permutation order, from one full solve per
+    ordering; raises NoFeasibleOrderingError when no ordering is feasible."""
+    solved = []
+    for perm in permutations(range(scenario.n)):
+        solution = equal_value_solve(scenario, perm)
+        if solution is not None:
+            names = tuple(scenario.names[i] for i in perm)
+            solved.append((names, solution.cuts, solution.common_value))
+    if not solved:
+        raise NoFeasibleOrderingError("no ordering is feasible")
+    best = max(value for _, _, value in solved)
+    return [triple for triple in solved if triple[2] == best]

@@ -9,6 +9,7 @@ from fairslice import (
     EPUndefinedError,
     EQUITABLE,
     Interval,
+    NoFeasibleOrderingError,
     NonUniqueMedianError,
     PROPORTIONAL,
     Scenario,
@@ -22,7 +23,11 @@ from fairslice import (
     run_procedure,
     surplus_divide,
 )
+from fairslice import solve
+from fairslice.procedures import _ep_search
 from helpers import (
+    draw_grid_density,
+    exhaustive_ep_best,
     random_scenario,
     scan_mass,
     scan_plateau_end,
@@ -380,6 +385,83 @@ def test_equitability_identical_players_prefers_lexicographic():
     outcome = equitability(scenario)
     assert outcome.ordering == ("p1", "p2", "p3")
     assert outcome.common_value == F(1, 3)
+
+
+@st.composite
+def ep_scenarios(draw):
+    """n = 2 to 4 players on a coarse common grid, with zero weights. The
+    pool of distinct densities may be smaller than n: a pool of n - 1
+    repeats one density, a pool of one makes every player identical."""
+    n = draw(st.integers(2, 4))
+    grid = draw(st.sampled_from((4, 6, 12)))
+    sizes = sorted({1, n - 1, n})
+    pool = [draw_grid_density(draw, grid) for _ in range(draw(st.sampled_from(sizes)))]
+    densities = pool + [draw(st.sampled_from(pool)) for _ in range(n - len(pool))]
+    order = draw(st.permutations(range(n)))
+    return Scenario(tuple((f"p{i + 1}", densities[j]) for i, j in enumerate(order)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ep_scenarios())
+def test_pruned_ep_search_matches_exhaustive_oracle(scenario):
+    try:
+        expected = exhaustive_ep_best(scenario)
+    except NoFeasibleOrderingError:
+        with pytest.raises(NoFeasibleOrderingError):
+            _ep_search(scenario)
+        return
+    tied, _ = _ep_search(scenario)
+    assert [(names, s.cuts, s.common_value) for names, s in tied] == expected
+    outcome = equitability(scenario)
+    assert (outcome.ordering, outcome.cuts, outcome.common_value) == expected[0]
+
+
+def test_pruned_ep_search_raises_when_no_ordering_is_feasible():
+    # p1 and p3 value only [0, 1/4]. After p2's cut neither values anything
+    # left, and with p2 last they reach at most 1/2 each while p2's piece is
+    # worth 1 to p2, so every ordering is infeasible.
+    front = StepDensity.of((0, "1/4", 4), ("1/4", 1, 0))
+    back = StepDensity.of((0, "1/4", 0), ("1/4", "1/2", "4/5"), ("1/2", "3/4", "6/5"), ("3/4", 1, 2))
+    scenario = Scenario((("p1", front), ("p2", back), ("p3", front)))
+    with pytest.raises(NoFeasibleOrderingError):
+        exhaustive_ep_best(scenario)
+    with pytest.raises(NoFeasibleOrderingError):
+        _ep_search(scenario)
+    with pytest.raises(NoFeasibleOrderingError):
+        equitability(scenario)
+
+
+def _count_walks(monkeypatch):
+    calls = []
+    walk = solve.equal_value_solve
+
+    def counted(scenario, ordering):
+        calls.append(ordering)
+        return walk(scenario, ordering)
+
+    monkeypatch.setattr(solve, "equal_value_solve", counted)
+    return calls
+
+
+def test_lenient_equitability_walks_identical_players_once(monkeypatch):
+    scenario = Scenario(tuple((f"p{i}", StepDensity.uniform()) for i in range(1, 4)))
+    calls = _count_walks(monkeypatch)
+    outcome = equitability(scenario)
+    assert len(calls) == 1
+    assert outcome.cuts == (F(1, 3), F(2, 3))
+    assert len(_ep_search(scenario)[0]) == 6
+
+
+def test_strict_and_full_ep_search_walk_every_ordering(monkeypatch, ce3):
+    calls = _count_walks(monkeypatch)
+    tied, infeasible = _ep_search(ce3, walk_all=True)
+    assert len(calls) == 6
+    assert ("P1", "P3", "P2") in infeasible
+    with pytest.raises(EPUndefinedError) as err:
+        equitability(ce3, strict=True)
+    assert len(calls) == 12
+    assert err.value.infeasible_orderings == tuple(infeasible)
+    assert tied[0][0] == equitability(ce3).ordering
 
 
 # --- shared outcome invariants --------------------------------------------------

@@ -32,6 +32,7 @@ from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.solve import check_point
 from helpers import (
     QUARTER_POOL,
+    draw_grid_density,
     fine_grid_scenario,
     grid_affine_equal_value,
     grid_screen_no_solution,
@@ -154,18 +155,7 @@ def equal_value_cases(draw):
     repeat one of its densities."""
     n = draw(st.integers(3, 4))
     grid = draw(st.sampled_from((4, 6, 12)))
-    pool = []
-    for _ in range(draw(st.integers(1, n))):
-        interior = draw(st.sets(st.integers(1, grid - 1), max_size=6))
-        bounds = [ZERO, *(F(j, grid) for j in sorted(interior)), ONE]
-        weights = draw(
-            st.lists(st.integers(0, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1)
-            .filter(any)
-        )
-        total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
-        pool.append(
-            StepDensity.of(*((a, b, w / total) for w, a, b in zip(weights, bounds, bounds[1:])))
-        )
+    pool = [draw_grid_density(draw, grid) for _ in range(draw(st.integers(1, n)))]
     densities = pool + [draw(st.sampled_from(pool)) for _ in range(n - len(pool))]
     players = tuple((f"p{i + 1}", density) for i, density in enumerate(densities))
     return Scenario(players), tuple(draw(st.permutations(range(n))))

@@ -23,6 +23,7 @@ from fairslice import (
     theorem_a_check,
     weak_manipulation_search,
 )
+from fairslice import solve
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from helpers import random_density
 
@@ -231,6 +232,31 @@ def test_theorem_a_seeded_covers_all_procedures():
     ):
         report = theorem_a_check(procedure, truth, misreport, n, tie=TieRule.seeded(11))
         assert report.passed, (procedure, n)
+
+
+def test_theorem_a_seeded_ep_walks_once_and_validates_each_density_once(monkeypatch):
+    walks, validated = [], []
+    walk, validate = solve.equal_value_solve, StepDensity.validate
+
+    def counted_walk(scenario, ordering):
+        walks.append(ordering)
+        return walk(scenario, ordering)
+
+    def counted_validate(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(solve, "equal_value_solve", counted_walk)
+    monkeypatch.setattr(StepDensity, "validate", counted_validate)
+    truth = StepDensity.of((0, "1/3", 3), ("1/3", 1, 0))
+    report = theorem_a_check("ep", truth, ce2_p2_density(), 3, tie=TieRule.seeded(5))
+    # Identical players tie in every ordering: one walk finds the common
+    # value and one chain per other ordering confirms it.
+    assert len(walks) == 1
+    # truth, misreport, and the misreport once more for the three players
+    assert len(validated) == 3
+    assert report.passed
+    assert report.details["enumerated_outcomes"] == 6
 
 
 def test_theorem_a_propagates_strict_refusals():
