@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import EXIT_OK, EXIT_VALIDATION, FairsliceError, MismatchError
+from .errors import EXIT_OK, EXIT_VALIDATION, FairsliceError, MismatchError, ParseError
 from .harness import (
     emit_report,
     load_allocation,
@@ -79,8 +79,15 @@ def _write(text: str, output: str | None) -> None:
         print(text)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _cmd_run(args) -> int:
-    document = load_document(Path(args.scenario).read_text(encoding="utf-8"))
+    document = load_document(_read(args.scenario))
     embedded = document.procedure
     name = args.procedure or (embedded.name if embedded else None)
     if name is None:
@@ -104,14 +111,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    document = load_document(Path(args.scenario).read_text(encoding="utf-8"))
+    document = load_document(_read(args.scenario))
     scenario = document.scenario
-    allocation = load_allocation(
-        Path(args.allocation).read_text(encoding="utf-8"), scenario
-    )
+    allocation = load_allocation(_read(args.allocation), scenario)
     truth = document.truth
     if args.truth:
-        truth = load_document(Path(args.truth).read_text(encoding="utf-8")).scenario
+        truth = load_document(_read(args.truth)).scenario
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in wanted if c not in CHECKS]
     if unknown:
@@ -139,7 +144,7 @@ def _cmd_paper_ce(args) -> int:
 
 
 def _cmd_manipulate(args) -> int:
-    document = load_document(Path(args.scenario).read_text(encoding="utf-8"))
+    document = load_document(_read(args.scenario))
     scenario = document.scenario
     if scenario.n != 2:
         raise FairsliceError("manipulation search needs a two-player scenario")
@@ -148,8 +153,8 @@ def _cmd_manipulate(args) -> int:
     if args.player not in scenario.names:
         raise FairsliceError(f"unknown player {args.player!r}")
     opponent_name = next(n for n in scenario.names if n != args.player)
-    candidates = load_densities(Path(args.candidates).read_text(encoding="utf-8"))
-    opponents = load_densities(Path(args.opponents).read_text(encoding="utf-8"))
+    candidates = load_densities(_read(args.candidates))
+    opponents = load_densities(_read(args.opponents))
     embedded = document.procedure
     witness = weak_manipulation_search(
         embedded.name,

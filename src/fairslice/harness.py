@@ -80,6 +80,12 @@ def _require_list(value, path: str) -> list:
     return value
 
 
+def _require_keys(entry: dict, keys: Sequence[str], path: str) -> None:
+    for key in keys:
+        if key not in entry:
+            raise ParseError(f"{path}: missing {key!r}")
+
+
 def _require_schema(doc: dict, path: str) -> None:
     if doc.get("schema") != SCHEMA:
         raise ParseError(f"{path}: missing or unsupported schema, expected {SCHEMA!r}")
@@ -92,6 +98,8 @@ def _load_json(source: Union[str, dict], path: str) -> dict:
         parsed = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from None
     return _require_mapping(parsed, path)
 
 
@@ -99,9 +107,7 @@ def _pieces_from(doc, path: str) -> StepDensity:
     pieces = []
     for k, raw in enumerate(_require_list(doc, path)):
         entry = _require_mapping(raw, f"{path}[{k}]")
-        for key in ("from", "to", "density"):
-            if key not in entry:
-                raise ParseError(f"{path}[{k}]: missing {key!r}")
+        _require_keys(entry, ("from", "to", "density"), f"{path}[{k}]")
         try:
             pieces.append(
                 Piece(
@@ -122,7 +128,6 @@ def _players_from(doc, path: str) -> tuple[tuple[str, StepDensity], ...]:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError(f"{path}[{k}].name: expected a nonempty string")
-        # Validated once, by the Scenario the players go into.
         density = _pieces_from(entry.get("pieces", []), f"{path}[{k}].pieces")
         players.append((name, density))
     return tuple(players)
@@ -250,11 +255,12 @@ def load_allocation(source: Union[str, dict], scenario: Optional[Scenario] = Non
         intervals = []
         for k, raw in enumerate(_require_list(spans, f"portions.{name}")):
             entry = _require_mapping(raw, f"portions.{name}[{k}]")
+            _require_keys(entry, ("from", "to"), f"portions.{name}[{k}]")
             try:
                 intervals.append(
                     Interval(
-                        parse_rational(entry.get("from", 0), f"portions.{name}[{k}].from"),
-                        parse_rational(entry.get("to", 0), f"portions.{name}[{k}].to"),
+                        parse_rational(entry["from"], f"portions.{name}[{k}].from"),
+                        parse_rational(entry["to"], f"portions.{name}[{k}].to"),
                     )
                 )
             except ValueError as exc:

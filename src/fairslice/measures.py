@@ -165,7 +165,6 @@ class IntervalSet:
         return " u ".join(str(iv) for iv in self.intervals)
 
 
-EMPTY_SET = IntervalSet()
 FULL_SET = IntervalSet((Interval(ZERO, ONE),))
 
 
@@ -227,10 +226,12 @@ class StepDensity:
 
     The queries (``mass``, ``cdf``, ``quantile``, ``quantile_left``,
     ``median_interval``, ``density_at``) assume a validated density, sorted
-    pieces tiling [0, 1]; every engine entry point validates first. The
-    first query builds a cumulative-mass index in O(k) for k pieces; each
-    query after that costs O(log k) (a bisection plus a few exact
-    operations).
+    pieces tiling [0, 1]; every engine entry point calls ``require_valid``
+    first. Validation or the first query builds a cumulative-mass index in
+    O(k) for k pieces, whose last entry is the total mass that validation
+    checks; each query after that costs O(log k) (a bisection plus a few
+    exact operations). The verdict ``require_valid`` reads is kept per
+    object, so each density is validated once however many callers ask.
     """
 
     pieces: tuple[Piece, ...]
@@ -271,16 +272,21 @@ class StepDensity:
                 found.append(
                     DensityViolation(GAP_OR_OVERLAP, f"pieces {k} and {k + 1} do not abut: {a.hi} vs {b.lo}")
                 )
-        total = sum((p.density * (p.hi - p.lo) for p in self.pieces), ZERO)
+        total = self._cum[-1]
         if total != ONE:
             found.append(DensityViolation(TOTAL_MASS_NOT_ONE, f"total mass is {total}"))
         return DensityReport(tuple(found))
 
+    @cached_property
+    def _violations(self) -> tuple[DensityViolation, ...]:
+        """The verdict of ``validate``, computed once per object; like
+        ``_cum``, not a dataclass field."""
+        return self.validate().violations
+
     def require_valid(self, label: str = "density") -> None:
-        report = self.validate()
-        if not report.ok:
-            details = "; ".join(f"{v.code}: {v.detail}" for v in report.violations)
-            raise InvalidDensityError(f"invalid {label}: {details}", report.violations)
+        if self._violations:
+            details = "; ".join(f"{v.code}: {v.detail}" for v in self._violations)
+            raise InvalidDensityError(f"invalid {label}: {details}", self._violations)
 
     @cached_property
     def _cum(self) -> tuple[Fraction, ...]:
@@ -396,11 +402,8 @@ class Scenario:
             raise ValueError(f"duplicate player names: {names}")
         if not names:
             raise ValueError("a scenario needs at least one player")
-        validated = set()  # ids: a density shared by several players is checked once
         for name, density in self.players:
-            if id(density) not in validated:
-                validated.add(id(density))
-                density.require_valid(f"density for {name!r}")
+            density.require_valid(f"density for {name!r}")
 
     @classmethod
     def of(cls, declarations: Mapping[str, StepDensity]) -> "Scenario":
@@ -442,11 +445,10 @@ class Allocation:
         names = [name for name, _ in self.portions]
         if len(set(names)) != len(names):
             raise AllocationError(f"duplicate portion owners: {names}")
-        covered = EMPTY_SET
-        total = ZERO
-        for _, portion in self.portions:
-            covered = covered.union(portion)
-            total += portion.length
+        covered = IntervalSet(
+            tuple(iv for _, portion in self.portions for iv in portion.intervals)
+        )
+        total = sum((portion.length for _, portion in self.portions), ZERO)
         if covered != FULL_SET:
             raise AllocationError(f"portions cover {covered}, not the whole cake")
         if total != ONE:

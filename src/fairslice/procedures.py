@@ -346,18 +346,6 @@ def surplus_divide(
     )
 
 
-def ep_for_ordering(scenario: Scenario, ordering: Sequence):
-    """Cuts and common value for one left-to-right assignment, or None.
-
-    Absence is a value rather than an error: some assignments admit no
-    equalizing cutpoints at all, and both behaviors must be observable.
-    """
-    solution = solve.equal_value_solve(scenario, ordering)
-    if solution is None:
-        return None
-    return solution.cuts, solution.common_value
-
-
 def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False):
     """The assignments of pieces tied at the largest common value.
 

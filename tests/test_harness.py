@@ -555,3 +555,42 @@ def test_cli_verify_truth_file_with_other_players_exit_2(scenario_file, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error [INVALID_PLAYERS]: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing", ["from", "to"])
+def test_cli_verify_span_missing_an_end_exit_2(scenario_file, tmp_path, capsys, missing):
+    span = {"from": 0, "to": "1/2"}
+    del span[missing]
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(
+        json.dumps({**HALVES_DOC, "portions": {**HALVES_DOC["portions"], "P1": [span]}}),
+        encoding="utf-8",
+    )
+    assert main(["verify", str(scenario_file), str(allocation)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error [PARSE_ERROR]: portions.P1[0]: missing {missing!r}\n"
+
+
+def test_cli_deeply_nested_document_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["run", str(path), "--procedure", "moving-knife"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error [PARSE_ERROR]: document: JSON nested too deeply to parse\n"
+
+
+def test_cli_non_utf8_file_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(CE2_DOC).encode("utf-8") + b"\xff")
+    assert main(["run", str(path), "--procedure", "moving-knife"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [PARSE_ERROR]: {path}: not UTF-8 text")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_every_public_name_resolves():
+    import fairslice
+
+    missing = [name for name in fairslice.__all__ if not hasattr(fairslice, name)]
+    assert missing == []
+    assert len(set(fairslice.__all__)) == len(fairslice.__all__)

@@ -139,6 +139,39 @@ def test_require_valid_raises_with_codes():
     assert any(v.code == TOTAL_MASS_NOT_ONE for v in err.value.violations)
 
 
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        (
+            ((0, HALF, 1), (HALF, "1/4", 2), ("1/4", 1, 1)),
+            "invalid density: GAP_OR_OVERLAP: piece 1 is empty or reversed: "
+            "[1/2, 1/4]; TOTAL_MASS_NOT_ONE: total mass is 3/4",
+        ),
+        (
+            ((0, HALF, -1), (HALF, 1, 2)),
+            "invalid density: NEGATIVE_DENSITY: piece 0 has density -1; "
+            "TOTAL_MASS_NOT_ONE: total mass is 1/2",
+        ),
+        (
+            ((0, HALF, 0), (HALF, "3/4", 0), ("3/4", 1, 2)),
+            "invalid density: TOTAL_MASS_NOT_ONE: total mass is 1/2",
+        ),
+    ],
+)
+def test_require_valid_repeats_its_verdict(triples, message):
+    density = StepDensity.of(*triples)
+    twin = StepDensity.of(*triples)
+    for _ in range(3):
+        with pytest.raises(InvalidDensityError) as err:
+            density.require_valid()
+        assert str(err.value) == message
+        assert err.value.violations == density.validate().violations
+        density.mass(IntervalSet.of((0, 1)))
+    # the kept verdict is no field: equality, hashing and repr ignore it
+    assert density == twin and hash(density) == hash(twin)
+    assert repr(density) == repr(twin)
+
+
 def test_mass_examples(ce5):
     assert StepDensity.uniform().mass(Interval(ZERO, HALF)) == HALF
     assert ce2_player2().mass(Interval(ZERO, F(1, 4))) == HALF

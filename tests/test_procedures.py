@@ -17,7 +17,6 @@ from fairslice import (
     TieRule,
     cut_and_choose,
     declared_values,
-    ep_for_ordering,
     equitability,
     moving_knife,
     run_procedure,
@@ -336,12 +335,12 @@ def test_surplus_cut_is_the_midpoint_of_a_root_interval():
 # --- equal-value procedure -----------------------------------------------------
 
 
-def test_ep_for_ordering_examples(ce3, ce5):
-    assert ep_for_ordering(ce3, ("P1", "P3", "P2")) is None
-    cuts, t = ep_for_ordering(ce3, ("P2", "P1", "P3"))
-    assert (cuts, t) == ((F(1, 5), F(4, 5)), F(3, 5))
-    cuts, t = ep_for_ordering(ce5, ("A", "C", "B"))
-    assert (cuts, t) == ((F(1, 3), F(2, 3)), F(9, 20))
+def test_equal_value_solve_examples(ce3, ce5):
+    assert solve.equal_value_solve(ce3, ("P1", "P3", "P2")) is None
+    solution = solve.equal_value_solve(ce3, ("P2", "P1", "P3"))
+    assert (solution.cuts, solution.common_value) == ((F(1, 5), F(4, 5)), F(3, 5))
+    solution = solve.equal_value_solve(ce5, ("A", "C", "B"))
+    assert (solution.cuts, solution.common_value) == ((F(1, 3), F(2, 3)), F(9, 20))
 
 
 def test_equitability_ce5(ce5):
@@ -373,9 +372,9 @@ def test_equitability_lenient_maximizes_common_value(ce3, ce5):
     for scenario in (ce3, ce5, *randoms):
         best = equitability(scenario).common_value
         for perm in itertools.permutations(range(scenario.n)):
-            result = ep_for_ordering(scenario, perm)
-            if result is not None:
-                assert result[1] <= best
+            solution = solve.equal_value_solve(scenario, perm)
+            if solution is not None:
+                assert solution.common_value <= best
 
 
 def test_equitability_identical_players_prefers_lexicographic():

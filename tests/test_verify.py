@@ -253,8 +253,9 @@ def test_theorem_a_seeded_ep_walks_once_and_validates_each_density_once(monkeypa
     # Identical players tie in every ordering: one walk finds the common
     # value and one chain per other ordering confirms it.
     assert len(walks) == 1
-    # truth, misreport, and the misreport once more for the three players
-    assert len(validated) == 3
+    # truth and misreport once each: the three players share the misreport
+    # object, whose verdict is kept after its first validation
+    assert len(validated) == 2
     assert report.passed
     assert report.details["enumerated_outcomes"] == 6
 
@@ -288,6 +289,26 @@ def test_weak_manipulation_no_candidates_beyond_truth():
         )
         is None
     )
+
+
+@pytest.mark.parametrize("procedure", ["cut-choose", "moving-knife"])
+def test_weak_manipulation_search_validates_each_density_once(procedure, monkeypatch):
+    validated = []
+    validate = StepDensity.validate
+
+    def counted(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(StepDensity, "validate", counted)
+    truth = StepDensity.uniform()
+    candidates = [StepDensity.uniform(), ce2_p2_density()]
+    opponents = [ce2_p2_density(), StepDensity.of((0, HALF, 2), (HALF, 1, 0))]
+    witness = weak_manipulation_search(procedure, truth, candidates, opponents)
+    assert witness is None
+    # one call per density object, however many Scenarios reuse it
+    assert len(validated) == 5
+    assert {id(d) for d in validated} == {id(d) for d in (truth, *candidates, *opponents)}
 
 
 def test_weak_manipulation_cut_and_choose_example():
