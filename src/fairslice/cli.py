@@ -20,7 +20,8 @@ from .harness import (
     parse_tie,
     run_counterexample,
 )
-from .procedures import PROCEDURE_NAMES, declared_values, run_procedure
+from .measures import declared_values
+from .procedures import PROCEDURE_NAMES, run_procedure
 from .verify import (
     envy_free_check,
     pareto_optimal_check,

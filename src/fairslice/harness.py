@@ -41,8 +41,8 @@ from .procedures import (
     moving_knife,
     surplus_divide,
 )
-from .solve import build_improvement_lp, simplex_max, utilitarian_bound
-from .verify import pareto_optimal_check
+from .solve import utilitarian_bound
+from .verify import PropertyReport, pareto_optimal_check
 
 SCHEMA = "fairslice/1"
 
@@ -80,12 +80,6 @@ def _require_list(value, path: str) -> list:
     return value
 
 
-def _require_keys(entry: dict, keys: Sequence[str], path: str) -> None:
-    for key in keys:
-        if key not in entry:
-            raise ParseError(f"{path}: missing {key!r}")
-
-
 def _require_schema(doc: dict, path: str) -> None:
     if doc.get("schema") != SCHEMA:
         raise ParseError(f"{path}: missing or unsupported schema, expected {SCHEMA!r}")
@@ -103,22 +97,26 @@ def _load_json(source: Union[str, dict], path: str) -> dict:
     return _require_mapping(parsed, path)
 
 
-def _pieces_from(doc, path: str) -> StepDensity:
-    pieces = []
+def _spans(doc, path: str, keys: Sequence[str], make) -> tuple:
+    """Read a list of objects holding the rationals ``keys`` into
+    ``make(*values)``; a ``ValueError`` from ``make`` names the entry."""
+    out = []
     for k, raw in enumerate(_require_list(doc, path)):
-        entry = _require_mapping(raw, f"{path}[{k}]")
-        _require_keys(entry, ("from", "to", "density"), f"{path}[{k}]")
+        where = f"{path}[{k}]"
+        entry = _require_mapping(raw, where)
+        for key in keys:
+            if key not in entry:
+                raise ParseError(f"{where}: missing {key!r}")
+        values = [parse_rational(entry[key], f"{where}.{key}") for key in keys]
         try:
-            pieces.append(
-                Piece(
-                    parse_rational(entry["from"], f"{path}[{k}].from"),
-                    parse_rational(entry["to"], f"{path}[{k}].to"),
-                    parse_rational(entry["density"], f"{path}[{k}].density"),
-                )
-            )
+            out.append(make(*values))
         except ValueError as exc:
-            raise ParseError(f"{path}[{k}]: {exc}") from None
-    return StepDensity(tuple(pieces))
+            raise ParseError(f"{where}: {exc}") from None
+    return tuple(out)
+
+
+def _pieces_from(doc, path: str) -> StepDensity:
+    return StepDensity(_spans(doc, path, ("from", "to", "density"), Piece))
 
 
 def _players_from(doc, path: str) -> tuple[tuple[str, StepDensity], ...]:
@@ -252,20 +250,8 @@ def load_allocation(source: Union[str, dict], scenario: Optional[Scenario] = Non
     portions_doc = _require_mapping(doc.get("portions"), "portions")
     portions = []
     for name, spans in portions_doc.items():
-        intervals = []
-        for k, raw in enumerate(_require_list(spans, f"portions.{name}")):
-            entry = _require_mapping(raw, f"portions.{name}[{k}]")
-            _require_keys(entry, ("from", "to"), f"portions.{name}[{k}]")
-            try:
-                intervals.append(
-                    Interval(
-                        parse_rational(entry["from"], f"portions.{name}[{k}].from"),
-                        parse_rational(entry["to"], f"portions.{name}[{k}].to"),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(f"portions.{name}[{k}]: {exc}") from None
-        portions.append((name, IntervalSet(tuple(intervals))))
+        intervals = _spans(spans, f"portions.{name}", ("from", "to"), Interval)
+        portions.append((name, IntervalSet(intervals)))
     if scenario is not None and set(n for n, _ in portions) != set(scenario.names):
         raise ParseError(
             f"portions name players {sorted(n for n, _ in portions)}, "
@@ -381,10 +367,6 @@ class ComparisonReport:
         return all(entry.ok for entry in self.entries)
 
 
-def _F(text) -> Fraction:
-    return Fraction(text)
-
-
 def _ce1() -> CounterexampleCase:
     vertical = Scenario((("P1", StepDensity.uniform()), ("P2", StepDensity.uniform())))
     horizontal = Scenario(
@@ -394,16 +376,20 @@ def _ce1() -> CounterexampleCase:
         )
     )
     expected = {
-        "vertical.cut": ExpectedValue(_F("1/2"), "CE1: vertical cut-and-choose bisects the square"),
-        "vertical.values": ExpectedValue(
-            (_F("1/2"), _F("1/2")), "CE1: each player receives exactly 1/2"
+        "vertical.cut": ExpectedValue(
+            Fraction("1/2"), "CE1: vertical cut-and-choose bisects the square"
         ),
-        "horizontal.cut": ExpectedValue(_F("3/4"), "CE1: risk-averse horizontal cut at 3/4"),
+        "vertical.values": ExpectedValue(
+            (Fraction("1/2"), Fraction("1/2")), "CE1: each player receives exactly 1/2"
+        ),
+        "horizontal.cut": ExpectedValue(Fraction("3/4"), "CE1: risk-averse horizontal cut at 3/4"),
         "horizontal.values": ExpectedValue(
-            (_F("1/2"), _F(1)), "CE1: cutter keeps 1/2, chooser takes a piece worth 100%"
+            (Fraction("1/2"), Fraction(1)),
+            "CE1: cutter keeps 1/2, chooser takes a piece worth 100%",
         ),
         "square.split_values": ExpectedValue(
-            (_F(1), _F(1)), "CE1: top half to P1 and bottom to P2 is worth everything to each"
+            (Fraction(1), Fraction(1)),
+            "CE1: top half to P1 and bottom to P2 is worth everything to each",
         ),
         "vertical.weakly_dominated_by_split": ExpectedValue(
             True, "CE1: the split is at least as good for P2 and strictly better for P1"
@@ -430,17 +416,21 @@ def _ce2() -> CounterexampleCase:
         )
     )
     expected = {
-        "cut": ExpectedValue(_F("1/2"), "CE2: the cutter's unique cut point is 1/2"),
-        "values": ExpectedValue((_F("1/2"), _F("1/2")), "CE2: each receives exactly 1/2"),
+        "cut": ExpectedValue(Fraction("1/2"), "CE2: the cutter's unique cut point is 1/2"),
+        "values": ExpectedValue(
+            (Fraction("1/2"), Fraction("1/2")), "CE2: each receives exactly 1/2"
+        ),
         "published_witness.values": ExpectedValue(
-            (_F("3/4"), _F("1/2")), "CE2: giving [0,1/4] to P2 yields values 3/4 and 1/2"
+            (Fraction("3/4"), Fraction("1/2")),
+            "CE2: giving [0,1/4] to P2 yields values 3/4 and 1/2",
         ),
         "published_witness.dominates": ExpectedValue(
             True, "CE2: P1 strictly gains, P2 keeps 1/2"
         ),
         "pareto_optimal": ExpectedValue(False, "CE2: cut-and-choose is not Pareto optimal"),
         "median_interval.P2": ExpectedValue(
-            (_F("1/4"), _F("3/4")), "CE2: P2 has no unique median; cdf is flat on [1/4, 3/4]"
+            (Fraction("1/4"), Fraction("3/4")),
+            "CE2: P2 has no unique median; cdf is flat on [1/4, 3/4]",
         ),
     }
     return CounterexampleCase(
@@ -480,10 +470,10 @@ def _ce3() -> CounterexampleCase:
             ("P2", "P1", "P3"), "CE3: best feasible assignment, solved by hand"
         ),
         "lenient.common_value": ExpectedValue(
-            _F("3/5"), "CE3: 3x = x2-x1 = 3(1-x2) solves to 3/5"
+            Fraction("3/5"), "CE3: 3x = x2-x1 = 3(1-x2) solves to 3/5"
         ),
         "lenient.cuts": ExpectedValue(
-            (_F("1/5"), _F("4/5")), "CE3: cuts for the 2-1-3 assignment"
+            (Fraction("1/5"), Fraction("4/5")), "CE3: cuts for the 2-1-3 assignment"
         ),
     }
     return CounterexampleCase(
@@ -500,19 +490,19 @@ def _ce4() -> CounterexampleCase:
     )
     expected = {
         "cuts": ExpectedValue(
-            (_F("1/3"), _F("2/3")), "CE4: the unique marks are at 1/3 and 2/3"
+            (Fraction("1/3"), Fraction("2/3")), "CE4: the unique marks are at 1/3 and 2/3"
         ),
         "values": ExpectedValue(
-            (_F("1/3"), _F("1/3"), _F("1/3")), "CE4: uniform players split evenly"
+            (Fraction("1/3"), Fraction("1/3"), Fraction("1/3")), "CE4: uniform players split evenly"
         ),
         "shift_by_1/100.min_value": ExpectedValue(
-            _F("97/300"), "CE4: moving both marks right by 1/100 shorts the last player"
+            Fraction("97/300"), "CE4: moving both marks right by 1/100 shorts the last player"
         ),
         "shift_by_1/100.breaks_fair_share": ExpectedValue(
             True, "CE4: some player falls below 1/3"
         ),
         "shift_by_1/10.min_value": ExpectedValue(
-            _F("7/30"), "CE4: moving both marks right by 1/10 leaves 7/30 < 1/3"
+            Fraction("7/30"), "CE4: moving both marks right by 1/10 leaves 7/30 < 1/3"
         ),
         "shift_by_1/10.breaks_fair_share": ExpectedValue(
             True, "CE4: some player falls below 1/3"
@@ -527,7 +517,7 @@ def _ce4() -> CounterexampleCase:
 
 
 def _ce5_scenario() -> Scenario:
-    hot, cold = _F("12/5"), _F("3/10")
+    hot, cold = Fraction("12/5"), Fraction("3/10")
     a = StepDensity.of(
         (0, "1/6", hot), ("1/6", "1/2", cold), ("1/2", "2/3", hot), ("2/3", 1, cold)
     )
@@ -557,20 +547,21 @@ def ce5_block_allocation() -> Allocation:
 def _ce5() -> CounterexampleCase:
     expected = {
         "ep.ordering": ExpectedValue(("A", "C", "B"), "CE5: pieces go to A, C, B left to right"),
-        "ep.cuts": ExpectedValue((_F("1/3"), _F("2/3")), "CE5: cuts at 1/3 and 2/3"),
-        "ep.common_value": ExpectedValue(_F("9/20"), "CE5: each receives exactly .45"),
+        "ep.cuts": ExpectedValue((Fraction("1/3"), Fraction("2/3")), "CE5: cuts at 1/3 and 2/3"),
+        "ep.common_value": ExpectedValue(Fraction("9/20"), "CE5: each receives exactly .45"),
         "ep.values": ExpectedValue(
-            (_F("9/20"), _F("9/20"), _F("9/20")), "CE5: equal shares of .45"
+            (Fraction("9/20"), Fraction("9/20"), Fraction("9/20")), "CE5: equal shares of .45"
         ),
         "block.values": ExpectedValue(
-            (_F("4/5"), _F("4/5"), _F("4/5")), "CE5: favorite-region split is worth .8 to each"
+            (Fraction("4/5"), Fraction("4/5"), Fraction("4/5")),
+            "CE5: favorite-region split is worth .8 to each",
         ),
         "block.dominates_ep": ExpectedValue(
             True, "CE5: .8 beats .45 for every player"
         ),
         "ep.pareto_optimal": ExpectedValue(False, "CE5: the equal-value outcome is dominated"),
         "lp_witness.values": ExpectedValue(
-            (_F("4/5"), _F("4/5"), _F("4/5")),
+            (Fraction("4/5"), Fraction("4/5"), Fraction("4/5")),
             "derived: the only total-value maximizer gives every hot sixth to its fan",
         ),
     }
@@ -583,7 +574,7 @@ def _ce5() -> CounterexampleCase:
 
 
 def _ce6_scenario() -> Scenario:
-    hot, cold = _F("8/5"), _F("2/5")
+    hot, cold = Fraction("8/5"), Fraction("2/5")
     a = StepDensity.of(
         (0, "1/4", hot), ("1/4", "1/2", cold), ("1/2", "3/4", hot), ("3/4", 1, cold)
     )
@@ -604,14 +595,18 @@ def ce6_block_allocation() -> Allocation:
 
 def _ce6() -> CounterexampleCase:
     expected = {
-        "sp_e.cut": ExpectedValue(_F("1/2"), "CE6: the cut lands at 1/2"),
+        "sp_e.cut": ExpectedValue(Fraction("1/2"), "CE6: the cut lands at 1/2"),
         "sp_e.values": ExpectedValue(
-            (_F("1/2"), _F("1/2")), "CE6: each receives a portion worth exactly .5"
+            (Fraction("1/2"), Fraction("1/2")), "CE6: each receives a portion worth exactly .5"
         ),
-        "sp_p.cut": ExpectedValue(_F("1/2"), "CE6: both variants coincide, the surplus is empty"),
-        "sp_p.values": ExpectedValue((_F("1/2"), _F("1/2")), "CE6: same values either way"),
+        "sp_p.cut": ExpectedValue(
+            Fraction("1/2"), "CE6: both variants coincide, the surplus is empty"
+        ),
+        "sp_p.values": ExpectedValue(
+            (Fraction("1/2"), Fraction("1/2")), "CE6: same values either way"
+        ),
         "block.values": ExpectedValue(
-            (_F("4/5"), _F("4/5")), "CE6: favorite-quarters split is worth .8 to each"
+            (Fraction("4/5"), Fraction("4/5")), "CE6: favorite-quarters split is worth .8 to each"
         ),
         "block.dominates_sp": ExpectedValue(True, "CE6: .8 beats .5 for both players"),
         "sp.pareto_optimal": ExpectedValue(False, "CE6: the median-cut outcome is dominated"),
@@ -619,14 +614,14 @@ def _ce6() -> CounterexampleCase:
             True, "derived: the split attains the utilitarian bound"
         ),
         "block.improvement_gain": ExpectedValue(
-            _F(0), "derived: the improvement optimum equals the current total"
+            Fraction(0), "derived: the improvement optimum equals the current total"
         ),
         "utilitarian_bound": ExpectedValue(
-            _F("8/5"), "CE6: densities are 1.6 and .4, the max integrates to 1.6"
+            Fraction("8/5"), "CE6: densities are 1.6 and .4, the max integrates to 1.6"
         ),
-        "block.total_value": ExpectedValue(_F("8/5"), "CE6: .8 plus .8"),
+        "block.total_value": ExpectedValue(Fraction("8/5"), "CE6: .8 plus .8"),
         "lp_witness.values": ExpectedValue(
-            (_F("4/5"), _F("4/5")),
+            (Fraction("4/5"), Fraction("4/5")),
             "derived: the only total-value maximizer gives every hot quarter to its fan",
         ),
     }
@@ -655,6 +650,15 @@ def _weakly_dominates(better: Sequence[Fraction], worse: Sequence[Fraction]) -> 
 
 def _strictly_dominates(better: Sequence[Fraction], worse: Sequence[Fraction]) -> bool:
     return all(b > w for b, w in zip(better, worse))
+
+
+def _witness_values(
+    scenario: Scenario, report: PropertyReport
+) -> Optional[tuple[Fraction, ...]]:
+    """The dominating allocation's values in scenario order, or None."""
+    if report.witness is None:
+        return None
+    return tuple(report.witness.value_vector[name] for name in scenario.names)
 
 
 def _actuals_ce1(case: CounterexampleCase) -> dict:
@@ -737,11 +741,6 @@ def _actuals_ce5(case: CounterexampleCase) -> dict:
     block_values = _values_tuple(scenario, block)
     ep_values = _values_tuple(scenario, outcome.allocation)
     report = pareto_optimal_check(scenario, outcome.allocation)
-    witness_values = (
-        None
-        if report.witness is None
-        else tuple(report.witness.value_vector[name] for name in scenario.names)
-    )
     return {
         "ep.ordering": outcome.ordering,
         "ep.cuts": outcome.cuts,
@@ -750,7 +749,7 @@ def _actuals_ce5(case: CounterexampleCase) -> dict:
         "block.values": block_values,
         "block.dominates_ep": _strictly_dominates(block_values, ep_values),
         "ep.pareto_optimal": report.passed,
-        "lp_witness.values": witness_values,
+        "lp_witness.values": _witness_values(scenario, report),
     }
 
 
@@ -763,13 +762,10 @@ def _actuals_ce6(case: CounterexampleCase) -> dict:
     sp_values = _values_tuple(scenario, equitable.allocation)
     sp_report = pareto_optimal_check(scenario, equitable.allocation)
     block_report = pareto_optimal_check(scenario, block)
-    lp, seed, _, base = build_improvement_lp(scenario, block)
-    optimum = simplex_max(lp, seed)
-    witness_values = (
-        None
-        if sp_report.witness is None
-        else tuple(sp_report.witness.value_vector[name] for name in scenario.names)
-    )
+    # The witness realizes the LP optimum exactly, so its gains sum to the
+    # optimum minus the current total; with no witness the two are equal.
+    witness = block_report.witness
+    gain = ZERO if witness is None else sum(witness.gains.values(), ZERO)
     return {
         "sp_e.cut": equitable.cuts[0],
         "sp_e.values": sp_values,
@@ -779,10 +775,10 @@ def _actuals_ce6(case: CounterexampleCase) -> dict:
         "block.dominates_sp": _strictly_dominates(block_values, sp_values),
         "sp.pareto_optimal": sp_report.passed,
         "block.pareto_optimal": block_report.passed,
-        "block.improvement_gain": optimum.value - sum(base, ZERO),
+        "block.improvement_gain": gain,
         "utilitarian_bound": utilitarian_bound(scenario),
         "block.total_value": sum(block_values, ZERO),
-        "lp_witness.values": witness_values,
+        "lp_witness.values": _witness_values(scenario, sp_report),
     }
 
 

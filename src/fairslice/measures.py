@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
 )
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
@@ -469,9 +468,6 @@ class Allocation:
             if player == name:
                 return portion
         raise KeyError(name)
-
-    def as_dict(self) -> dict[str, IntervalSet]:
-        return dict(self.portions)
 
 
 def declared_values(scenario: Scenario, allocation: Allocation) -> dict:

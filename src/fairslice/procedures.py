@@ -29,7 +29,6 @@ from .measures import (
     Piece,
     Scenario,
     StepDensity,
-    declared_values,  # re-exported: the CLI and callers read it from here
 )
 from . import solve
 
@@ -58,8 +57,11 @@ class TieRule:
     def __post_init__(self):
         if self.mode not in ("lowest", "seeded"):
             raise ValueError(f"unknown tie mode {self.mode!r}")
-        if self.mode == "seeded" and self.seed is None:
-            raise ValueError("seeded tie rule needs a seed")
+        if self.mode == "seeded":
+            if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+                raise ValueError(f"tie seed must be an int in [0, 2**64), got {self.seed!r}")
+        elif self.seed is not None:
+            raise ValueError(f"a {self.mode} tie rule takes no seed, got {self.seed!r}")
 
     @classmethod
     def seeded(cls, seed: int) -> "TieRule":

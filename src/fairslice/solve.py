@@ -401,16 +401,20 @@ def _eliminate(row, den, pivot_row, col):
 class CellDecomposition:
     """Refinement of [0, 1] on which every player's density is constant."""
 
-    bounds: tuple[Fraction, ...]
     cells: tuple[Interval, ...]
     densities: tuple[tuple[Fraction, ...], ...]
 
 
 def decompose(
-    scenario: Scenario,
-    allocation: Optional[Allocation] = None,
-    extra_cuts: Sequence = (),
+    scenario: Scenario, allocation: Optional[Allocation] = None
 ) -> CellDecomposition:
+    """Cut [0, 1] at every declared density breakpoint and portion endpoint.
+
+    Each density is then constant on each cell, and each portion is a union
+    of whole cells. Cutting finer cannot change a Pareto verdict, since
+    only the per-cell fractions matter, so a density that declares
+    redundant breakpoints only adds cells.
+    """
     points = {ZERO, ONE}
     for _, density in scenario.players:
         points.update(density.breakpoints())
@@ -419,20 +423,19 @@ def decompose(
             for iv in portion.intervals:
                 points.add(iv.lo)
                 points.add(iv.hi)
-    points.update(as_rational(x) for x in extra_cuts)
-    bounds = tuple(sorted(p for p in points if ZERO <= p <= ONE))
+    bounds = sorted(points)
     # Tuples built from lists, not generators: tuple(generator) allocates
     # ten slots and shrinks, and CPython parks each shrunk tuple on its
     # size's free list when it dies, so resident memory would grow with
     # every call until those free lists fill.
-    cells = tuple([Interval(a, b) for a, b in zip(bounds, bounds[1:]) if b > a])
+    cells = tuple([Interval(a, b) for a, b in zip(bounds, bounds[1:])])
     densities = tuple(
         [
             tuple([density.density_at(cell.lo) for cell in cells])
             for _, density in scenario.players
         ]
     )
-    return CellDecomposition(bounds, cells, densities)
+    return CellDecomposition(cells, densities)
 
 
 @dataclass(frozen=True)
@@ -453,9 +456,7 @@ class DominationWitness:
             raise ValueError(f"not a domination witness: gains {gains}")
 
 
-def build_improvement_lp(
-    scenario: Scenario, allocation: Allocation, extra_cuts: Sequence = ()
-):
+def build_improvement_lp(scenario: Scenario, allocation: Allocation):
     """LP whose optimum exceeds the current total value iff the allocation
     is Pareto dominated.
 
@@ -464,9 +465,11 @@ def build_improvement_lp(
     fractions range over all measurable allocations. Constraints keep every
     player at least at the current value, and the objective is the total
     value, so optimum minus the current total is the achievable sum of
-    gains. Returns (lp, seed point, decomposition, current values).
+    gains. The cells are those of ``decompose``, so one (scenario,
+    allocation) pair has one LP. Returns (lp, seed point, decomposition,
+    current values).
     """
-    dec = decompose(scenario, allocation, extra_cuts)
+    dec = decompose(scenario, allocation)
     n = scenario.n
     m = len(dec.cells)
     weight = [
@@ -508,7 +511,7 @@ def build_improvement_lp(
 
 
 def pareto_improve(
-    scenario: Scenario, allocation: Allocation, extra_cuts: Sequence = ()
+    scenario: Scenario, allocation: Allocation
 ) -> Optional[DominationWitness]:
     """Return a dominating allocation, or None if this one is Pareto optimal.
 
@@ -516,7 +519,7 @@ def pareto_improve(
     contiguous ones: with step densities only the per-cell fractions
     matter, and the LP ranges over all of them.
     """
-    lp, seed, dec, base = build_improvement_lp(scenario, allocation, extra_cuts)
+    lp, seed, dec, base = build_improvement_lp(scenario, allocation)
     result = simplex_max(lp, seed)
     if result.value == sum(base, ZERO):
         return None

@@ -97,14 +97,11 @@ def envy_free_check(
 
 
 def pareto_optimal_check(
-    scenario: Scenario,
-    allocation: Allocation,
-    truth: Optional[Scenario] = None,
-    extra_cuts: Sequence = (),
+    scenario: Scenario, allocation: Allocation, truth: Optional[Scenario] = None
 ) -> PropertyReport:
     """Is there no allocation better for someone and worse for no one?"""
     profile = _scored(scenario, truth)
-    witness = pareto_improve(profile, allocation, extra_cuts)
+    witness = pareto_improve(profile, allocation)
     values = declared_values(profile, allocation)
     optimal = witness is None
     return PropertyReport(
@@ -166,8 +163,6 @@ def theorem_a_check(
     """
     truth.require_valid("truth")
     misreport.require_valid("misreport")
-    if procedure in ("cut-choose", "sp-e", "sp-p") and n != 2:
-        raise InvalidPlayersError(f"{procedure} needs exactly 2 players, got {n}")
     if n < 2:
         raise InvalidPlayersError("need at least 2 players")
     scenario = Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from fairslice import (
     run_counterexample,
     save_scenario,
 )
+from fairslice import solve
 from fairslice.cli import main
 from fairslice.harness import ComparisonEntry, ComparisonReport, parse_tie
 from helpers import random_density, random_scenario
@@ -409,6 +411,24 @@ def test_cli_paper_ce_reports_are_byte_identical(case_id, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PAPER_CE_SHA256[case_id]
 
 
+def test_ce6_replay_solves_one_lp_per_pareto_question(monkeypatch):
+    calls = []
+    simplex_max = solve.simplex_max
+
+    def counted(lp, seed):
+        calls.append(lp)
+        return simplex_max(lp, seed)
+
+    # Patch every module that holds the solver by name, so that a direct
+    # import of it is counted too.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fairslice") and getattr(module, "simplex_max", None) is simplex_max:
+            monkeypatch.setattr(module, "simplex_max", counted)
+    run_counterexample(6)
+    # one LP for the median-cut outcome and one for the block allocation
+    assert len(calls) == 2
+
+
 def test_cli_paper_ce_mismatch_exits_4(capsys, monkeypatch):
     import fairslice.harness as harness_module
 
@@ -525,6 +545,22 @@ def test_cli_run_bad_players_exit_2_with_one_line(tmp_path, capsys, players, opt
     err = capsys.readouterr().err
     assert err.startswith(f"error [{code}]: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("in_document", [False, True])
+def test_cli_run_negative_tie_seed_exit_2_with_one_line(tmp_path, capsys, in_document):
+    # random.Random seeds by absolute value, so seed:-1 would replay seed:1
+    path = tmp_path / "scenario.json"
+    options = {"tie": "seed:-1"} if in_document else {}
+    document = doc(
+        [uniform_player("A"), uniform_player("B")],
+        procedure={"name": "moving-knife", "options": options},
+    )
+    path.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["run", str(path)] + ([] if in_document else ["--tie", "seed:-1"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error [PARSE_ERROR]: invalid tie seed in 'seed:-1'\n"
 
 
 @pytest.mark.parametrize(

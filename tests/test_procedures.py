@@ -53,7 +53,14 @@ def test_tie_rule_validation():
         TieRule(mode="coin-flip")
     with pytest.raises(ValueError):
         TieRule(mode="seeded")
+    # random.Random seeds by absolute value, so -1 would replay seed 1
+    for bad in (-1, 2**64, True, "5"):
+        with pytest.raises(ValueError):
+            TieRule.seeded(bad)
+    with pytest.raises(ValueError):
+        TieRule(mode="lowest", seed=5)
     assert TieRule.seeded(7).seed == 7
+    assert TieRule.seeded(2**64 - 1).seed == 2**64 - 1
 
 
 def test_tie_rule_refuses_scripted_mode():

@@ -342,7 +342,7 @@ def test_pareto_witness_vertex_pinned_on_fine_grids():
 
 def test_decompose_refines_all_breakpoints(ce5):
     dec = decompose(ce5)
-    assert dec.bounds == tuple(F(k, 6) for k in range(7))
+    assert dec.cells == tuple(Interval(F(k, 6), F(k + 1, 6)) for k in range(6))
     assert all(len(row) == 6 for row in dec.densities)
 
 
@@ -401,12 +401,23 @@ def test_pareto_witness_values_verify_by_mass(ce5):
 
 
 def test_pareto_verdict_stable_under_refinement(ce6):
-    block = ce6_block_allocation()
+    # Redundant breakpoints declared inside CE6's pieces, same densities.
     extra = (F(1, 7), F(2, 7), F(9, 11))
-    assert pareto_improve(ce6, block, extra_cuts=extra) is None
+
+    def split(density):
+        pieces = []
+        for p in density.pieces:
+            points = [p.lo, *(x for x in extra if p.lo < x < p.hi), p.hi]
+            pieces += [(a, b, p.density) for a, b in zip(points, points[1:])]
+        return StepDensity.of(*pieces)
+
+    refined = Scenario(tuple((name, split(density)) for name, density in ce6.players))
+    assert set(extra) <= {cell.lo for cell in decompose(refined).cells}
+    block = ce6_block_allocation()
+    assert pareto_improve(refined, block) is None
     halves = contiguous_allocation(("A", "B"), (HALF,))
     assert pareto_improve(ce6, halves) is not None
-    assert pareto_improve(ce6, halves, extra_cuts=extra) is not None
+    assert pareto_improve(refined, halves) is not None
 
 
 def test_pareto_matches_ratio_sweep_oracle_sample():

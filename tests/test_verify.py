@@ -25,6 +25,7 @@ from fairslice import (
 )
 from fairslice import solve
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
+from fairslice.procedures import TIE_LOWEST
 from helpers import random_density
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -272,10 +273,13 @@ def test_theorem_a_propagates_strict_refusals():
 
 
 def test_theorem_a_rejects_wrong_player_counts():
-    with pytest.raises(ValueError):
-        theorem_a_check(
-            "cut-choose", StepDensity.uniform(), StepDensity.uniform(), n=3
-        )
+    # The two-player procedures refuse three players themselves; a seeded
+    # rule reaches them through the tie enumeration.
+    uniform = StepDensity.uniform()
+    for procedure in ("cut-choose", "sp-e", "sp-p"):
+        for tie in (TIE_LOWEST, TieRule.seeded(5)):
+            with pytest.raises(InvalidPlayersError):
+                theorem_a_check(procedure, uniform, uniform, n=3, tie=tie)
 
 
 # --- weak manipulation search -------------------------------------------------------
