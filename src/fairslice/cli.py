@@ -122,6 +122,8 @@ def _cmd_verify(args) -> int:
     unknown = [c for c in wanted if c not in CHECKS]
     if unknown:
         raise FairsliceError(f"unknown checks {unknown}; choose from {CHECKS}")
+    if not wanted:
+        raise FairsliceError(f"no checks selected; choose from {CHECKS}")
     reports = []
     for check in wanted:
         if check == "proportional":

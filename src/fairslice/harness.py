@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -45,6 +46,8 @@ from .solve import utilitarian_bound
 from .verify import PropertyReport, pareto_optimal_check
 
 SCHEMA = "fairslice/1"
+# One ASCII spelling per seed, so save_scenario writes back the string it read.
+_SEED_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +138,13 @@ def parse_tie(text: str) -> TieRule:
     if text == "lowest":
         return TIE_LOWEST
     if text.startswith("seed:"):
-        try:
-            return TieRule.seeded(int(text.split(":", 1)[1]))
-        except ValueError:
-            raise ParseError(f"invalid tie seed in {text!r}") from None
+        digits = text[len("seed:"):]
+        if _SEED_RE.fullmatch(digits):
+            try:
+                return TieRule.seeded(int(digits))
+            except ValueError:
+                pass
+        raise ParseError(f"invalid tie seed in {text!r}")
     raise ParseError(f"unknown tie rule {text!r}; use 'lowest' or 'seed:<n>'")
 
 

@@ -28,7 +28,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 # Longer literals are refused before parsing: CPython will not convert an
 # integer string of more than 4300 digits (its default int_max_str_digits).
 _MAX_LITERAL_CHARS = 4300

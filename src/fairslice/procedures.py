@@ -37,7 +37,7 @@ PROPORTIONAL = "proportional"
 
 PROCEDURE_NAMES = ("cut-choose", "moving-knife", "sp-e", "sp-p", "ep")
 
-TieResolver = Callable[[Fraction, tuple[str, ...]], str]
+TieResolver = Callable[[tuple[str, ...]], str]
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,9 @@ class TieRule:
 
     def resolver(self) -> TieResolver:
         if self.mode == "lowest":
-            return lambda location, tied: tied[0]
+            return lambda tied: tied[0]
         rng = random.Random(self.seed)
-        return lambda location, tied: rng.choice(tied)
+        return rng.choice
 
 
 TIE_LOWEST = TieRule()
@@ -91,7 +91,7 @@ class _ScriptRule:
     def resolver(self) -> TieResolver:
         cursor = itertools.count()
 
-        def pick(location, tied):
+        def pick(tied):
             i = next(cursor)
             if i < len(self.script) and self.script[i] in tied:
                 return self.script[i]
@@ -177,7 +177,7 @@ def cut_and_choose(
         left_owner = cutter
     else:
         tied = (chooser, cutter)
-        left_owner = tie.resolver()(cut, tied)
+        left_owner = tie.resolver()(tied)
         events.append(TieEvent(cut, tied, left_owner))
     right_owner = chooser if left_owner == cutter else cutter
     ordering = (left_owner, right_owner)
@@ -217,7 +217,7 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
         if len(tied) == 1:
             winner = tied[0]
         else:
-            winner = resolver(earliest, tied)
+            winner = resolver(tied)
             events.append(TieEvent(earliest, tied, winner))
         cuts.append(earliest)
         order.append(winner)
@@ -311,7 +311,7 @@ def surplus_divide(
     if medians[name_one] == medians[name_two]:
         cut = medians[name_one]
         tied = (name_one, name_two)
-        left = tie.resolver()(cut, tied)
+        left = tie.resolver()(tied)
         events.append(TieEvent(cut, tied, left))
         right = name_two if left == name_one else name_one
     else:

@@ -114,32 +114,33 @@ def pareto_optimal_check(
 
 
 def _enumerate_outcomes(
-    procedure: str, scenario: Scenario, strict: bool = False, cutter: Optional[str] = None
+    procedure: str, scenario: Scenario, tie: TieRule, strict: bool = False
 ) -> list[ProcedureOutcome]:
     """Every outcome the procedure can produce across tie resolutions.
 
-    The equal-value procedure has no runtime ties; its only freedom is the
+    The first outcome is always the one ``tie`` itself gives. The
+    equal-value procedure has no runtime ties; its only freedom is the
     choice among assignments tied at the maximal common value, so those are
-    enumerated directly. The other procedures are replayed with scripted
-    tie winners, branching on each recorded tie event.
+    enumerated directly, the lenient answer first. The other procedures run
+    once under ``tie``; that run and every scripted replay after it branch
+    on each winner they did not pick at the tie events past their script,
+    so each outcome is reached exactly once.
     """
     if procedure == "ep":
         tied, _ = _ep_search(scenario, strict)
         return [_ep_outcome(*pair) for pair in tied]
     outcomes = []
-    pending: list[tuple[str, ...]] = [()]
+    pending = [(tie, 0)]
     while pending:
-        script = pending.pop()
-        outcome = run_procedure(
-            procedure, scenario, strict=strict, tie=_ScriptRule(script=script), cutter=cutter
-        )
+        rule, scripted = pending.pop()
+        outcome = run_procedure(procedure, scenario, strict=strict, tie=rule)
         outcomes.append(outcome)
         events = outcome.tie_events
-        for i in range(len(script), len(events)):
+        for i in range(scripted, len(events)):
             prefix = tuple(event.winner for event in events[:i])
             for alternative in events[i].tied:
                 if alternative != events[i].winner:
-                    pending.append(prefix + (alternative,))
+                    pending.append((_ScriptRule(script=prefix + (alternative,)), i + 1))
     return outcomes
 
 
@@ -159,20 +160,19 @@ def theorem_a_check(
     can be assured of beating the fair share this way. Under a seeded tie
     rule the check also enumerates every tie resolution and confirms that
     some outcome leaves the first player at or below 1/n, the randomized
-    form of the same argument.
+    form of the same argument. The first enumerated outcome is the rule's
+    own run, and it is the one scored.
     """
     truth.require_valid("truth")
     misreport.require_valid("misreport")
     if n < 2:
         raise InvalidPlayersError("need at least 2 players")
     scenario = Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))
-    outcomes = None
     if tie.mode == "seeded":
-        outcomes = _enumerate_outcomes(procedure, scenario, strict=strict)
-    if procedure == "ep" and outcomes:
-        # ep has no runtime ties: its outcome is the first tied assignment.
+        outcomes = _enumerate_outcomes(procedure, scenario, tie, strict)
         outcome = outcomes[0]
     else:
+        outcomes = None
         outcome = run_procedure(procedure, scenario, strict=strict, tie=tie)
     values = {
         name: truth.mass(outcome.allocation.portion(name)) for name in scenario.names

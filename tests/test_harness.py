@@ -175,6 +175,33 @@ def test_parse_tie():
         parse_tie("seed:x")
 
 
+# Spellings int() would read as a seed; only 0|[1-9][0-9]* in ASCII names one.
+NON_CANONICAL_SEEDS = ["seed:1_0", "seed:+3", "seed: 7", "seed:7 ", "seed:٣", "seed:007", "seed:"]
+
+
+def test_parse_tie_reads_one_ascii_spelling_per_seed():
+    assert parse_tie("seed:0") == TieRule.seeded(0)
+    assert parse_tie("seed:10") == TieRule.seeded(10)
+    assert parse_tie(f"seed:{2**64 - 1}") == TieRule.seeded(2**64 - 1)
+    for text in NON_CANONICAL_SEEDS + [f"seed:{2**64}", "seed:" + "9" * 5000]:
+        with pytest.raises(ParseError) as excinfo:
+            parse_tie(text)
+        assert str(excinfo.value) == f"invalid tie seed in {text!r}"
+
+
+def test_seeded_procedure_round_trips_through_save():
+    text = json.dumps(
+        doc(
+            [uniform_player("A"), uniform_player("B")],
+            procedure={"name": "moving-knife", "options": {"strict": False, "tie": "seed:42"}},
+        )
+    )
+    document = load_document(text)
+    saved = save_scenario(document.scenario, procedure=document.procedure)
+    assert json.loads(saved)["procedure"]["options"]["tie"] == "seed:42"
+    assert load_document(saved) == document
+
+
 def test_load_allocation_and_partition_errors():
     allocation = load_allocation(
         {
@@ -561,6 +588,35 @@ def test_cli_run_negative_tie_seed_exit_2_with_one_line(tmp_path, capsys, in_doc
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "error [PARSE_ERROR]: invalid tie seed in 'seed:-1'\n"
+
+
+@pytest.mark.parametrize("in_document", [False, True])
+@pytest.mark.parametrize("text", NON_CANONICAL_SEEDS)
+def test_cli_run_non_canonical_tie_seed_exit_2_with_one_line(tmp_path, capsys, text, in_document):
+    path = tmp_path / "scenario.json"
+    options = {"tie": text} if in_document else {}
+    document = doc(
+        [uniform_player("A"), uniform_player("B")],
+        procedure={"name": "moving-knife", "options": options},
+    )
+    path.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["run", str(path)] + ([] if in_document else ["--tie", text])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error [PARSE_ERROR]: invalid tie seed in {text!r}\n"
+
+
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_cli_verify_empty_check_selection_exit_2_with_one_line(
+    scenario_file, tmp_path, capsys, checks
+):
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(json.dumps(HALVES_DOC), encoding="utf-8")
+    assert main(["verify", str(scenario_file), str(allocation), "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [ERROR]: no checks selected")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

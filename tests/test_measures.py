@@ -50,6 +50,13 @@ def test_as_rational_rejects_inexact_or_malformed(bad):
         as_rational(bad)
 
 
+@pytest.mark.parametrize("text", ["٣", "١/٢", "1/٢", "٣/4", "1/1٣", "-٣", "１"])
+def test_as_rational_reads_ascii_digits_only(text):
+    # one grammar for numerator and denominator: [0-9], not Unicode \d
+    with pytest.raises(ParseError, match="not a rational literal"):
+        as_rational(text)
+
+
 def test_as_rational_caps_literal_length():
     assert as_rational("1" * 4300) == F(int("1" * 4300))
     for huge in ("1" * 4301, "1" * 5000, "1/" + "3" * 5000, "-" + "7" * 4300):

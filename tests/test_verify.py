@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +25,7 @@ from fairslice import (
     theorem_a_check,
     weak_manipulation_search,
 )
-from fairslice import solve
+from fairslice import solve, verify
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.procedures import TIE_LOWEST
 from helpers import random_density
@@ -259,6 +261,69 @@ def test_theorem_a_seeded_ep_walks_once_and_validates_each_density_once(monkeypa
     assert len(validated) == 2
     assert report.passed
     assert report.details["enumerated_outcomes"] == 6
+
+
+SEEDED_CASES = [
+    ("cut-choose", 2),
+    ("sp-e", 2),
+    ("sp-p", 2),
+    ("moving-knife", 2),
+    ("moving-knife", 3),
+    ("moving-knife", 4),
+    ("ep", 2),
+    ("ep", 3),
+]
+
+
+def identical_players(misreport, n):
+    return Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))
+
+
+@pytest.mark.parametrize("procedure, n", SEEDED_CASES)
+def test_theorem_a_seeded_runs_each_outcome_once(procedure, n, monkeypatch):
+    runs = []
+    run = verify.run_procedure
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "run_procedure", counted_run)
+    report = theorem_a_check(
+        procedure, StepDensity.uniform(), ce2_p2_density(), n, tie=TieRule.seeded(7)
+    )
+    # The seeded rule's own run is the first enumerated outcome, so no run
+    # is repeated; ep enumerates its tied assignments without a run.
+    outcomes = report.details["enumerated_outcomes"]
+    assert outcomes == (2 if procedure in ("cut-choose", "sp-e", "sp-p") else math.factorial(n))
+    assert len(runs) == (0 if procedure == "ep" else outcomes)
+
+
+@pytest.mark.parametrize("procedure, n", SEEDED_CASES)
+def test_theorem_a_seeded_scores_the_seeded_run(procedure, n):
+    truth = StepDensity.of((0, "1/3", 3), ("1/3", 1, 0))
+    misreport = StepDensity.uniform()
+    scenario = identical_players(misreport, n)
+    for seed in range(10):
+        tie = TieRule.seeded(seed)
+        report = theorem_a_check(procedure, truth, misreport, n, tie=tie)
+        outcome = run_procedure(procedure, scenario, tie=tie)
+        assert report.values == {
+            name: truth.mass(outcome.allocation.portion(name)) for name in scenario.names
+        }, (procedure, n, seed)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_moving_knife_tie_enumeration_reaches_every_ordering_once(n):
+    scenario = identical_players(ce2_p2_density(), n)
+    for seed in range(5):
+        tie = TieRule.seeded(seed)
+        outcomes = verify._enumerate_outcomes("moving-knife", scenario, tie)
+        orderings = [outcome.ordering for outcome in outcomes]
+        assert len(orderings) == math.factorial(n)
+        assert set(orderings) == set(itertools.permutations(scenario.names))
+        assert len({outcome.cuts for outcome in outcomes}) == 1
+        assert outcomes[0] == run_procedure("moving-knife", scenario, tie=tie)
 
 
 def test_theorem_a_propagates_strict_refusals():
