@@ -29,7 +29,11 @@ from .verify import (
     weak_manipulation_search,
 )
 
-CHECKS = ("proportional", "envy", "pareto")
+CHECKS = {
+    "proportional": proportional_check,
+    "envy": envy_free_check,
+    "pareto": pareto_optimal_check,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,20 +122,14 @@ def _cmd_verify(args) -> int:
     truth = document.truth
     if args.truth:
         truth = load_document(_read(args.truth)).scenario
-    wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
+    # Each selected check runs once, in the order of its first mention.
+    wanted = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
     unknown = [c for c in wanted if c not in CHECKS]
     if unknown:
-        raise FairsliceError(f"unknown checks {unknown}; choose from {CHECKS}")
+        raise FairsliceError(f"unknown checks {unknown}; choose from {tuple(CHECKS)}")
     if not wanted:
-        raise FairsliceError(f"no checks selected; choose from {CHECKS}")
-    reports = []
-    for check in wanted:
-        if check == "proportional":
-            reports.append(proportional_check(scenario, allocation, truth))
-        elif check == "envy":
-            reports.append(envy_free_check(scenario, allocation, truth))
-        else:
-            reports.append(pareto_optimal_check(scenario, allocation, truth))
+        raise FairsliceError(f"no checks selected; choose from {tuple(CHECKS)}")
+    reports = [CHECKS[check](scenario, allocation, truth) for check in wanted]
     _write(emit_report({"command": "verify", "checks": reports}), args.output)
     return EXIT_OK
 

@@ -37,8 +37,9 @@ class InvalidDensityError(FairsliceError):
 
 
 class InvalidPlayersError(FairsliceError, ValueError):
-    """A procedure cannot run on these players: the wrong number of them,
-    or an option that names no player."""
+    """A procedure or check cannot run on these players: the wrong number
+    of them, an option that names no player, or an allocation whose owners
+    are not the scenario's players."""
 
     code = "INVALID_PLAYERS"
 

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -34,8 +35,8 @@ from .procedures import (
     PROCEDURE_NAMES,
     TIE_LOWEST,
     TieRule,
-    _ep_outcome,
     _ep_search,
+    _outcome,
     contiguous_allocation,
     cut_and_choose,
     equitability,
@@ -63,8 +64,20 @@ def parse_rational(value, path: str) -> Fraction:
 
 
 def fmt_rational(value: Fraction) -> str:
-    """Exact string with a decimal approximation alongside, e.g. '9/20 (0.45)'."""
-    return f"{value} ({format(float(value), '.6g')})"
+    """Exact string with a decimal approximation alongside, e.g. '9/20 (0.45)'.
+
+    The approximation is the float's, to six significant digits; a nonzero
+    value beyond float range either way gets six digits computed in decimal.
+    """
+    try:
+        approx = float(value)
+        if approx or not value:
+            return f"{value} ({approx:.6g})"
+    except OverflowError:
+        pass
+    six = Context(prec=6)
+    approx = six.divide(Decimal(value.numerator), value.denominator).normalize(six)
+    return f"{value} ({approx:g})"
 
 
 def _doc_rational(value: Fraction):
@@ -715,7 +728,8 @@ def _actuals_ce3(case: CounterexampleCase) -> dict:
     else:
         actuals["strict.error_code"] = None
         actuals["strict.names_ordering_1_3_2"] = False
-    outcome = _ep_outcome(*tied[0])
+    names, solution = tied[0]
+    outcome = _outcome(names, solution.cuts, solution.common_value)
     actuals["lenient.ordering"] = outcome.ordering
     actuals["lenient.common_value"] = outcome.common_value
     actuals["lenient.cuts"] = outcome.cuts

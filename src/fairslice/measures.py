@@ -19,6 +19,7 @@ from .errors import (
     AllocationError,
     InsufficientMassError,
     InvalidDensityError,
+    InvalidPlayersError,
     ParseError,
 )
 
@@ -470,7 +471,16 @@ class Allocation:
         raise KeyError(name)
 
 
+def _require_owners(scenario: Scenario, allocation: Allocation) -> None:
+    if set(allocation.names) != set(scenario.names):
+        raise InvalidPlayersError(
+            f"allocation names players {sorted(allocation.names)}, "
+            f"scenario has {sorted(scenario.names)}"
+        )
+
+
 def declared_values(scenario: Scenario, allocation: Allocation) -> dict:
+    _require_owners(scenario, allocation)
     return {
         name: density.mass(allocation.portion(name))
         for name, density in scenario.players

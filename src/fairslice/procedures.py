@@ -133,6 +133,39 @@ def contiguous_allocation(ordering: Sequence[str], cuts: Sequence[Fraction]) -> 
     return Allocation(tuple(portions))
 
 
+def _outcome(
+    ordering: Sequence[str], cuts: Sequence[Fraction], common_value=None, events=()
+) -> ProcedureOutcome:
+    """The outcome whose portions are the intervals the cuts induce."""
+    ordering, cuts = tuple(ordering), tuple(cuts)
+    return ProcedureOutcome(
+        allocation=contiguous_allocation(ordering, cuts),
+        cuts=cuts,
+        ordering=ordering,
+        common_value=common_value,
+        tie_events=tuple(events),
+    )
+
+
+def _pick(resolver: TieResolver, location: Fraction, tied: tuple, events: list) -> str:
+    """The single candidate, or the resolver's pick among the tied ones,
+    recorded in ``events``."""
+    if len(tied) == 1:
+        return tied[0]
+    winner = resolver(tied)
+    events.append(TieEvent(location, tied, winner))
+    return winner
+
+
+def _median_point(scenario: Scenario, name: str, strict: bool) -> Fraction:
+    """The midpoint of the player's median interval; strict mode refuses a
+    nondegenerate interval, whose points are then equally good cuts."""
+    median = scenario.density(name).median_interval()
+    if strict and median.lo != median.hi:
+        raise NonUniqueMedianError(name, median)
+    return median.midpoint
+
+
 def _require_players(scenario: Scenario, minimum: int, exactly: bool = False) -> None:
     if exactly and scenario.n != minimum:
         raise InvalidPlayersError(
@@ -163,30 +196,18 @@ def cut_and_choose(
     if cutter not in scenario.names:
         raise InvalidPlayersError(f"unknown cutter {cutter!r}")
     chooser = next(name for name in scenario.names if name != cutter)
-    median = scenario.density(cutter).median_interval()
-    if strict and median.lo != median.hi:
-        raise NonUniqueMedianError(cutter, median)
-    cut = median.midpoint
+    cut = _median_point(scenario, cutter, strict)
     chooser_density = scenario.density(chooser)
     left_value = chooser_density.mass(Interval(ZERO, cut))
     right_value = chooser_density.mass(Interval(cut, ONE))
+    tied = (chooser, cutter)
+    if left_value != right_value:
+        tied = (chooser,) if left_value > right_value else (cutter,)
     events = []
-    if left_value > right_value:
-        left_owner = chooser
-    elif right_value > left_value:
-        left_owner = cutter
-    else:
-        tied = (chooser, cutter)
-        left_owner = tie.resolver()(tied)
-        events.append(TieEvent(cut, tied, left_owner))
+    # The resolver is built only on a tie: a seeded one costs a PRNG.
+    left_owner = _pick(lambda t: tie.resolver()(t), cut, tied, events)
     right_owner = chooser if left_owner == cutter else cutter
-    ordering = (left_owner, right_owner)
-    return ProcedureOutcome(
-        allocation=contiguous_allocation(ordering, (cut,)),
-        cuts=(cut,),
-        ordering=ordering,
-        tie_events=tuple(events),
-    )
+    return _outcome((left_owner, right_owner), (cut,), events=events)
 
 
 def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutcome:
@@ -214,23 +235,13 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
             calls.append((density.quantile_left(threshold, start=position), name))
         earliest = min(point for point, _ in calls)
         tied = tuple(name for point, name in calls if point == earliest)
-        if len(tied) == 1:
-            winner = tied[0]
-        else:
-            winner = resolver(tied)
-            events.append(TieEvent(earliest, tied, winner))
+        winner = _pick(resolver, earliest, tied, events)
         cuts.append(earliest)
         order.append(winner)
         remaining = [(name, d) for name, d in remaining if name != winner]
         position = earliest
     order.append(remaining[0][0])
-    ordering = tuple(order)
-    return ProcedureOutcome(
-        allocation=contiguous_allocation(ordering, cuts),
-        cuts=tuple(cuts),
-        ordering=ordering,
-        tie_events=tuple(events),
-    )
+    return _outcome(order, cuts, events=events)
 
 
 def _surplus_cut(
@@ -300,28 +311,19 @@ def surplus_divide(
     _require_players(scenario, 2, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
         raise ValueError(f"unknown variant {variant!r}")
-    (name_one, density_one), (name_two, density_two) = scenario.players
-    medians = {}
-    for name, density in scenario.players:
-        interval = density.median_interval()
-        if strict and interval.lo != interval.hi:
-            raise NonUniqueMedianError(name, interval)
-        medians[name] = interval.midpoint
+    names = scenario.names
+    medians = {name: _median_point(scenario, name, strict) for name in names}
+    a = min(medians.values())
+    tied = tuple(name for name in names if medians[name] == a)
     events = []
-    if medians[name_one] == medians[name_two]:
-        cut = medians[name_one]
-        tied = (name_one, name_two)
-        left = tie.resolver()(tied)
-        events.append(TieEvent(cut, tied, left))
-        right = name_two if left == name_one else name_one
+    left = _pick(lambda t: tie.resolver()(t), a, tied, events)
+    right = names[1] if left == names[0] else names[0]
+    b = medians[right]
+    left_density = scenario.density(left)
+    right_density = scenario.density(right)
+    if a == b:
+        cut = a
     else:
-        if medians[name_one] < medians[name_two]:
-            left, right = name_one, name_two
-        else:
-            left, right = name_two, name_one
-        a, b = medians[left], medians[right]
-        left_density = scenario.density(left)
-        right_density = scenario.density(right)
         mass_left = left_density.mass(Interval(a, b))
         mass_right = right_density.mass(Interval(a, b))
         if mass_left == 0 and mass_right == 0:
@@ -334,18 +336,10 @@ def surplus_divide(
             cut = _surplus_cut(
                 left_density, right_density, a, b, variant, mass_left, mass_right
             )
-    ordering = (left, right)
-    allocation = contiguous_allocation(ordering, (cut,))
-    value_left = scenario.density(left).mass(Interval(ZERO, cut))
-    value_right = scenario.density(right).mass(Interval(cut, ONE))
+    value_left = left_density.mass(Interval(ZERO, cut))
+    value_right = right_density.mass(Interval(cut, ONE))
     common = value_left if value_left == value_right else None
-    return ProcedureOutcome(
-        allocation=allocation,
-        cuts=(cut,),
-        ordering=ordering,
-        common_value=common,
-        tie_events=tuple(events),
-    )
+    return _outcome((left, right), (cut,), common, events)
 
 
 def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False):
@@ -404,16 +398,6 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     return tied, infeasible
 
 
-def _ep_outcome(ordering: tuple[str, ...], solution) -> ProcedureOutcome:
-    """The contiguous allocation one equal-value solution induces."""
-    return ProcedureOutcome(
-        allocation=contiguous_allocation(ordering, solution.cuts),
-        cuts=solution.cuts,
-        ordering=ordering,
-        common_value=solution.common_value,
-    )
-
-
 def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     """Solve the equal-value system for the assignments of pieces.
 
@@ -424,8 +408,8 @@ def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     whose greedy chain at the best value so far cannot settle them
     (``_ep_search``).
     """
-    tied, _ = _ep_search(scenario, strict)
-    return _ep_outcome(*tied[0])
+    names, solution = _ep_search(scenario, strict)[0][0]
+    return _outcome(names, solution.cuts, solution.common_value)
 
 
 def run_procedure(

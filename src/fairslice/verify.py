@@ -13,14 +13,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InvalidPlayersError
-from .measures import Allocation, Scenario, StepDensity, declared_values
+from .measures import Allocation, Scenario, StepDensity, _require_owners, declared_values
 from .procedures import (
     TIE_LOWEST,
     ProcedureOutcome,
     TieRule,
     _ScriptRule,
-    _ep_outcome,
     _ep_search,
+    _outcome,
     run_procedure,
 )
 from .solve import DominationWitness, pareto_improve
@@ -76,6 +76,7 @@ def envy_free_check(
     scenario: Scenario, allocation: Allocation, truth: Optional[Scenario] = None
 ) -> PropertyReport:
     """Does anyone value another player's portion above their own?"""
+    _require_owners(scenario, allocation)
     matrix = {
         viewer: {
             owner: density.mass(allocation.portion(owner)) for owner in scenario.names
@@ -128,7 +129,7 @@ def _enumerate_outcomes(
     """
     if procedure == "ep":
         tied, _ = _ep_search(scenario, strict)
-        return [_ep_outcome(*pair) for pair in tied]
+        return [_outcome(names, s.cuts, s.common_value) for names, s in tied]
     outcomes = []
     pending = [(tie, 0)]
     while pending:

@@ -24,7 +24,7 @@ from fairslice import (
 )
 from fairslice import solve
 from fairslice.cli import main
-from fairslice.harness import ComparisonEntry, ComparisonReport, parse_tie
+from fairslice.harness import ComparisonEntry, ComparisonReport, fmt_rational, parse_tie
 from helpers import random_density, random_scenario
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -414,6 +414,23 @@ def test_cli_verify(scenario_file, tmp_path, capsys):
     assert checks[0]["values"]["P1"] == "3/4 (0.75)"
 
 
+def test_cli_verify_runs_each_check_once_in_first_mention_order(
+    scenario_file, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    simplex_max = solve.simplex_max
+    monkeypatch.setattr(
+        solve, "simplex_max", lambda lp, seed: calls.append(lp) or simplex_max(lp, seed)
+    )
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(json.dumps(HALVES_DOC), encoding="utf-8")
+    argv = ["verify", str(scenario_file), str(allocation), "--checks", "envy,pareto,envy,pareto"]
+    assert main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+    assert [c["check"] for c in checks] == ["envy-free", "pareto"]
+    assert len(calls) == 1
+
+
 def test_cli_paper_ce_all_pass(capsys):
     for case_id in range(1, 7):
         assert main(["paper-ce", str(case_id)]) == 0
@@ -538,6 +555,50 @@ def test_cli_manipulate(tmp_path, capsys):
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["results"]["witness_found"] is True
     assert parsed["results"]["witness"]["misreport_values"] == ["3/4 (0.75)"]
+
+
+def test_cli_manipulate_reports_a_density_beyond_float_range(tmp_path, capsys):
+    big = 10**400
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps(
+            doc(
+                [uniform_player("A"), uniform_player("B")],
+                procedure={"name": "cut-choose", "options": {"cutter": "A"}},
+            )
+        ),
+        encoding="utf-8",
+    )
+    candidate = [
+        {"from": 0, "to": f"1/{big}", "density": f"{big}/4"},
+        {"from": f"1/{big}", "to": "1/4", "density": f"{big}/{big - 4}"},
+        {"from": "1/4", "to": 1, "density": "2/3"},
+    ]
+    opponent = [{"from": 0, "to": "1/4", "density": 4}, {"from": "1/4", "to": 1, "density": 0}]
+    candidates = tmp_path / "candidates.json"
+    opponents = tmp_path / "opponents.json"
+    for path, density in ((candidates, candidate), (opponents, opponent)):
+        path.write_text(
+            json.dumps({"schema": "fairslice/1", "densities": [density]}), encoding="utf-8"
+        )
+    argv = ["manipulate", str(scenario), "--player", "A"]
+    argv += ["--candidates", str(candidates), "--opponents", str(opponents)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)  # one JSON document
+    assert report["results"]["witness_found"] is True
+    assert report["results"]["witness"]["misreport"][0]["density"] == f"{F(big, 4)} (2.5e+399)"
+
+
+def test_fmt_rational_beyond_float_range():
+    big = 10**400
+    assert fmt_rational(F(big)) == f"{big} (1e+400)"
+    assert fmt_rational(F(-big)) == f"-{big} (-1e+400)"
+    assert fmt_rational(F(-1, big)) == f"-1/{big} (-1e-400)"
+    assert fmt_rational(F(big, 3)) == f"{big}/3 (3.33333e+399)"
+    # inside float range the approximation is still the float's
+    for value in (F(9, 20), F(0), F(-2, 3), F(10**300, 7), F(5, 10**324), F(1234567)):
+        assert fmt_rational(value) == f"{value} ({format(float(value), '.6g')})"
 
 
 def test_cli_validation_error_exit_code(tmp_path):

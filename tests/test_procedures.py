@@ -23,7 +23,7 @@ from fairslice import (
     surplus_divide,
 )
 from fairslice import solve
-from fairslice.procedures import _ep_search
+from fairslice.procedures import TIE_LOWEST, TieEvent, _ScriptRule, _ep_search
 from helpers import (
     draw_grid_density,
     exhaustive_ep_best,
@@ -77,6 +77,26 @@ def test_seeded_ties_replay_identically():
     a = moving_knife(scenario, tie=TieRule.seeded(99))
     b = moving_knife(scenario, tie=TieRule.seeded(99))
     assert a == b
+
+
+# Uniform p1 and a p2 centred on [1/4, 3/4]: unequal, with both medians at 1/2.
+CENTRED_PAIR = pair(
+    StepDensity.uniform(), StepDensity.of((0, "1/4", 0), ("1/4", "3/4", 2), ("3/4", 1, 0))
+)
+
+
+@pytest.mark.parametrize(
+    "procedure, scenario",
+    [("cut-choose", uniform_pair()), ("sp-e", CENTRED_PAIR), ("sp-p", CENTRED_PAIR)],
+)
+def test_tie_for_the_left_piece_is_picked_by_the_rule_and_recorded_once(procedure, scenario):
+    # cut-choose with cutter p2 lists the chooser p1 first, as sp lists p1
+    scripted = run_procedure(procedure, scenario, cutter="p2", tie=_ScriptRule(("p2",)))
+    assert scripted.ordering == ("p2", "p1")
+    assert scripted.tie_events == (TieEvent(HALF, ("p1", "p2"), "p2"),)
+    lowest = run_procedure(procedure, scenario, cutter="p2", tie=TIE_LOWEST)
+    assert lowest.ordering == ("p1", "p2")
+    assert lowest.tie_events == (TieEvent(HALF, ("p1", "p2"), "p1"),)
 
 
 # --- cut and choose ----------------------------------------------------------

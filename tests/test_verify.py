@@ -79,6 +79,24 @@ def test_truth_scoring_ignores_truth_player_order(case, ce2, ce5):
 # --- proportionality ------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "check", [proportional_check, envy_free_check, pareto_optimal_check, solve.pareto_improve]
+)
+@pytest.mark.parametrize(
+    "portions",
+    [
+        {"p1": [(0, 1)]},
+        {"p1": [(0, "1/3")], "p2": [("1/3", "2/3")], "p3": [("2/3", 1)]},
+    ],
+    ids=["missing", "extra"],
+)
+def test_allocation_naming_other_players_raises_invalid_players(check, portions):
+    scenario = Scenario((("p1", StepDensity.uniform()), ("p2", StepDensity.uniform())))
+    allocation = Allocation.of({name: IntervalSet.of(*spans) for name, spans in portions.items()})
+    with pytest.raises(InvalidPlayersError, match="allocation names players"):
+        check(scenario, allocation)
+
+
 def test_proportional_ce5_ep_outcome(ce5):
     outcome = equitability(ce5)
     report = proportional_check(ce5, outcome.allocation)
