@@ -384,8 +384,11 @@ class StepDensity:
         return tuple(sorted(points))
 
     def density_at(self, x: RationalLike) -> Fraction:
-        """Density just right of x (pieces are read as half-open [lo, hi))."""
+        """Density just right of x (pieces are read as half-open [lo, hi)),
+        so 0 at x = 1."""
         x = as_rational(x)
+        if not (ZERO <= x <= ONE):
+            raise ValueError(f"density_at argument {x} outside [0, 1]")
         piece = self.pieces[self._locate(x)]
         return piece.density if piece.lo <= x < piece.hi else ZERO
 

@@ -1,9 +1,10 @@
 """Exact solvers behind the procedures and the optimality checks.
 
-Two independent engines live here: a parametric solver for the equal-value
-cut systems, and a dense two-phase exact simplex with Bland's rule, on
-integer tableau rows, used to decide Pareto domination on cell
-decompositions.
+Three engines live here: a parametric solver for the equal-value cut
+systems; a trade-rate closure on cell decompositions that decides Pareto
+optimality and certifies it with weights; and a dense two-phase exact
+simplex with Bland's rule, on integer tableau rows, which builds the
+dominating allocation once the closure has found one to exist.
 
 The equal-value solver walks the target value t upward over the affine
 segments of the greedy leftmost cuts. Cuts only move right as t grows, so
@@ -29,6 +30,7 @@ from .measures import (
     IntervalSet,
     Scenario,
     StepDensity,
+    _require_owners,
     as_rational,
     declared_values,
 )
@@ -413,11 +415,13 @@ def decompose(
     Each density is then constant on each cell, and each portion is a union
     of whole cells. Cutting finer cannot change a Pareto verdict, since
     only the per-cell fractions matter, so a density that declares
-    redundant breakpoints only adds cells.
+    redundant breakpoints only adds cells. A density's column is read with
+    one forward cursor over its pieces, which tile [0, 1].
     """
     points = {ZERO, ONE}
     for _, density in scenario.players:
-        points.update(density.breakpoints())
+        for piece in density.pieces:
+            points.add(piece.lo)
     if allocation is not None:
         for _, portion in allocation.portions:
             for iv in portion.intervals:
@@ -429,13 +433,94 @@ def decompose(
     # size's free list when it dies, so resident memory would grow with
     # every call until those free lists fill.
     cells = tuple([Interval(a, b) for a, b in zip(bounds, bounds[1:])])
-    densities = tuple(
+    densities = []
+    for _, density in scenario.players:
+        pieces = density.pieces
+        column = []
+        j = 0
+        for lo in bounds[:-1]:
+            while pieces[j].hi <= lo:
+                j += 1
+            column.append(pieces[j].density)
+        densities.append(tuple(column))
+    return CellDecomposition(cells, tuple(densities))
+
+
+def _cells_and_owners(
+    scenario: Scenario, allocation: Allocation
+) -> tuple[CellDecomposition, tuple[int, ...]]:
+    """The allocation's cell decomposition and the player index owning
+    each cell.
+
+    Every portion is a union of whole cells and portions meet only at
+    endpoints, so one merge of the cells with all portion spans, sorted by
+    left end, finds each owner.
+    """
+    _require_owners(scenario, allocation)
+    dec = decompose(scenario, allocation)
+    index = {name: i for i, (name, _) in enumerate(scenario.players)}
+    spans = sorted(
         [
-            tuple([density.density_at(cell.lo) for cell in cells])
-            for _, density in scenario.players
+            (iv.lo, iv.hi, index[name])
+            for name, portion in allocation.portions
+            for iv in portion.intervals
         ]
     )
-    return CellDecomposition(cells, densities)
+    owners = []
+    k = 0
+    for cell in dec.cells:
+        while spans[k][1] <= cell.lo:
+            k += 1
+        owners.append(spans[k][2])
+    return dec, tuple(owners)
+
+
+def _rate_weights(
+    dec: CellDecomposition, owners: Sequence[int]
+) -> Optional[tuple[Fraction, ...]]:
+    """Weights a > 0 under which each cell's owner values it most, or None
+    when no such weights exist, that is, when the allocation is dominated.
+
+    Player i can pass cake to player j at the trade rate r_ij, the least
+    d_ic / d_jc over the cells c that i owns and j values. The weights
+    must satisfy a_j <= a_i·r_ij on every rate, so they exist iff no rate
+    is 0 (an owner holding a cell it does not value that another player
+    does) and no cycle of rates has a product below 1. A min-product
+    Floyd–Warshall closure D decides that exactly, stopping at the first
+    D_ii < 1, and a_j = min(1, min_i D_ij) satisfies every rate.
+    """
+    n = len(dec.densities)
+    closure: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
+    for c, owner in enumerate(owners):
+        own = dec.densities[owner][c]
+        row = closure[owner]
+        for j in range(n):
+            other = dec.densities[j][c]
+            if j != owner and other:
+                if not own:
+                    return None
+                rate = own / other
+                if row[j] is None or rate < row[j]:
+                    row[j] = rate
+    for k in range(n):
+        through = closure[k]
+        for row in closure:
+            first = row[k]
+            if first is None:
+                continue
+            for j, second in enumerate(through):
+                if second is not None:
+                    product = first * second
+                    if row[j] is None or product < row[j]:
+                        row[j] = product
+        if any(closure[i][i] is not None and closure[i][i] < ONE for i in range(n)):
+            return None
+    return tuple(
+        [
+            min([ONE, *(row[j] for row in closure if row[j] is not None)])
+            for j in range(n)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -456,27 +541,19 @@ class DominationWitness:
             raise ValueError(f"not a domination witness: gains {gains}")
 
 
-def build_improvement_lp(scenario: Scenario, allocation: Allocation):
-    """LP whose optimum exceeds the current total value iff the allocation
-    is Pareto dominated.
-
-    One variable per (player, cell) pair holds the fraction of the cell
-    given to the player; because densities are constant on cells, those
-    fractions range over all measurable allocations. Constraints keep every
-    player at least at the current value, and the objective is the total
-    value, so optimum minus the current total is the achievable sum of
-    gains. The cells are those of ``decompose``, so one (scenario,
-    allocation) pair has one LP. Returns (lp, seed point, decomposition,
-    current values).
-    """
-    dec = decompose(scenario, allocation)
+def _improvement_lp(scenario: Scenario, dec: CellDecomposition, owners: Sequence[int]):
+    """The LP, seed and current values of ``build_improvement_lp`` for a
+    decomposition and its owner table."""
     n = scenario.n
     m = len(dec.cells)
     weight = [
         [dec.densities[i][c] * dec.cells[c].length for c in range(m)]
         for i in range(n)
     ]
-    base = tuple(declared_values(scenario, allocation).values())
+    base = [ZERO] * n
+    for c, owner in enumerate(owners):
+        base[owner] += weight[owner][c]
+    base = tuple(base)
 
     def var(i: int, c: int) -> int:
         return i * m + c
@@ -500,14 +577,47 @@ def build_improvement_lp(scenario: Scenario, allocation: Allocation):
     lp = LinearProgram(n_vars, tuple(objective), tuple(constraints))
 
     seed = [ZERO] * n_vars
-    for c, cell in enumerate(dec.cells):
-        owner = next(
-            i
-            for i, (name, _) in enumerate(scenario.players)
-            if allocation.portion(name).contains_point(cell.midpoint)
-        )
+    for c, owner in enumerate(owners):
         seed[var(owner, c)] = ONE
-    return lp, tuple(seed), dec, base
+    return lp, tuple(seed), base
+
+
+def build_improvement_lp(scenario: Scenario, allocation: Allocation):
+    """LP whose optimum exceeds the current total value iff the allocation
+    is Pareto dominated.
+
+    One variable per (player, cell) pair holds the fraction of the cell
+    given to the player; because densities are constant on cells, those
+    fractions range over all measurable allocations. Constraints keep every
+    player at least at the current value, and the objective is the total
+    value, so optimum minus the current total is the achievable sum of
+    gains. The cells are those of ``decompose``, so one (scenario,
+    allocation) pair has one LP, and the seed gives each cell to its owner.
+    Returns (lp, seed point, decomposition, current values).
+    """
+    dec, owners = _cells_and_owners(scenario, allocation)
+    lp, seed, base = _improvement_lp(scenario, dec, owners)
+    return lp, seed, dec, base
+
+
+def pareto_weights(
+    scenario: Scenario, allocation: Allocation
+) -> Optional[tuple[Fraction, ...]]:
+    """The certificate that an allocation is Pareto optimal, or None if it
+    is dominated.
+
+    Returns one λ_i >= 0 per player, in scenario order and with least entry
+    0, such that each cell's owner maximizes (1 + λ_i)·d_ic on it. With
+    y_c = max_i (1 + λ_i)·w_ic for the cell weights w_ic = d_ic·|c|,
+    (y, λ) is feasible for the dual of ``build_improvement_lp``, and its
+    value Σ_c y_c − Σ_i λ_i·base_i equals the current total Σ_i base_i,
+    which bounds every allocation's total from above.
+    """
+    weights = _rate_weights(*_cells_and_owners(scenario, allocation))
+    if weights is None:
+        return None
+    least = min(weights)
+    return tuple([a / least - ONE for a in weights])
 
 
 def pareto_improve(
@@ -517,12 +627,16 @@ def pareto_improve(
 
     Optimality here is against all measurable allocations, not just
     contiguous ones: with step densities only the per-cell fractions
-    matter, and the LP ranges over all of them.
+    matter. The verdict comes from the trade-rate closure on the cells'
+    owners (see ``pareto_weights``), with no LP. Only a dominated
+    allocation solves ``build_improvement_lp``, from the same cells and
+    owners, and its Bland-rule optimum is the witness.
     """
-    lp, seed, dec, base = build_improvement_lp(scenario, allocation)
-    result = simplex_max(lp, seed)
-    if result.value == sum(base, ZERO):
+    dec, owners = _cells_and_owners(scenario, allocation)
+    if _rate_weights(dec, owners) is not None:
         return None
+    lp, seed, base = _improvement_lp(scenario, dec, owners)
+    result = simplex_max(lp, seed)
 
     m = len(dec.cells)
     pieces: dict[str, list[Interval]] = {name: [] for name, _ in scenario.players}

@@ -4,10 +4,12 @@ The oracles here deliberately avoid the code paths they check: the density
 queries are plain linear scans over the pieces (no cumulative-mass index),
 the surplus-cut oracle scans a residual over the merged breakpoints, the
 LP oracle enumerates vertices by brute force, the two-player Pareto
-oracle sweeps threshold allocations by density ratio, and the equal-value
-oracle scans a coarse grid and refines a bracket with exact chords, on top
-of the scan queries. The best-ordering oracle for the equal-value
-procedure solves every ordering and keeps the maximum, with no pruning.
+oracle sweeps threshold allocations by density ratio, the Pareto
+certificate check recomputes the cells and the dual value by scans, and
+the equal-value oracle scans a coarse grid and refines a bracket with
+exact chords, on top of the scan queries. The best-ordering oracle for the
+equal-value procedure solves every ordering and keeps the maximum, with no
+pruning.
 """
 
 from __future__ import annotations
@@ -400,6 +402,44 @@ def ratio_sweep_dominated(scenario, allocation):
         best_keep(density_a, density_b, base_b) > base_a
         or best_keep(density_b, density_a, base_a) > base_b
     )
+
+
+def check_pareto_certificate(scenario, allocation, weights):
+    """Do the weights certify that the allocation is Pareto optimal?
+
+    ``weights`` holds one lambda_i per player in scenario order. The cells
+    are cut here from the pieces and portion spans, each cell's density is
+    a scan, and its owner is the portion holding its midpoint. The check
+    asks that every lambda_i >= 0, that on each cell the owner maximizes
+    (1 + lambda_i)·w_ic for the cell weights w_ic = d_ic·|c|, and that the
+    dual value sum_c max_i (1 + lambda_i)·w_ic − sum_i lambda_i·base_i
+    equals the current total sum_i base_i.
+    """
+    if len(weights) != scenario.n or any(lam < 0 for lam in weights):
+        return False
+    points = {ZERO, ONE}
+    for _, density in scenario.players:
+        points.update(piece.lo for piece in density.pieces)
+    for _, portion in allocation.portions:
+        for iv in portion.intervals:
+            points.update((iv.lo, iv.hi))
+    bounds = sorted(points)
+    base = [ZERO] * scenario.n
+    dual = ZERO
+    for lo, hi in zip(bounds, bounds[1:]):
+        middle = (lo + hi) / 2
+        cell = [scan_density_at(density, lo) * (hi - lo) for _, density in scenario.players]
+        scaled = [(1 + lam) * w for lam, w in zip(weights, cell)]
+        (owner,) = [
+            i
+            for i, (name, _) in enumerate(scenario.players)
+            if any(iv.lo < middle < iv.hi for iv in allocation.portion(name).intervals)
+        ]
+        if scaled[owner] != max(scaled):
+            return False
+        base[owner] += cell[owner]
+        dual += max(scaled)
+    return dual - sum(lam * b for lam, b in zip(weights, base)) == sum(base)
 
 
 # ---------------------------------------------------------------------------

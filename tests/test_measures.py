@@ -198,6 +198,18 @@ def test_cdf_examples(ce6):
         StepDensity.uniform().cdf(F(3, 2))
 
 
+def test_density_at_refuses_points_outside_the_cake():
+    d = ce2_player2()
+    assert d.density_at(ZERO) == 2 and d.density_at(F(1, 4)) == ZERO
+    # pieces are half-open, so the right end of the cake reads 0
+    assert d.density_at(ONE) == ZERO
+    for x in (2, -1, F(-1, 10**9), ONE + F(1, 10**9)):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            d.density_at(x)
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            d.cdf(x)
+
+
 def test_quantile_examples(ce3):
     assert StepDensity.uniform().quantile_left(HALF) == HALF
     assert ce2_player2().quantile_left(HALF) == F(1, 4)

@@ -25,6 +25,7 @@ from fairslice import (
     greedy_cuts,
     moving_knife,
     pareto_improve,
+    pareto_weights,
     simplex_max,
     utilitarian_bound,
 )
@@ -32,6 +33,7 @@ from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.solve import check_point
 from helpers import (
     QUARTER_POOL,
+    check_pareto_certificate,
     draw_grid_density,
     fine_grid_scenario,
     grid_affine_equal_value,
@@ -40,6 +42,7 @@ from helpers import (
     random_lp,
     random_scenario,
     ratio_sweep_dominated,
+    scan_density_at,
     scan_mass,
     vertex_enumeration_max,
 )
@@ -427,3 +430,64 @@ def test_pareto_matches_ratio_sweep_oracle_sample():
         allocation = random_allocation(rng, scenario, pool=QUARTER_POOL)
         lp_verdict = pareto_improve(scenario, allocation) is not None
         assert lp_verdict == ratio_sweep_dominated(scenario, allocation)
+
+
+@st.composite
+def pareto_cases(draw):
+    """n = 2 to 5 players with densities on the 1/grid lattice, zero
+    weights included, and an allocation of the cells of the finer 1/(2·grid)
+    lattice. A cell goes to any player ("random"), or to a player who
+    maximizes a_i·d_ic for weights a that are all 1 ("argmax") or drawn
+    from 1 to 3 ("weighted"), a tie going to a drawn player. The argmax
+    allocations are optimal and most random ones are dominated, so both
+    verdicts occur often."""
+    n = draw(st.integers(2, 5))
+    grid = draw(st.sampled_from((4, 6)))
+    scenario = Scenario(
+        tuple((f"p{i + 1}", draw_grid_density(draw, grid)) for i in range(n))
+    )
+    source = draw(st.sampled_from(("random", "argmax", "weighted")))
+    scale = [draw(st.integers(1, 3)) if source == "weighted" else 1 for _ in range(n)]
+    spans = {name: [] for name in scenario.names}
+    cells = 2 * grid
+    for c in range(cells):
+        lo, hi = F(c, cells), F(c + 1, cells)
+        values = [a * scan_density_at(d, lo) for a, (_, d) in zip(scale, scenario.players)]
+        if source == "random":
+            candidates = range(n)
+        else:
+            candidates = [i for i, v in enumerate(values) if v == max(values)]
+        spans[scenario.names[draw(st.sampled_from(candidates))]].append((lo, hi))
+    allocation = Allocation.of({name: IntervalSet.of(*s) for name, s in spans.items()})
+    return scenario, allocation
+
+
+@settings(max_examples=150, deadline=None)
+@given(pareto_cases())
+def test_pareto_verdict_and_certificate_agree_with_simplex(case):
+    scenario, allocation = case
+    lp, seed, _, base = build_improvement_lp(scenario, allocation)
+    optimal = simplex_max(lp, seed).value == sum(base, ZERO)
+    weights = pareto_weights(scenario, allocation)
+    witness = pareto_improve(scenario, allocation)
+    assert (weights is not None) == (witness is None) == optimal
+    if optimal:
+        assert check_pareto_certificate(scenario, allocation, weights), weights
+        return
+    # No weights certify a dominated allocation, the plain ones included.
+    assert not check_pareto_certificate(scenario, allocation, (ZERO,) * scenario.n)
+    for name, density in scenario.players:
+        value = sum(
+            (scan_mass(density, iv.lo, iv.hi) for iv in witness.allocation.portion(name).intervals),
+            ZERO,
+        )
+        assert value == witness.value_vector[name]
+
+
+def test_pareto_weights_certify_the_published_optimal_blocks(ce5, ce6):
+    for scenario, block in ((ce5, ce5_block_allocation()), (ce6, ce6_block_allocation())):
+        weights = pareto_weights(scenario, block)
+        assert weights == (ZERO,) * scenario.n
+        assert check_pareto_certificate(scenario, block, weights)
+    # A dominated allocation has no certificate.
+    assert pareto_weights(ce6, contiguous_allocation(("A", "B"), (HALF,))) is None

@@ -80,7 +80,14 @@ def test_truth_scoring_ignores_truth_player_order(case, ce2, ce5):
 
 
 @pytest.mark.parametrize(
-    "check", [proportional_check, envy_free_check, pareto_optimal_check, solve.pareto_improve]
+    "check",
+    [
+        proportional_check,
+        envy_free_check,
+        pareto_optimal_check,
+        solve.pareto_improve,
+        solve.pareto_weights,
+    ],
 )
 @pytest.mark.parametrize(
     "portions",
@@ -197,6 +204,40 @@ def test_pareto_check_uses_truth_not_declaration(ce2):
     halves = contiguous_allocation(("P1", "P2"), (HALF,))
     report = pareto_optimal_check(ce2, halves, truth)
     assert report.passed
+
+
+def count_solve_calls(monkeypatch, *names):
+    """Count the calls of the named ``solve`` functions, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(solve, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solve, name, counted)
+    return calls
+
+
+def test_pareto_check_of_an_argmax_allocation_solves_no_lp(ce2, monkeypatch):
+    calls = count_solve_calls(monkeypatch, "simplex_max", "decompose")
+    # P2's density 2 beats P1's 1 on [0, 1/4] and [3/4, 1], and P1's 1 beats
+    # P2's 0 in between.
+    argmax = Allocation.of(
+        {"P1": IntervalSet.of(("1/4", "3/4")), "P2": IntervalSet.of((0, "1/4"), ("3/4", 1))}
+    )
+    report = pareto_optimal_check(ce2, argmax)
+    assert report.passed and report.witness is None
+    assert calls == {"simplex_max": 0, "decompose": 1}
+
+
+def test_pareto_check_of_a_dominated_allocation_shares_one_decomposition(ce2, monkeypatch):
+    calls = count_solve_calls(monkeypatch, "simplex_max", "decompose")
+    report = pareto_optimal_check(ce2, contiguous_allocation(("P2", "P1"), (HALF,)))
+    assert not report.passed and report.witness is not None
+    # The rate closure and the witness LP read one decomposition.
+    assert calls == {"simplex_max": 1, "decompose": 1}
 
 
 # --- the identical-misreport harness ----------------------------------------------
