@@ -353,7 +353,8 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     fails at every larger target, so a failed chain or L(t*) < t* leaves no
     root at or above t* and the ordering is skipped. L(t*) == t* makes t*
     the root and the chained cuts its solution, exactly as the walk would
-    return them. Only L(t*) > t* needs the walk, whose root then beats t*.
+    return them. Only L(t*) > t* needs the walk, whose root then beats t*,
+    so the walk starts at t* and skips every segment below it.
 
     Strict mode must name every infeasible ordering, and the CE3 replay
     reports them too, so those callers set ``walk_all`` (strict mode
@@ -381,7 +382,10 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
             if last_value == best:
                 tied.append((ordered_names, solve.EqualValueSolution(tuple(cuts), best)))
                 continue
-        solution = solve.equal_value_solve(scenario, perm)
+            # L(t*) > t*, so the root lies above t*: walk from there.
+            solution = solve.equal_value_solve(scenario, perm, start=best)
+        else:
+            solution = solve.equal_value_solve(scenario, perm)
         if solution is None:
             infeasible.append(ordered_names)
         elif best is None or solution.common_value > best:

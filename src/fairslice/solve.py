@@ -37,13 +37,19 @@ from .measures import (
 
 
 def as_permutation(scenario: Scenario, ordering: Sequence) -> tuple[int, ...]:
-    """Normalize an ordering of player indices or names to index form."""
+    """Normalize an ordering of player indices or names to index form.
+
+    Entries are player names or ``int`` indices; a bool, a float or any
+    other type raises ValueError rather than being truncated to an index.
+    """
     idx = []
     for entry in ordering:
         if isinstance(entry, str):
             idx.append(scenario.index(entry))
+        elif isinstance(entry, int) and not isinstance(entry, bool):
+            idx.append(entry)
         else:
-            idx.append(int(entry))
+            raise ValueError(f"ordering entry {entry!r} is neither a player name nor an index")
     if sorted(idx) != list(range(scenario.n)):
         raise ValueError(f"{ordering!r} is not a permutation of the players")
     return tuple(idx)
@@ -83,8 +89,11 @@ class EqualValueSolution:
     common_value: Fraction
 
 
-def equal_value_solve(scenario: Scenario, ordering: Sequence) -> Optional[EqualValueSolution]:
-    """Find a target t whose greedy cuts give the last piece value t too.
+def equal_value_solve(
+    scenario: Scenario, ordering: Sequence, *, start: Fraction = ZERO
+) -> Optional[EqualValueSolution]:
+    """Find a target t > ``start`` whose greedy cuts give the last piece
+    value t too.
 
     With greedy leftmost cuts the last-piece value L(t) is non-increasing,
     left-continuous, and piecewise affine, while the target itself grows, so
@@ -101,21 +110,33 @@ def equal_value_solve(scenario: Scenario, ordering: Sequence) -> Optional[EqualV
     over the diagonal the system has no greedy solution and None is
     returned.
 
-    L(0) = 1, and a segment that holds no root ends with L still above the
-    diagonal, so the walk chains quantiles only once, to check the root.
-    Each segment end moves some cursor forward, and a cursor over a density
-    of k pieces moves at most k - 1 times, so the walk ends within
-    2·Σk + 2 segments for Σk pieces in all; its last AssertionError marks
-    a broken invariant, not a long input.
+    The walk begins at t = ``start``, in [0, 1], and returns the solution
+    exactly when its common value lies strictly above ``start``; otherwise
+    None. The pruned procedure search starts at the best value t* so far,
+    after a chain showed L(t*) > t*: the root, if any, lies above t*, and
+    no segment below t* is walked. The cursors still start at index 0 and
+    reach their pieces in the same forward loops.
+
+    A right-hand limit L(start+) <= start leaves no root above ``start``
+    and returns None at once. Otherwise L starts above the diagonal, and a
+    segment that holds no root ends with L still above it, so the walk
+    chains quantiles only once, to check the root. Each segment end moves
+    some cursor forward, and a cursor over a density of k pieces moves at
+    most k - 1 times, so the walk ends within 2·Σk + 2 segments for Σk
+    pieces in all; its last AssertionError marks a broken invariant, not a
+    long input.
     """
     idx = as_permutation(scenario, ordering)
     if len(idx) < 2:
         raise ValueError("equal-value systems need at least two players")
+    start = as_rational(start)
+    if not (ZERO <= start <= ONE):
+        raise ValueError(f"equal-value walk start {start} outside [0, 1]")
     ordered = [scenario.players[i][1] for i in idx]
     last = len(ordered) - 1
     own = [0] * last
     anchor = [0] * len(ordered)
-    t = ZERO
+    t = start
     # Every segment but the last ends where some cursor steps forward, and
     # a cursor takes fewer steps than its density has pieces.
     for _ in range(2 * sum(len(d.pieces) for d in ordered) + 2):

@@ -458,12 +458,14 @@ def test_pruned_ep_search_raises_when_no_ordering_is_feasible():
 
 
 def _count_walks(monkeypatch):
+    """Record (ordering, start, solution) for every equal-value walk."""
     calls = []
     walk = solve.equal_value_solve
 
-    def counted(scenario, ordering):
-        calls.append(ordering)
-        return walk(scenario, ordering)
+    def counted(scenario, ordering, **kwargs):
+        solution = walk(scenario, ordering, **kwargs)
+        calls.append((ordering, kwargs.get("start", ZERO), solution))
+        return solution
 
     monkeypatch.setattr(solve, "equal_value_solve", counted)
     return calls
@@ -488,6 +490,38 @@ def test_strict_and_full_ep_search_walk_every_ordering(monkeypatch, ce3):
     assert len(calls) == 12
     assert err.value.infeasible_orderings == tuple(infeasible)
     assert tied[0][0] == equitability(ce3).ordering
+    # A walk from the best value so far would call the orderings whose
+    # root lies below it infeasible, so these walks all start at 0.
+    assert all(start == 0 for _, start, _ in calls)
+    assert infeasible == [
+        ("P1", "P2", "P3"),
+        ("P1", "P3", "P2"),
+        ("P3", "P1", "P2"),
+        ("P3", "P2", "P1"),
+    ]
+
+
+def test_pruned_ep_search_walks_from_the_best_value_so_far(monkeypatch, ce3, ce5):
+    calls = _count_walks(monkeypatch)
+    rng = random.Random(13)
+    scenarios = [ce3, ce5] + [random_scenario(rng, rng.choice((3, 4))) for _ in range(40)]
+    warm = 0
+    for scenario in scenarios:
+        calls.clear()
+        try:
+            _ep_search(scenario)
+        except NoFeasibleOrderingError:
+            pass
+        # Chains settle ties and losers without moving the best value, so
+        # the best value at each walk is the largest root walked before it.
+        best = None
+        for _, start, solution in calls:
+            assert start == (ZERO if best is None else best)
+            if solution is not None:
+                assert solution.common_value > start
+                best = solution.common_value
+            warm += start > 0
+    assert warm > 0
 
 
 # --- shared outcome invariants --------------------------------------------------

@@ -151,12 +151,12 @@ def test_equal_value_postcondition_on_random_scenarios():
 
 
 @st.composite
-def equal_value_cases(draw):
-    """n = 3 or 4 players with step densities on a coarse common grid, and
-    one ordering. Zero weights give zero-density plateaus, the shared grid
-    makes cuts land on breakpoints, and players beyond the distinct pool
-    repeat one of its densities."""
-    n = draw(st.integers(3, 4))
+def equal_value_cases(draw, min_n=3, max_n=4):
+    """n = min_n to max_n players with step densities on a coarse common
+    grid, and one ordering. Zero weights give zero-density plateaus, the
+    shared grid makes cuts land on breakpoints, and players beyond the
+    distinct pool repeat one of its densities."""
+    n = draw(st.integers(min_n, max_n))
     grid = draw(st.sampled_from((4, 6, 12)))
     pool = [draw_grid_density(draw, grid) for _ in range(draw(st.integers(1, n)))]
     densities = pool + [draw(st.sampled_from(pool)) for _ in range(n - len(pool))]
@@ -182,6 +182,47 @@ def test_equal_value_agrees_with_grid_oracles(case):
         assert scan_mass(density, bounds[k], bounds[k + 1]) == solved.common_value
     if oracle is not None:
         assert oracle == (solved.cuts, solved.common_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    equal_value_cases(2, 5),
+    st.sampled_from(("zero", "one", "root", "below root", "random")),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+def test_equal_value_walk_from_a_start_returns_only_roots_above_it(case, kind, fraction):
+    scenario, ordering = case
+    # Neither AssertionError exit of the walk may fire, from 0 or later.
+    cold = equal_value_solve(scenario, ordering)
+    root = ZERO if cold is None else cold.common_value
+    start = {
+        "zero": ZERO,
+        "one": ONE,
+        "root": root,
+        "below root": root - root * fraction / 1000,
+        "random": fraction,
+    }[kind]
+    warm = equal_value_solve(scenario, ordering, start=start)
+    if cold is not None and cold.common_value > start:
+        assert warm == cold
+    else:
+        assert warm is None
+
+
+@pytest.mark.parametrize("start", [F(-1, 100), F(101, 100), -1, 2])
+def test_equal_value_start_outside_the_unit_interval_is_refused(ce3, start):
+    with pytest.raises(ValueError, match="outside"):
+        equal_value_solve(ce3, ("P2", "P1", "P3"), start=start)
+
+
+@pytest.mark.parametrize(
+    "ordering", [(0.5, 1.2, 2), (True, False, 2), (F(0), 1, 2), (None, 1, 2), (1.0, 0, 2)]
+)
+def test_orderings_of_non_integer_indices_are_refused(ce3, ordering):
+    with pytest.raises(ValueError, match="neither a player name nor an index"):
+        equal_value_solve(ce3, ordering)
+    with pytest.raises(ValueError, match="neither a player name nor an index"):
+        greedy_cuts(ce3, ordering, HALF)
 
 
 # sha256 of the rendered answers in the test below.

@@ -300,9 +300,9 @@ def test_theorem_a_seeded_ep_walks_once_and_validates_each_density_once(monkeypa
     walks, validated = [], []
     walk, validate = solve.equal_value_solve, StepDensity.validate
 
-    def counted_walk(scenario, ordering):
-        walks.append(ordering)
-        return walk(scenario, ordering)
+    def counted_walk(scenario, ordering, **kwargs):
+        walks.append((ordering, kwargs.get("start", 0)))
+        return walk(scenario, ordering, **kwargs)
 
     def counted_validate(self):
         validated.append(self)
@@ -315,6 +315,7 @@ def test_theorem_a_seeded_ep_walks_once_and_validates_each_density_once(monkeypa
     # Identical players tie in every ordering: one walk finds the common
     # value and one chain per other ordering confirms it.
     assert len(walks) == 1
+    assert walks[0][1] == 0  # the first walk has no best value to start from
     # truth and misreport once each: the three players share the misreport
     # object, whose verdict is kept after its first validation
     assert len(validated) == 2
