@@ -21,7 +21,7 @@ from .harness import (
     run_counterexample,
 )
 from .measures import declared_values
-from .procedures import PROCEDURE_NAMES, run_procedure
+from .procedures import PROCEDURE_NAMES, TIE_LOWEST, run_procedure
 from .verify import (
     envy_free_check,
     pareto_optimal_check,
@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cutter", help="cutter name for cut-choose")
     run.add_argument("--tie", default=None, help="lowest or seed:<u64>")
     run.add_argument("-o", "--output", help="write the report here instead of stdout")
+    run.set_defaults(handler=_cmd_run)
 
     verify = sub.add_parser("verify", help="check properties of an allocation")
     verify.add_argument("scenario")
@@ -61,10 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {','.join(CHECKS)}",
     )
     verify.add_argument("-o", "--output")
+    verify.set_defaults(handler=_cmd_verify)
 
     paper = sub.add_parser("paper-ce", help="replay a registered counterexample")
     paper.add_argument("case", type=int, choices=range(1, 7), metavar="1..6")
     paper.add_argument("-o", "--output")
+    paper.set_defaults(handler=_cmd_paper_ce)
 
     manipulate = sub.add_parser(
         "manipulate", help="search candidate misreports for a weak improvement"
@@ -74,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     manipulate.add_argument("--candidates", required=True)
     manipulate.add_argument("--opponents", required=True)
     manipulate.add_argument("-o", "--output")
+    manipulate.set_defaults(handler=_cmd_manipulate)
     return parser
 
 
@@ -101,7 +105,7 @@ def _cmd_run(args) -> int:
         )
     strict = args.strict or (embedded.strict if embedded else False)
     cutter = args.cutter or (embedded.cutter if embedded else None)
-    tie = parse_tie(args.tie) if args.tie else (embedded.tie if embedded else parse_tie("lowest"))
+    tie = parse_tie(args.tie) if args.tie else (embedded.tie if embedded else TIE_LOWEST)
     outcome = run_procedure(
         name, document.scenario, strict=strict, tie=tie, cutter=cutter
     )
@@ -181,14 +185,8 @@ def _cmd_manipulate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "verify": _cmd_verify,
-        "paper-ce": _cmd_paper_ce,
-        "manipulate": _cmd_manipulate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except FairsliceError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_status

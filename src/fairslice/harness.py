@@ -36,7 +36,6 @@ from .procedures import (
     TIE_LOWEST,
     TieRule,
     _ep_search,
-    _outcome,
     contiguous_allocation,
     cut_and_choose,
     equitability,
@@ -248,18 +247,15 @@ def save_scenario(
 
 def _players_doc(players) -> list:
     return [
-        {
-            "name": name,
-            "pieces": [
-                {
-                    "from": _doc_rational(p.lo),
-                    "to": _doc_rational(p.hi),
-                    "density": _doc_rational(p.density),
-                }
-                for p in density.pieces
-            ],
-        }
+        {"name": name, "pieces": _pieces_doc(density, _doc_rational)}
         for name, density in players
+    ]
+
+
+def _pieces_doc(density: StepDensity, fmt) -> list:
+    return [
+        {"from": fmt(p.lo), "to": fmt(p.hi), "density": fmt(p.density)}
+        for p in density.pieces
     ]
 
 
@@ -307,14 +303,7 @@ def to_jsonable(value):
     if isinstance(value, IntervalSet):
         return [to_jsonable(iv) for iv in value.intervals]
     if isinstance(value, StepDensity):
-        return [
-            {
-                "from": fmt_rational(p.lo),
-                "to": fmt_rational(p.hi),
-                "density": fmt_rational(p.density),
-            }
-            for p in value.pieces
-        ]
+        return _pieces_doc(value, fmt_rational)
     if isinstance(value, Allocation):
         return {name: to_jsonable(portion) for name, portion in value.portions}
     if isinstance(value, Scenario):
@@ -715,24 +704,19 @@ def _actuals_ce2(case: CounterexampleCase) -> dict:
 
 
 def _actuals_ce3(case: CounterexampleCase) -> dict:
-    scenario = case.scenarios["main"]
-    actuals: dict = {}
     # One walk of every ordering serves both modes: strict mode fails exactly
     # when some ordering is infeasible, lenient mode takes the best of the rest.
-    tied, infeasible = _ep_search(scenario, walk_all=True)
-    if infeasible:
-        error = EPUndefinedError(infeasible)
-        actuals["strict.error_code"] = error.code
-        actuals["strict.names_ordering_1_3_2"] = ("P1", "P3", "P2") in error.infeasible_orderings
-        actuals["strict.infeasible_orderings"] = error.infeasible_orderings
-    else:
-        actuals["strict.error_code"] = None
-        actuals["strict.names_ordering_1_3_2"] = False
+    tied, infeasible = _ep_search(case.scenarios["main"], walk_all=True)
     names, solution = tied[0]
-    outcome = _outcome(names, solution.cuts, solution.common_value)
-    actuals["lenient.ordering"] = outcome.ordering
-    actuals["lenient.common_value"] = outcome.common_value
-    actuals["lenient.cuts"] = outcome.cuts
+    actuals: dict = {
+        "lenient.ordering": names,
+        "lenient.common_value": solution.common_value,
+        "lenient.cuts": solution.cuts,
+    }
+    if infeasible:
+        actuals["strict.error_code"] = EPUndefinedError.code
+        actuals["strict.names_ordering_1_3_2"] = ("P1", "P3", "P2") in infeasible
+        actuals["strict.infeasible_orderings"] = tuple(infeasible)
     return actuals
 
 

@@ -166,15 +166,10 @@ def _median_point(scenario: Scenario, name: str, strict: bool) -> Fraction:
     return median.midpoint
 
 
-def _require_players(scenario: Scenario, minimum: int, exactly: bool = False) -> None:
-    if exactly and scenario.n != minimum:
-        raise InvalidPlayersError(
-            f"this procedure needs exactly {minimum} players, got {scenario.n}"
-        )
-    if scenario.n < minimum:
-        raise InvalidPlayersError(
-            f"this procedure needs at least {minimum} players, got {scenario.n}"
-        )
+def _require_players(scenario: Scenario, exactly: bool = False) -> None:
+    if scenario.n < 2 or (exactly and scenario.n != 2):
+        bound = "exactly" if exactly else "at least"
+        raise InvalidPlayersError(f"this procedure needs {bound} 2 players, got {scenario.n}")
 
 
 def cut_and_choose(
@@ -192,7 +187,7 @@ def cut_and_choose(
     takes the left piece (the tie rule can override, and the tie is
     recorded either way).
     """
-    _require_players(scenario, 2, exactly=True)
+    _require_players(scenario, exactly=True)
     if cutter not in scenario.names:
         raise InvalidPlayersError(f"unknown cutter {cutter!r}")
     chooser = next(name for name in scenario.names if name != cutter)
@@ -204,8 +199,7 @@ def cut_and_choose(
     if left_value != right_value:
         tied = (chooser,) if left_value > right_value else (cutter,)
     events = []
-    # The resolver is built only on a tie: a seeded one costs a PRNG.
-    left_owner = _pick(lambda t: tie.resolver()(t), cut, tied, events)
+    left_owner = _pick(tie.resolver(), cut, tied, events)
     right_owner = chooser if left_owner == cutter else cutter
     return _outcome((left_owner, right_owner), (cut,), events=events)
 
@@ -220,7 +214,7 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
     into exact 1/n pieces. The tie rule settles simultaneous calls; the
     last player takes the remainder.
     """
-    _require_players(scenario, 2)
+    _require_players(scenario)
     resolver = tie.resolver()
     remaining = list(scenario.players)
     position = ZERO
@@ -308,7 +302,7 @@ def surplus_divide(
     either share. When only one player values the surplus it all goes to
     that player; when neither does the cut lands mid-surplus.
     """
-    _require_players(scenario, 2, exactly=True)
+    _require_players(scenario, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
         raise ValueError(f"unknown variant {variant!r}")
     names = scenario.names
@@ -316,7 +310,7 @@ def surplus_divide(
     a = min(medians.values())
     tied = tuple(name for name in names if medians[name] == a)
     events = []
-    left = _pick(lambda t: tie.resolver()(t), a, tied, events)
+    left = _pick(tie.resolver(), a, tied, events)
     right = names[1] if left == names[0] else names[0]
     b = medians[right]
     left_density = scenario.density(left)
@@ -359,10 +353,11 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     Strict mode must name every infeasible ordering, and the CE3 replay
     reports them too, so those callers set ``walk_all`` (strict mode
     implies it) and every ordering is walked; a pruned search lists only
-    the infeasible orderings it happened to walk. Strict mode raises when
-    any assignment is infeasible; either mode raises when none is feasible.
+    the infeasible orderings it happened to walk. The tied list is the same
+    either way. Strict mode raises when any assignment is infeasible;
+    either mode raises when none is feasible.
     """
-    _require_players(scenario, 2)
+    _require_players(scenario)
     walk_all = walk_all or strict
     names = scenario.names
     densities = [density for _, density in scenario.players]
@@ -380,10 +375,9 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
             if last_value < best:
                 continue
             if last_value == best:
-                tied.append((ordered_names, solve.EqualValueSolution(tuple(cuts), best)))
-                continue
-            # L(t*) > t*, so the root lies above t*: walk from there.
-            solution = solve.equal_value_solve(scenario, perm, start=best)
+                solution = solve.EqualValueSolution(tuple(cuts), best)
+            else:  # L(t*) > t*, so the root lies above t*: walk from there.
+                solution = solve.equal_value_solve(scenario, perm, start=best)
         else:
             solution = solve.equal_value_solve(scenario, perm)
         if solution is None:

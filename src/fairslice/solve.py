@@ -21,7 +21,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import InfeasibleSeedError, InsufficientMassError, UnboundedError
+from .errors import (
+    InfeasibleSeedError,
+    InsufficientMassError,
+    InvalidPlayersError,
+    UnboundedError,
+)
 from .measures import (
     ONE,
     ZERO,
@@ -128,7 +133,7 @@ def equal_value_solve(
     """
     idx = as_permutation(scenario, ordering)
     if len(idx) < 2:
-        raise ValueError("equal-value systems need at least two players")
+        raise InvalidPlayersError("equal-value systems need at least two players")
     start = as_rational(start)
     if not (ZERO <= start <= ONE):
         raise ValueError(f"equal-value walk start {start} outside [0, 1]")
@@ -576,30 +581,23 @@ def _improvement_lp(scenario: Scenario, dec: CellDecomposition, owners: Sequence
         base[owner] += weight[owner][c]
     base = tuple(base)
 
-    def var(i: int, c: int) -> int:
-        return i * m + c
-
+    # Variable i * m + c is player i's share of cell c.
     n_vars = n * m
     constraints = []
     for c in range(m):
         coeffs = [ZERO] * n_vars
-        for i in range(n):
-            coeffs[var(i, c)] = ONE
+        coeffs[c::m] = [ONE] * n
         constraints.append(LinearConstraint(tuple(coeffs), "==", ONE))
     for i in range(n):
         coeffs = [ZERO] * n_vars
-        for c in range(m):
-            coeffs[var(i, c)] = weight[i][c]
+        coeffs[i * m : (i + 1) * m] = weight[i]
         constraints.append(LinearConstraint(tuple(coeffs), ">=", base[i]))
-    objective = [ZERO] * n_vars
-    for i in range(n):
-        for c in range(m):
-            objective[var(i, c)] = weight[i][c]
-    lp = LinearProgram(n_vars, tuple(objective), tuple(constraints))
+    objective = tuple(w for row in weight for w in row)
+    lp = LinearProgram(n_vars, objective, tuple(constraints))
 
     seed = [ZERO] * n_vars
     for c, owner in enumerate(owners):
-        seed[var(owner, c)] = ONE
+        seed[owner * m + c] = ONE
     return lp, tuple(seed), base
 
 

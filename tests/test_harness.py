@@ -202,6 +202,20 @@ def test_seeded_procedure_round_trips_through_save():
     assert load_document(saved) == document
 
 
+def test_cutter_and_lowest_tie_round_trip_through_save():
+    text = json.dumps(
+        doc(
+            [uniform_player("A"), uniform_player("B")],
+            procedure={"name": "cut-choose", "options": {"cutter": "B", "tie": "lowest"}},
+        )
+    )
+    document = load_document(text)
+    saved = save_scenario(document.scenario, procedure=document.procedure)
+    options = json.loads(saved)["procedure"]["options"]
+    assert options == {"cutter": "B", "strict": False, "tie": "lowest"}
+    assert load_document(saved) == document
+
+
 def test_load_allocation_and_partition_errors():
     allocation = load_allocation(
         {
@@ -666,6 +680,56 @@ def test_cli_run_non_canonical_tie_seed_exit_2_with_one_line(tmp_path, capsys, t
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error [PARSE_ERROR]: invalid tie seed in {text!r}\n"
+
+
+def test_cli_verify_unknown_check_exit_2_with_one_line(scenario_file, tmp_path, capsys):
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(json.dumps(HALVES_DOC), encoding="utf-8")
+    assert main(["verify", str(scenario_file), str(allocation), "--checks", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [ERROR]: unknown checks ['bogus']")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "players, procedure, player, message",
+    [
+        (["A", "B", "C"], {"name": "cut-choose"}, "A", "needs a two-player scenario"),
+        (["A", "B"], None, "A", "must embed a procedure"),
+        (["A", "B"], {"name": "cut-choose"}, "Z", "unknown player 'Z'"),
+    ],
+)
+def test_cli_manipulate_refusals_exit_2_with_one_line(
+    tmp_path, capsys, players, procedure, player, message
+):
+    extra = {} if procedure is None else {"procedure": procedure}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps(doc([uniform_player(n) for n in players], **extra)), encoding="utf-8"
+    )
+    densities = tmp_path / "densities.json"
+    uniform = uniform_player("X")["pieces"]
+    densities.write_text(
+        json.dumps({"schema": "fairslice/1", "densities": [uniform]}), encoding="utf-8"
+    )
+    argv = ["manipulate", str(scenario), "--player", player]
+    assert main(argv + ["--candidates", str(densities), "--opponents", str(densities)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [ERROR]: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_density_without_pieces_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    document = doc([{"name": "A", "pieces": []}, uniform_player("B")])
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["run", str(path), "--procedure", "moving-knife"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error [INVALID_DENSITY]: invalid density for 'A': GAP_OR_OVERLAP: no pieces declared\n"
+    )
 
 
 @pytest.mark.parametrize("checks", ["", ",", " , "])

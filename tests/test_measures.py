@@ -137,6 +137,10 @@ def test_validate_gap_and_overlap():
     assert GAP_OR_OVERLAP in gap.codes
     missing_tail = StepDensity.of((0, "1/2", 2)).validate()
     assert GAP_OR_OVERLAP in missing_tail.codes
+    assert StepDensity(()).validate().codes == (GAP_OR_OVERLAP,)
+    late_start = StepDensity.of(("1/4", 1, "4/3")).validate()
+    assert late_start.codes == (GAP_OR_OVERLAP,)
+    assert "first piece starts at 1/4, not 0" in late_start.violations[0].detail
 
 
 def test_require_valid_raises_with_codes():

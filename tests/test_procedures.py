@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -270,6 +271,28 @@ def test_surplus_degenerate_one_sided():
     assert mirrored.cuts == (HALF,)
 
 
+def test_surplus_only_left_player_values_the_surplus():
+    # medians 1/3 and 1/2; the right player values nothing on [1/3, 1/2],
+    # so the whole surplus goes left and the cut moves to the right median
+    front_heavy = StepDensity.of((0, "1/3", "3/2"), ("1/3", 1, "3/4"))
+    gap = StepDensity.of((0, "1/4", 2), ("1/4", "3/4", 0), ("3/4", 1, 2))
+    scenario = pair(front_heavy, gap)
+    for variant in (EQUITABLE, PROPORTIONAL):
+        outcome = surplus_divide(scenario, variant)
+        assert outcome.cuts == (HALF,)
+        assert outcome.ordering == ("p1", "p2")
+        assert declared_values(scenario, outcome.allocation) == {"p1": F(5, 8), "p2": HALF}
+    # mirrored: medians 1/2 and 2/3, the left player values nothing on
+    # [1/2, 2/3], so the cut stays at the left median
+    back_heavy = StepDensity.of((0, "2/3", "3/4"), ("2/3", 1, "3/2"))
+    mirrored = pair(back_heavy, gap)
+    for variant in (EQUITABLE, PROPORTIONAL):
+        outcome = surplus_divide(mirrored, variant)
+        assert outcome.cuts == (HALF,)
+        assert outcome.ordering == ("p2", "p1")
+        assert declared_values(mirrored, outcome.allocation) == {"p1": F(5, 8), "p2": HALF}
+
+
 def test_surplus_degenerate_both_empty():
     gap = StepDensity.of((0, "1/4", 2), ("1/4", "3/4", 0), ("3/4", 1, 2))
     plateau_right = StepDensity.of((0, HALF, 1), (HALF, "3/4", 0), ("3/4", 1, 2))
@@ -435,11 +458,21 @@ def test_pruned_ep_search_matches_exhaustive_oracle(scenario):
     except NoFeasibleOrderingError:
         with pytest.raises(NoFeasibleOrderingError):
             _ep_search(scenario)
+        with pytest.raises(NoFeasibleOrderingError):
+            _ep_search(scenario, walk_all=True)
         return
     tied, _ = _ep_search(scenario)
     assert [(names, s.cuts, s.common_value) for names, s in tied] == expected
     outcome = equitability(scenario)
     assert (outcome.ordering, outcome.cuts, outcome.common_value) == expected[0]
+    # The full walk ties the same orderings and names every infeasible one.
+    full_tied, infeasible = _ep_search(scenario, walk_all=True)
+    assert full_tied == tied
+    assert infeasible == [
+        tuple(scenario.names[i] for i in perm)
+        for perm in permutations(range(scenario.n))
+        if solve.equal_value_solve(scenario, perm) is None
+    ]
 
 
 def test_pruned_ep_search_raises_when_no_ordering_is_feasible():

@@ -11,6 +11,7 @@ from fairslice import (
     Allocation,
     InfeasibleSeedError,
     Interval,
+    InvalidPlayersError,
     IntervalSet,
     LinearConstraint,
     LinearProgram,
@@ -213,6 +214,13 @@ def test_equal_value_walk_from_a_start_returns_only_roots_above_it(case, kind, f
 def test_equal_value_start_outside_the_unit_interval_is_refused(ce3, start):
     with pytest.raises(ValueError, match="outside"):
         equal_value_solve(ce3, ("P2", "P1", "P3"), start=start)
+
+
+def test_equal_value_solve_refuses_one_player():
+    scenario = Scenario((("solo", StepDensity.uniform()),))
+    with pytest.raises(InvalidPlayersError, match="at least two players") as err:
+        equal_value_solve(scenario, (0,))
+    assert err.value.exit_status == 2
 
 
 @pytest.mark.parametrize(

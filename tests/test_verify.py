@@ -259,6 +259,14 @@ def test_theorem_a_ep_example(ce5):
     assert min(report.values.values()) == F(1, 10)
 
 
+def test_theorem_a_refuses_fewer_than_two_players():
+    with pytest.raises(InvalidPlayersError, match="need at least 2 players") as err:
+        theorem_a_check(
+            "moving-knife", truth=StepDensity.uniform(), misreport=StepDensity.uniform(), n=1
+        )
+    assert err.value.exit_status == 2
+
+
 def test_theorem_a_cut_and_choose_bound_tight():
     report = theorem_a_check(
         "cut-choose", truth=StepDensity.uniform(), misreport=StepDensity.uniform(), n=2
