@@ -6,6 +6,8 @@ so fairness, envy, Pareto optimality, and manipulation claims are all
 decided by exact equality.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AllocationError,
     EPUndefinedError,
@@ -92,76 +94,10 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Allocation",
-    "AllocationError",
-    "CASES",
-    "CellDecomposition",
-    "ComparisonReport",
-    "CounterexampleCase",
-    "DensityReport",
-    "DensityViolation",
-    "DominationWitness",
-    "EPUndefinedError",
-    "EQUITABLE",
-    "EqualValueSolution",
-    "FairsliceError",
-    "GAP_OR_OVERLAP",
-    "InfeasibleSeedError",
-    "InsufficientMassError",
-    "Interval",
-    "IntervalSet",
-    "InvalidDensityError",
-    "InvalidPlayersError",
-    "LinearConstraint",
-    "LinearProgram",
-    "ManipulationWitness",
-    "MismatchError",
-    "NEGATIVE_DENSITY",
-    "NoFeasibleOrderingError",
-    "NonUniqueMedianError",
-    "PROCEDURE_NAMES",
-    "PROPORTIONAL",
-    "ParseError",
-    "Piece",
-    "ProcedureOutcome",
-    "ProcedureSpec",
-    "ProcedureUndefinedError",
-    "PropertyReport",
-    "Scenario",
-    "ScenarioDocument",
-    "SimplexResult",
-    "StepDensity",
-    "TOTAL_MASS_NOT_ONE",
-    "TieEvent",
-    "TieRule",
-    "UnboundedError",
-    "as_rational",
-    "build_improvement_lp",
-    "contiguous_allocation",
-    "cut_and_choose",
-    "declared_values",
-    "decompose",
-    "emit_report",
-    "envy_free_check",
-    "equal_value_solve",
-    "equitability",
-    "greedy_cuts",
-    "load_allocation",
-    "load_densities",
-    "load_document",
-    "load_scenario",
-    "moving_knife",
-    "pareto_improve",
-    "pareto_optimal_check",
-    "pareto_weights",
-    "proportional_check",
-    "run_counterexample",
-    "run_procedure",
-    "save_scenario",
-    "simplex_max",
-    "surplus_divide",
-    "theorem_a_check",
-    "utilitarian_bound",
-    "weak_manipulation_search",
-]
+# Every public name bound here is exported; a helper imported into this
+# module must take a leading underscore to stay out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

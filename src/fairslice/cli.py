@@ -13,6 +13,8 @@ from pathlib import Path
 
 from .errors import EXIT_OK, EXIT_VALIDATION, FairsliceError, MismatchError, ParseError
 from .harness import (
+    CASES,
+    ProcedureSpec,
     emit_report,
     load_allocation,
     load_densities,
@@ -21,7 +23,7 @@ from .harness import (
     run_counterexample,
 )
 from .measures import declared_values
-from .procedures import PROCEDURE_NAMES, TIE_LOWEST, run_procedure
+from .procedures import PROCEDURE_NAMES, run_procedure
 from .verify import (
     envy_free_check,
     pareto_optimal_check,
@@ -65,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     paper = sub.add_parser("paper-ce", help="replay a registered counterexample")
-    paper.add_argument("case", type=int, choices=range(1, 7), metavar="1..6")
+    paper.add_argument("case", type=int, choices=CASES, metavar=f"{min(CASES)}..{max(CASES)}")
     paper.add_argument("-o", "--output")
     paper.set_defaults(handler=_cmd_paper_ce)
 
@@ -103,9 +105,10 @@ def _cmd_run(args) -> int:
         raise FairsliceError(
             "no procedure given: pass --procedure or embed one in the document"
         )
-    strict = args.strict or (embedded.strict if embedded else False)
-    cutter = args.cutter or (embedded.cutter if embedded else None)
-    tie = parse_tie(args.tie) if args.tie else (embedded.tie if embedded else TIE_LOWEST)
+    defaults = embedded or ProcedureSpec(name)
+    strict = args.strict or defaults.strict
+    cutter = defaults.cutter if args.cutter is None else args.cutter
+    tie = defaults.tie if args.tie is None else parse_tie(args.tie)
     outcome = run_procedure(
         name, document.scenario, strict=strict, tie=tie, cutter=cutter
     )

@@ -109,6 +109,8 @@ def _load_json(source: Union[str, dict], path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as exc:  # a bare integer over the interpreter's digit limit
+        raise ParseError(f"{path}: {str(exc).partition(';')[0]}") from None
     return _require_mapping(parsed, path)
 
 

@@ -68,6 +68,17 @@ def as_rational(value: RationalLike) -> Fraction:
     raise ParseError(f"cannot read a rational out of {type(value).__name__}")
 
 
+class _Deferred:
+    """Error text rendered only when read, so a shortfall that the greedy
+    chain catches and drops never formats its rationals."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __str__(self) -> str:
+        return self.render()
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """Closed subinterval of [0, 1] with rational endpoints."""
@@ -351,9 +362,9 @@ class StepDensity:
         base = self._cdf(start)
         level = base + target
         if level > cum[-1]:
-            raise InsufficientMassError(
-                f"only {cum[-1] - base} mass available in [{start}, 1], needed {target}"
-            )
+            raise InsufficientMassError(_Deferred(
+                lambda: f"only {cum[-1] - base} mass available in [{start}, 1], needed {target}"
+            ))
         j = (bisect_left if side == "left" else bisect_right)(cum, level) - 1
         if j == len(self.pieces):
             return ONE
@@ -421,10 +432,7 @@ class Scenario:
         return tuple(name for name, _ in self.players)
 
     def density(self, name: str) -> StepDensity:
-        for player, density in self.players:
-            if player == name:
-                return density
-        raise KeyError(name)
+        return self.players[self.index(name)][1]
 
     def index(self, name: str) -> int:
         for i, (player, _) in enumerate(self.players):

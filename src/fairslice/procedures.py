@@ -421,7 +421,8 @@ def run_procedure(
     """Dispatch on the wire-format procedure names used by documents and
     the command line."""
     if name == "cut-choose":
-        return cut_and_choose(scenario, cutter or scenario.names[0], strict=strict, tie=tie)
+        cutter = scenario.names[0] if cutter is None else cutter
+        return cut_and_choose(scenario, cutter, strict=strict, tie=tie)
     if name == "moving-knife":
         return moving_knife(scenario, tie=tie)
     if name == "sp-e":

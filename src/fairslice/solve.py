@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import eq, ge, le
 from typing import Optional, Sequence
 
 from .errors import (
@@ -193,7 +194,9 @@ def equal_value_solve(
 # Exact linear programming
 # ---------------------------------------------------------------------------
 
-SENSES = ("<=", ">=", "==")
+# Each constraint sense: its comparison, and the sense it takes when both
+# sides are negated.
+SENSES = {"<=": (le, ">="), ">=": (ge, "<="), "==": (eq, "==")}
 
 
 @dataclass(frozen=True)
@@ -241,14 +244,7 @@ def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> Optional[str]:
             return f"x[{j}] = {v} violates nonnegativity"
     for k, c in enumerate(lp.constraints):
         lhs = sum((a * v for a, v in zip(c.coeffs, point) if a and v), ZERO)
-        ok = (
-            lhs <= c.rhs
-            if c.sense == "<="
-            else lhs >= c.rhs
-            if c.sense == ">="
-            else lhs == c.rhs
-        )
-        if not ok:
+        if not SENSES[c.sense][0](lhs, c.rhs):
             return f"constraint {k}: {lhs} !{c.sense} {c.rhs}"
     return None
 
@@ -269,12 +265,7 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
     if violation is not None:
         raise InfeasibleSeedError(violation)
 
-    senses = []
-    for c in lp.constraints:
-        sense = c.sense
-        if c.rhs < 0:
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        senses.append(sense)
+    senses = [SENSES[c.sense][1] if c.rhs < 0 else c.sense for c in lp.constraints]
 
     n = lp.n_vars
     next_col = n

@@ -227,12 +227,11 @@ def weak_manipulation_search(
     The verdict is relative to the supplied finite sets only.
     """
     truth.require_valid("truth")
+    cutter = manipulator if cutter is None else cutter
 
     def run(declared: StepDensity, against: StepDensity) -> Fraction:
         scenario = Scenario(((manipulator, declared), (opponent, against)))
-        outcome = run_procedure(
-            procedure, scenario, strict=strict, tie=tie, cutter=cutter or manipulator
-        )
+        outcome = run_procedure(procedure, scenario, strict=strict, tie=tie, cutter=cutter)
         return truth.mass(outcome.allocation.portion(manipulator))
 
     baseline = tuple(run(truth, against) for against in opponents)

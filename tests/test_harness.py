@@ -806,6 +806,161 @@ def test_cli_non_utf8_file_exit_2_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+UNIFORM_PIECES = uniform_player("X")["pieces"]
+OVER_DIGIT_LIMIT = "1" + "0" * 5000  # a bare JSON integer of 5001 digits
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "manipulate"])
+def test_cli_bare_integer_over_the_digit_limit_exit_2_with_one_line(tmp_path, capsys, command):
+    # json.loads refuses the integer with a ValueError that is not a
+    # JSONDecodeError; each of the three loaders reports it the same way.
+    huge = '[{"from": 0, "to": 1, "density": %s}]' % OVER_DIGIT_LIMIT
+    scenario = tmp_path / "scenario.json"
+    procedure = {"name": "cut-choose", "options": {"cutter": "P1"}}
+    scenario.write_text(json.dumps({**CE2_DOC, "procedure": procedure}), encoding="utf-8")
+    other = tmp_path / "other.json"
+    if command == "run":
+        other.write_text(
+            '{"schema": "fairslice/1", "players": [{"name": "A", "pieces": %s}]}' % huge,
+            encoding="utf-8",
+        )
+        argv, path = ["run", str(other), "--procedure", "moving-knife"], "document"
+    elif command == "verify":
+        other.write_text(
+            '{"schema": "fairslice/1", "portions": {"P1": [{"from": 0, "to": %s}]}}'
+            % OVER_DIGIT_LIMIT,
+            encoding="utf-8",
+        )
+        argv, path = ["verify", str(scenario), str(other)], "allocation"
+    else:
+        other.write_text('{"schema": "fairslice/1", "densities": [%s]}' % huge, encoding="utf-8")
+        argv = ["manipulate", str(scenario), "--player", "P1"]
+        argv += ["--candidates", str(other), "--opponents", str(other)]
+        path = "densities"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the limit's wording varies between Python versions
+    assert captured.err.startswith(f"error [PARSE_ERROR]: {path}: Exceeds the limit (4300")
+    assert captured.err.endswith("value has 5001 digits\n")
+
+
+def test_cli_ep_whose_discarded_shortfalls_pass_the_digit_limit_exits_0(tmp_path, capsys):
+    # Every literal stays under 4300 characters, but the greedy chain runs
+    # out of mass on the way, and the shortfall's rationals would print with
+    # more digits than str() of an int allows. The chain discards that
+    # error unread, so the run must not format it.
+    p, q = 10**2100 + 7, 10**2100 + 13
+    players = [
+        {
+            "name": "A",
+            "pieces": [
+                {"from": 0, "to": f"1/{p}", "density": f"{p}/2"},
+                {"from": f"1/{p}", "to": 1, "density": f"{p}/{2 * p - 2}"},
+            ],
+        },
+        {
+            "name": "B",
+            "pieces": [
+                {"from": 0, "to": f"1/{q}", "density": f"{q}/3"},
+                {"from": f"1/{q}", "to": 1, "density": f"{2 * q}/{3 * q - 3}"},
+            ],
+        },
+        uniform_player("C"),
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc(players)), encoding="utf-8")
+    assert main(["run", str(path), "--procedure", "ep"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["outcome"]["ordering"] == ["A", "B", "C"]
+    common = results["outcome"]["common_value"]
+    assert set(results["declared_values"].values()) == {common}
+
+
+@pytest.mark.parametrize(
+    "options, extra, err",
+    [
+        ({"cutter": ""}, [], "error [INVALID_PLAYERS]: unknown cutter ''\n"),
+        ({"cutter": "A"}, ["--cutter", ""], "error [INVALID_PLAYERS]: unknown cutter ''\n"),
+        (
+            {},
+            ["--tie", ""],
+            "error [PARSE_ERROR]: unknown tie rule ''; use 'lowest' or 'seed:<n>'\n",
+        ),
+    ],
+    ids=["document-cutter", "option-cutter", "option-tie"],
+)
+def test_cli_run_empty_cutter_or_tie_is_refused(tmp_path, capsys, options, extra, err):
+    path = tmp_path / "scenario.json"
+    document = doc(
+        [uniform_player("A"), uniform_player("B")],
+        procedure={"name": "cut-choose", "options": options},
+    )
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["run", str(path)] + extra) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "document, err",
+    [
+        ({"players": {}}, "players: expected a list, got dict"),
+        ({"players": [7]}, "players[0]: expected an object, got int"),
+        (
+            {"players": [{"name": "A", "pieces": [{"from": 0, "to": 2, "density": 1}]}]},
+            "players[0].pieces[0]: piece bounds [0, 2] outside [0, 1]",
+        ),
+        (
+            {"players": [{"name": "", "pieces": UNIFORM_PIECES}]},
+            "players[0].name: expected a nonempty string",
+        ),
+        (
+            {"players": [{"name": 7, "pieces": UNIFORM_PIECES}]},
+            "players[0].name: expected a nonempty string",
+        ),
+        (
+            {"players": [uniform_player("A")], "procedure": {"name": "bogus"}},
+            "unknown procedure 'bogus'; expected one of "
+            "('cut-choose', 'moving-knife', 'sp-e', 'sp-p', 'ep')",
+        ),
+        ({}, "document: missing 'players'"),
+    ],
+)
+def test_cli_run_malformed_document_exit_2_with_one_line(tmp_path, capsys, document, err):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema": "fairslice/1", **document}), encoding="utf-8")
+    assert main(["run", str(path), "--procedure", "moving-knife"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error [PARSE_ERROR]: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "portions, err",
+    [
+        (
+            {"P1": [{"from": "1/2", "to": 0}], "P2": [{"from": "1/2", "to": 1}]},
+            "portions.P1[0]: invalid interval [1/2, 0]",
+        ),
+        (
+            {"P1": [{"from": 0, "to": "1/2"}], "Q": [{"from": "1/2", "to": 1}]},
+            "portions name players ['P1', 'Q'], scenario has ['P1', 'P2']",
+        ),
+    ],
+)
+def test_cli_verify_bad_allocation_exit_2_with_one_line(
+    scenario_file, tmp_path, capsys, portions, err
+):
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(
+        json.dumps({"schema": "fairslice/1", "portions": portions}), encoding="utf-8"
+    )
+    assert main(["verify", str(scenario_file), str(allocation)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error [PARSE_ERROR]: {err}\n"
+
+
 def test_every_public_name_resolves():
     import fairslice
 

@@ -222,8 +222,20 @@ def test_quantile_examples(ce3):
 
 
 def test_quantile_insufficient_mass():
-    with pytest.raises(InsufficientMassError):
+    with pytest.raises(InsufficientMassError) as err:
         StepDensity.uniform().quantile_left(HALF, start=F(3, 4))
+    assert str(err.value) == "only 1/4 mass available in [3/4, 1], needed 1/2"
+
+
+def test_quantile_refuses_bad_arguments():
+    d = StepDensity.uniform()
+    with pytest.raises(ValueError, match="quantile target -1/2 is negative"):
+        d.quantile(-HALF)
+    for start in (F(-1, 3), F(4, 3)):
+        with pytest.raises(ValueError, match=f"quantile anchor {start} outside"):
+            d.quantile(HALF, start)
+    with pytest.raises(ValueError, match="unknown quantile side 'middle'"):
+        d.quantile(HALF, ZERO, "middle")
 
 
 def test_median_examples(ce6):
@@ -354,6 +366,13 @@ def test_allocation_partition_checks():
         Allocation.of(
             {"A": IntervalSet.of((0, "3/4")), "B": IntervalSet.of((HALF, 1))}
         )
+    with pytest.raises(AllocationError, match="duplicate portion owners"):
+        Allocation((("A", IntervalSet.of((0, HALF))), ("A", IntervalSet.of((HALF, 1)))))
+
+
+def test_interval_set_text():
+    assert str(IntervalSet()) == "{}"
+    assert str(IntervalSet.of((HALF, 1), (0, F(1, 4)))) == "[0, 1/4] u [1/2, 1]"
 
 
 def test_allocation_allows_empty_portions():

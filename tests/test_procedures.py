@@ -10,6 +10,7 @@ from fairslice import (
     EPUndefinedError,
     EQUITABLE,
     Interval,
+    InvalidPlayersError,
     NoFeasibleOrderingError,
     NonUniqueMedianError,
     PROPORTIONAL,
@@ -152,6 +153,15 @@ def test_cut_and_choose_needs_two_players(ce4):
         cut_and_choose(ce4, cutter="P1")
 
 
+def test_cut_choose_refuses_an_empty_cutter_name():
+    # only an absent cutter defaults to the first player
+    scenario = pair(StepDensity.of((0, HALF, 2), (HALF, 1, 0)), StepDensity.uniform())
+    assert run_procedure("cut-choose", scenario) == cut_and_choose(scenario, "p1")
+    assert run_procedure("cut-choose", scenario) != cut_and_choose(scenario, "p2")
+    with pytest.raises(InvalidPlayersError, match="unknown cutter ''"):
+        run_procedure("cut-choose", uniform_pair(), cutter="")
+
+
 # --- moving knife -------------------------------------------------------------
 
 
@@ -224,6 +234,11 @@ def test_surplus_uniform_pair():
     outcome = surplus_divide(uniform_pair())
     assert outcome.cuts == (HALF,)
     assert outcome.ordering == ("p1", "p2")
+
+
+def test_surplus_refuses_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'utilitarian'"):
+        surplus_divide(uniform_pair(), "utilitarian")
 
 
 def test_surplus_strict_refuses_plateau_median(ce2):

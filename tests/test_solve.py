@@ -296,6 +296,30 @@ def test_simplex_unbounded():
         simplex_max(lp, (ZERO,))
 
 
+def test_linear_program_refuses_malformed_input():
+    with pytest.raises(ValueError, match="unknown constraint sense '<'"):
+        LinearConstraint((ONE,), "<", ONE)
+    with pytest.raises(ValueError, match="objective length"):
+        LinearProgram(2, (ONE,), ())
+    with pytest.raises(ValueError, match="constraint width"):
+        LinearProgram(1, (ONE,), (LinearConstraint((ONE, ONE), "<=", ONE),))
+
+
+@pytest.mark.parametrize(
+    "sense, holds",
+    [("<=", (ZERO, HALF)), (">=", (HALF, ONE)), ("==", (HALF,))],
+)
+def test_check_point_reads_each_sense(sense, holds):
+    lp = LinearProgram(1, (ONE,), (LinearConstraint((ONE,), sense, HALF),))
+    for x in (ZERO, HALF, ONE):
+        violation = check_point(lp, (x,))
+        if x in holds:
+            assert violation is None
+        else:
+            assert violation == f"constraint 0: {x} !{sense} 1/2"
+    assert check_point(lp, (ZERO, ZERO)) == "point has 2 coordinates, expected 1"
+
+
 def test_simplex_rejects_bad_seed():
     lp = LinearProgram(1, (ONE,), (LinearConstraint((ONE,), "<=", ONE),))
     with pytest.raises(InfeasibleSeedError):

@@ -448,6 +448,13 @@ def test_weak_manipulation_search_validates_each_density_once(procedure, monkeyp
     assert {id(d) for d in validated} == {id(d) for d in (truth, *candidates, *opponents)}
 
 
+def test_weak_manipulation_search_refuses_an_empty_cutter_name():
+    # only an absent cutter defaults to the manipulator
+    truth = StepDensity.uniform()
+    with pytest.raises(InvalidPlayersError, match="unknown cutter ''"):
+        weak_manipulation_search("cut-choose", truth, [truth], [truth], cutter="")
+
+
 def test_weak_manipulation_cut_and_choose_example():
     # declaring a left-heavy density moves the cut to 1/4; against the
     # CE2-style opponent the manipulator's true take rises from 1/2 to 3/4
