@@ -19,6 +19,7 @@ from .errors import (
     MismatchError,
     NoFeasibleOrderingError,
     NonUniqueMedianError,
+    OutputTooLargeError,
     ParseError,
     ProcedureUndefinedError,
     UnboundedError,

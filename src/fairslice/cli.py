@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation error (including a file that cannot be
-read or written), 3 procedure undefined in strict mode, 4 counterexample
-mismatch.
+read or written, and an exact result too large to print,
+``OUTPUT_TOO_LARGE``), 3 procedure undefined in strict mode, 4
+counterexample mismatch.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the engine.
 
 Every error carries a stable ``code`` string and the exit status the CLI
-maps it to: 2 for validation problems, 3 for procedures that refuse to run
-in strict mode, 4 for counterexample replay mismatches.
+maps it to: 2 for validation problems and for an exact result too large to
+print (``OUTPUT_TOO_LARGE``), 3 for procedures that refuse to run in strict
+mode, 4 for counterexample replay mismatches.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ class ParseError(FairsliceError):
     """A document or literal could not be parsed exactly."""
 
     code = "PARSE_ERROR"
+
+
+class OutputTooLargeError(FairsliceError):
+    """An exact result has an integer with more digits than the interpreter
+    converts to text (4300 by default), so it cannot be printed."""
+
+    code = "OUTPUT_TOO_LARGE"
 
 
 class InvalidDensityError(FairsliceError):

@@ -17,7 +17,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import EPUndefinedError, MismatchError, ParseError
+from .errors import EPUndefinedError, MismatchError, OutputTooLargeError, ParseError
 from .measures import (
     ZERO,
     Allocation,
@@ -62,25 +62,37 @@ def parse_rational(value, path: str) -> Fraction:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _exact_text(value: Fraction) -> str:
+    try:
+        return str(value)
+    except ValueError as exc:  # an integer over the interpreter's digit limit
+        raise OutputTooLargeError(
+            f"cannot print an exact result: {str(exc).partition(';')[0]}"
+        ) from None
+
+
 def fmt_rational(value: Fraction) -> str:
     """Exact string with a decimal approximation alongside, e.g. '9/20 (0.45)'.
 
     The approximation is the float's, to six significant digits; a nonzero
     value beyond float range either way gets six digits computed in decimal.
+    A value whose exact text cannot be built raises OutputTooLargeError.
     """
+    text = _exact_text(value)
     try:
         approx = float(value)
         if approx or not value:
-            return f"{value} ({approx:.6g})"
+            return f"{text} ({approx:.6g})"
     except OverflowError:
         pass
     six = Context(prec=6)
     approx = six.divide(Decimal(value.numerator), value.denominator).normalize(six)
-    return f"{value} ({approx:g})"
+    return f"{text} ({approx:g})"
 
 
 def _doc_rational(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
+    text = _exact_text(value)  # json.dumps would fail on the same integer
+    return value.numerator if value.denominator == 1 else text
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -114,9 +126,18 @@ def _load_json(source: Union[str, dict], path: str) -> dict:
     return _require_mapping(parsed, path)
 
 
-def _spans(doc, path: str, keys: Sequence[str], make) -> tuple:
+def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
     """Read a list of objects holding the rationals ``keys`` into
-    ``make(*values)``; a ``ValueError`` from ``make`` names the entry."""
+    ``make(*values)``; a ``ValueError`` from ``make`` names the entry.
+
+    ``literals`` is the document's literal table: it maps each string
+    literal already read, anywhere in the document, to its value, so a
+    literal that repeats (each ``from`` is the previous ``to``) is parsed
+    once and its entries share one ``Fraction``. Only strings are looked
+    up or kept: a JSON ``true`` hashes equal to ``1``, so a table keyed by
+    any value could hand it a bare integer's entry. A bad literal raises
+    at its first path.
+    """
     out = []
     for k, raw in enumerate(_require_list(doc, path)):
         where = f"{path}[{k}]"
@@ -124,7 +145,16 @@ def _spans(doc, path: str, keys: Sequence[str], make) -> tuple:
         for key in keys:
             if key not in entry:
                 raise ParseError(f"{where}: missing {key!r}")
-        values = [parse_rational(entry[key], f"{where}.{key}") for key in keys]
+        values = []
+        for key in keys:
+            literal = entry[key]
+            if type(literal) is str:
+                value = literals.get(literal)
+                if value is None:
+                    value = literals[literal] = parse_rational(literal, f"{where}.{key}")
+            else:
+                value = parse_rational(literal, f"{where}.{key}")
+            values.append(value)
         try:
             out.append(make(*values))
         except ValueError as exc:
@@ -132,18 +162,18 @@ def _spans(doc, path: str, keys: Sequence[str], make) -> tuple:
     return tuple(out)
 
 
-def _pieces_from(doc, path: str) -> StepDensity:
-    return StepDensity(_spans(doc, path, ("from", "to", "density"), Piece))
+def _pieces_from(doc, path: str, literals: dict) -> StepDensity:
+    return StepDensity(_spans(doc, path, ("from", "to", "density"), Piece, literals))
 
 
-def _players_from(doc, path: str) -> tuple[tuple[str, StepDensity], ...]:
+def _players_from(doc, path: str, literals: dict) -> tuple[tuple[str, StepDensity], ...]:
     players = []
     for k, raw in enumerate(_require_list(doc, path)):
         entry = _require_mapping(raw, f"{path}[{k}]")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError(f"{path}[{k}].name: expected a nonempty string")
-        density = _pieces_from(entry.get("pieces", []), f"{path}[{k}].pieces")
+        density = _pieces_from(entry.get("pieces", []), f"{path}[{k}].pieces", literals)
         players.append((name, density))
     return tuple(players)
 
@@ -186,8 +216,9 @@ def load_document(source: Union[str, dict]) -> ScenarioDocument:
     _require_schema(doc, "document")
     if "players" not in doc:
         raise ParseError("document: missing 'players'")
+    literals: dict = {}
     try:
-        scenario = Scenario(_players_from(doc["players"], "players"))
+        scenario = Scenario(_players_from(doc["players"], "players", literals))
     except ValueError as exc:
         raise ParseError(f"players: {exc}") from None
     procedure = None
@@ -212,7 +243,7 @@ def load_document(source: Union[str, dict]) -> ScenarioDocument:
     truth = None
     if doc.get("truth") is not None:
         try:
-            truth = Scenario(_players_from(doc["truth"], "truth"))
+            truth = Scenario(_players_from(doc["truth"], "truth", literals))
         except ValueError as exc:
             raise ParseError(f"truth: {exc}") from None
         if set(truth.names) != set(scenario.names):
@@ -266,8 +297,9 @@ def load_allocation(source: Union[str, dict], scenario: Optional[Scenario] = Non
     _require_schema(doc, "allocation")
     portions_doc = _require_mapping(doc.get("portions"), "portions")
     portions = []
+    literals: dict = {}
     for name, spans in portions_doc.items():
-        intervals = _spans(spans, f"portions.{name}", ("from", "to"), Interval)
+        intervals = _spans(spans, f"portions.{name}", ("from", "to"), Interval, literals)
         portions.append((name, IntervalSet(intervals)))
     if scenario is not None and set(n for n, _ in portions) != set(scenario.names):
         raise ParseError(
@@ -281,8 +313,9 @@ def load_densities(source: Union[str, dict]) -> tuple[StepDensity, ...]:
     doc = _load_json(source, "densities")
     _require_schema(doc, "densities")
     out = []
+    literals: dict = {}
     for k, raw in enumerate(_require_list(doc.get("densities"), "densities")):
-        density = _pieces_from(raw, f"densities[{k}]")
+        density = _pieces_from(raw, f"densities[{k}]", literals)
         density.require_valid(f"densities[{k}]")
         out.append(density)
     return tuple(out)

@@ -30,9 +30,10 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-# Longer literals are refused before parsing: CPython will not convert an
-# integer string of more than 4300 digits (its default int_max_str_digits).
-_MAX_LITERAL_CHARS = 4300
+# A literal whose numerator or denominator text (sign included) is longer is
+# refused before parsing: CPython will not convert an integer string of more
+# than 4300 digits (its default int_max_str_digits).
+_MAX_INTEGER_CHARS = 4300
 _LO = attrgetter("lo")
 
 
@@ -54,14 +55,15 @@ def as_rational(value: RationalLike) -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
-        if len(text) > _MAX_LITERAL_CHARS:
+        numerator, _, denominator = text.partition("/")
+        longest = max(len(numerator), len(denominator))
+        if longest > _MAX_INTEGER_CHARS:
             raise ParseError(
-                f"rational literal of {len(text)} characters exceeds the "
-                f"{_MAX_LITERAL_CHARS}-character limit"
+                f"integer of {longest} characters in a rational literal exceeds "
+                f"the {_MAX_INTEGER_CHARS}-character limit"
             )
         if not _RATIONAL_RE.fullmatch(text):
             raise ParseError(f"not a rational literal: {value!r}")
-        numerator, _, denominator = text.partition("/")
         if denominator:
             return Fraction(int(numerator), int(denominator))
         return Fraction(int(text))
@@ -221,7 +223,11 @@ class Piece:
         lo = as_rational(self.lo)
         hi = as_rational(self.hi)
         density = as_rational(self.density)
-        if not (ZERO <= lo <= ONE and ZERO <= hi <= ONE):
+        # A Fraction's denominator is positive, so 0 <= x <= 1 exactly when
+        # 0 <= numerator <= denominator: two integer comparisons.
+        if not (
+            0 <= lo.numerator <= lo.denominator and 0 <= hi.numerator <= hi.denominator
+        ):
             raise ValueError(f"piece bounds [{lo}, {hi}] outside [0, 1]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -273,13 +279,15 @@ class StepDensity:
                 found.append(
                     DensityViolation(GAP_OR_OVERLAP, f"piece {k} is empty or reversed: [{piece.lo}, {piece.hi}]")
                 )
-            if piece.density < 0:
+            if piece.density.numerator < 0:
                 found.append(
                     DensityViolation(NEGATIVE_DENSITY, f"piece {k} has density {piece.density}")
                 )
         for k in range(len(self.pieces) - 1):
             a, b = self.pieces[k], self.pieces[k + 1]
-            if a.hi != b.lo:
+            # Ingest shares one Fraction per literal, so abutting pieces
+            # usually hold the same object and skip the comparison.
+            if a.hi is not b.lo and a.hi != b.lo:
                 found.append(
                     DensityViolation(GAP_OR_OVERLAP, f"pieces {k} and {k + 1} do not abut: {a.hi} vs {b.lo}")
                 )
@@ -305,12 +313,21 @@ class StepDensity:
 
         Not a dataclass field, so equality and hashing ignore it. Built from
         a list; a zero-density piece repeats the previous entry's object.
+        Each step forms acc + density * (hi - lo) over one common
+        denominator in integers, so one Fraction is built and reduced, not
+        three.
         """
         acc = ZERO
         cum = [acc]
         for piece in self.pieces:
-            if piece.density:
-                acc += piece.density * (piece.hi - piece.lo)
+            density, lo, hi = piece.density, piece.lo, piece.hi
+            if density.numerator:
+                den = density.denominator * lo.denominator * hi.denominator
+                width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+                acc = Fraction(
+                    acc.numerator * den + density.numerator * width * acc.denominator,
+                    acc.denominator * den,
+                )
             cum.append(acc)
         return tuple(cum)
 

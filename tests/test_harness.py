@@ -10,6 +10,7 @@ from fairslice import (
     CASES,
     InvalidDensityError,
     MismatchError,
+    OutputTooLargeError,
     ParseError,
     Scenario,
     StepDensity,
@@ -616,6 +617,17 @@ def test_fmt_rational_beyond_float_range():
         assert fmt_rational(value) == f"{value} ({format(float(value), '.6g')})"
 
 
+def test_unprintable_values_raise_a_typed_error():
+    # 4401 digits: more than str() of an int converts by default
+    huge = 10**4400 + 7
+    for value in (F(huge), F(1, huge), F(-huge, 3)):
+        with pytest.raises(OutputTooLargeError, match="^cannot print an exact result: "):
+            fmt_rational(value)
+    density = StepDensity.of((0, F(1, huge), F(huge, 2)), (F(1, huge), 1, F(huge, 2 * huge - 2)))
+    with pytest.raises(OutputTooLargeError):
+        save_scenario(Scenario((("A", density),)))
+
+
 def test_cli_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -875,6 +887,151 @@ def test_cli_ep_whose_discarded_shortfalls_pass_the_digit_limit_exits_0(tmp_path
     assert results["outcome"]["ordering"] == ["A", "B", "C"]
     common = results["outcome"]["common_value"]
     assert set(results["declared_values"].values()) == {common}
+
+
+def test_cli_verify_reads_back_the_long_sp_p_cut_that_run_printed(tmp_path, capsys):
+    # The sp-p cut is a p/q literal of about 8,560 characters, each of its
+    # integers under the interpreter's 4,300-digit limit.
+    p, q = 10**2140 + 7, 10**2140 + 13
+    players = [
+        {
+            "name": "A",
+            "pieces": [
+                {"from": 0, "to": f"1/{p}", "density": f"{p}/2"},
+                {"from": f"1/{p}", "to": 1, "density": f"{p}/{2 * p - 2}"},
+            ],
+        },
+        {
+            "name": "B",
+            "pieces": [
+                {"from": 0, "to": f"1/{q}", "density": f"{q}/3"},
+                {"from": f"1/{q}", "to": 1, "density": f"{2 * q}/{3 * q - 3}"},
+            ],
+        },
+    ]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc(players)), encoding="utf-8")
+    assert main(["run", str(scenario), "--procedure", "sp-p"]) == 0
+    outcome = json.loads(capsys.readouterr().out)["results"]["outcome"]
+    (cut,) = (text.split(" ")[0] for text in outcome["cuts"])
+    assert len(cut) > 8000
+    portions = {
+        name: [{"from": iv["from"].split(" ")[0], "to": iv["to"].split(" ")[0]} for iv in ivs]
+        for name, ivs in outcome["allocation"].items()
+    }
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(
+        json.dumps({"schema": "fairslice/1", "portions": portions}), encoding="utf-8"
+    )
+    assert main(["verify", str(scenario), str(allocation)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [check["check"] for check in results["checks"]] == ["proportional", "envy-free", "pareto"]
+
+
+def long_prefix_player(name, k, p):
+    """Density p/k on [0, 1/p], then the rest of the mass spread evenly."""
+    return {
+        "name": name,
+        "pieces": [
+            {"from": 0, "to": f"1/{p}", "density": f"{p}/{k}"},
+            {"from": f"1/{p}", "to": 1, "density": f"{(k - 1) * p}/{k * p - k}"},
+        ],
+    }
+
+
+@pytest.mark.parametrize("procedure", ["moving-knife", "ep"])
+def test_cli_report_too_large_to_print_exits_2_with_one_line(tmp_path, capsys, procedure):
+    # Each literal is about 3,000 characters; the cuts' integers are not.
+    base = 10**1500
+    players = [
+        long_prefix_player(name, k, base + offset)
+        for name, k, offset in (("A", 2, 7), ("B", 3, 13), ("C", 5, 19))
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc(players)), encoding="utf-8")
+    assert main(["run", str(path), "--procedure", procedure]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [OUTPUT_TOO_LARGE]: cannot print an exact result: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+# --- the literal table --------------------------------------------------------
+
+
+@pytest.fixture
+def string_parses(monkeypatch):
+    """The string values handed to the literal parser, in order."""
+    from fairslice import harness
+
+    seen = []
+    parse = harness.parse_rational
+
+    def counting(value, path):
+        if isinstance(value, str):
+            seen.append(value)
+        return parse(value, path)
+
+    monkeypatch.setattr(harness, "parse_rational", counting)
+    return seen
+
+
+def eighths(density):
+    return [{"from": f"{j}/8", "to": f"{j + 1}/8", "density": density} for j in range(8)]
+
+
+def test_each_distinct_string_literal_is_parsed_once_per_load(string_parses):
+    players = [{"name": name, "pieces": eighths("1")} for name in ("A", "B", "C")]
+    literals = sorted({f"{j}/8" for j in range(9)} | {"1"})
+    document = json.dumps(doc(players, truth=players[::-1]))
+    for _ in range(2):  # each load keeps its own table
+        string_parses.clear()
+        loaded = load_document(document)
+        assert sorted(string_parses) == literals
+    # every entry holding one literal holds one Fraction
+    pieces = loaded.scenario.density("A").pieces
+    assert all(a.hi is b.lo for a, b in zip(pieces, pieces[1:]))
+    assert loaded.truth.density("C").pieces[3].density is pieces[5].density
+
+    string_parses.clear()
+    portions = {
+        "A": [{"from": "0", "to": "1/3"}, {"from": "2/3", "to": "1"}],
+        "B": [{"from": "1/3", "to": "2/3"}],
+    }
+    load_allocation({"schema": "fairslice/1", "portions": portions})
+    assert sorted(string_parses) == ["0", "1", "1/3", "2/3"]
+
+    string_parses.clear()
+    load_densities({"schema": "fairslice/1", "densities": [eighths("1"), eighths("1")]})
+    assert sorted(string_parses) == literals
+
+
+def test_a_repeated_bad_literal_is_reported_at_its_first_path(tmp_path, capsys, string_parses):
+    players = [
+        uniform_player("A"),
+        {"name": "B", "pieces": eighths("1/0")},
+        {"name": "C", "pieces": eighths("1/0")},
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc(players, truth=players)), encoding="utf-8")
+    assert main(["run", str(path), "--procedure", "moving-knife"]) == 2
+    assert capsys.readouterr().err == (
+        "error [PARSE_ERROR]: players[1].pieces[0].density: "
+        "not a rational literal: '1/0'\n"
+    )
+    assert string_parses == ["0/8", "1/8", "1/0"]
+
+
+def test_true_after_the_literal_one_is_still_refused_as_a_boolean():
+    # True and 1 are equal and hash equal, so a table that also kept bare
+    # integers, or looked up any value, would hand back the Fraction of 1.
+    players = [
+        {"name": "A", "pieces": [{"from": "0", "to": "1", "density": 1}]},
+        {"name": "B", "pieces": [{"from": "0", "to": True, "density": "1"}]},
+    ]
+    with pytest.raises(ParseError) as err:
+        load_document(doc(players))
+    assert str(err.value) == "players[1].pieces[0].to: booleans are not rational values: True"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from fairslice import (
     IntervalSet,
     InvalidDensityError,
     ParseError,
+    Piece,
     Scenario,
     StepDensity,
     as_rational,
@@ -62,6 +63,16 @@ def test_as_rational_caps_literal_length():
     for huge in ("1" * 4301, "1" * 5000, "1/" + "3" * 5000, "-" + "7" * 4300):
         with pytest.raises(ParseError, match="limit"):
             as_rational(huge)
+
+
+def test_as_rational_caps_each_integer_not_the_literal():
+    # A p/q literal may run to twice the cap: the interpreter's limit is per
+    # integer. The sign counts toward its integer's length.
+    p, q = "1" * 4300, "3" * 4300
+    assert as_rational(f"{p}/{q}") == F(int(p), int(q))
+    assert as_rational("-" + "7" * 4299) == -int("7" * 4299)
+    with pytest.raises(ParseError, match="integer of 4301 characters"):
+        as_rational(f"{p}/{q}1")
 
 
 # --- intervals and interval sets -------------------------------------------
@@ -242,6 +253,92 @@ def test_median_examples(ce6):
     assert StepDensity.uniform().median_interval() == Interval(HALF, HALF)
     assert ce2_player2().median_interval() == Interval(F(1, 4), F(3, 4))
     assert ce6.density("A").median_interval() == Interval(HALF, HALF)
+
+
+# --- cheap checks against plain Fraction comparisons ------------------------
+
+# Small rationals on both sides of 0 and 1, the ends included.
+NEAR_UNIT = st.builds(F, st.integers(-3, 9), st.integers(1, 6))
+
+
+@given(NEAR_UNIT, NEAR_UNIT, NEAR_UNIT)
+def test_piece_refuses_exactly_the_bounds_outside_the_unit_interval(lo, hi, density):
+    inside = ZERO <= lo <= ONE and ZERO <= hi <= ONE
+    try:
+        Piece(lo, hi, density)
+    except ValueError as exc:
+        assert not inside and str(exc) == f"piece bounds [{lo}, {hi}] outside [0, 1]"
+    else:
+        assert inside
+
+
+def reference_codes(pieces) -> tuple:
+    """The codes ``validate`` reports, in its order, from plain Fraction
+    comparisons only."""
+    if not pieces:
+        return (GAP_OR_OVERLAP,)
+    codes = []
+    if pieces[0].lo != ZERO:
+        codes.append(GAP_OR_OVERLAP)
+    if pieces[-1].hi != ONE:
+        codes.append(GAP_OR_OVERLAP)
+    for piece in pieces:
+        if piece.lo >= piece.hi:
+            codes.append(GAP_OR_OVERLAP)
+        if piece.density < ZERO:
+            codes.append(NEGATIVE_DENSITY)
+    for a, b in zip(pieces, pieces[1:]):
+        if a.hi != b.lo:
+            codes.append(GAP_OR_OVERLAP)
+    if sum((p.density * (p.hi - p.lo) for p in pieces), ZERO) != ONE:
+        codes.append(TOTAL_MASS_NOT_ONE)
+    return tuple(codes)
+
+
+UNIT = st.builds(F, st.integers(0, 6), st.just(6)) | st.sampled_from(BREAK_POOL)
+
+
+@st.composite
+def declared_pieces(draw):
+    """Pieces whose next ``lo`` is the previous ``hi`` object, an equal but
+    distinct Fraction, or another point, so both the shared-object and the
+    compared path of the abutment check run; densities may be negative or
+    zero, and the last one may top the mass up to exactly 1."""
+    pieces = []
+    hi = draw(UNIT)
+    for _ in range(draw(st.integers(0, 5))):
+        link = draw(st.sampled_from(("same", "copy", "other")))
+        if link == "same":
+            lo = hi
+        elif link == "copy":
+            lo = F(hi.numerator, hi.denominator)
+        else:
+            lo = draw(UNIT)
+        hi = draw(UNIT)
+        pieces.append(Piece(lo, hi, draw(NEAR_UNIT)))
+    if pieces and draw(st.booleans()):
+        *head, last = pieces
+        width = last.hi - last.lo
+        if width:
+            rest = sum((p.density * (p.hi - p.lo) for p in head), ZERO)
+            pieces[-1] = Piece(last.lo, last.hi, (ONE - rest) / width)
+    return tuple(pieces)
+
+
+@settings(max_examples=300)
+@given(declared_pieces())
+def test_validate_codes_match_plain_fraction_reference(pieces):
+    density = StepDensity(pieces)
+    assert density.validate().codes == reference_codes(pieces)
+    # the cumulative index adds each piece's mass exactly, and a zero-density
+    # piece repeats the previous entry's object
+    cum = density._cum
+    assert cum[0] == ZERO and len(cum) == len(pieces) + 1
+    for piece, before, after in zip(pieces, cum, cum[1:]):
+        if piece.density:
+            assert after == before + piece.density * (piece.hi - piece.lo)
+        else:
+            assert after is before
 
 
 # --- property tests ---------------------------------------------------------
