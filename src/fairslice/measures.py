@@ -89,12 +89,20 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        lo = as_rational(self.lo)
-        hi = as_rational(self.hi)
-        if not (ZERO <= lo <= hi <= ONE):
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, Fraction):
+            lo = as_rational(lo)
+            object.__setattr__(self, "lo", lo)
+        if not isinstance(hi, Fraction):
+            hi = as_rational(hi)
+            object.__setattr__(self, "hi", hi)
+        # 0 <= lo <= hi <= 1 on integers, denominators being positive.
+        if not (
+            0 <= lo.numerator
+            and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
+            and hi.numerator <= hi.denominator
+        ):
             raise ValueError(f"invalid interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> Fraction:
@@ -220,18 +228,22 @@ class Piece:
     density: Fraction
 
     def __post_init__(self):
-        lo = as_rational(self.lo)
-        hi = as_rational(self.hi)
-        density = as_rational(self.density)
+        # Ingest hands over Fractions: convert and reset only other fields.
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, Fraction):
+            lo = as_rational(lo)
+            object.__setattr__(self, "lo", lo)
+        if not isinstance(hi, Fraction):
+            hi = as_rational(hi)
+            object.__setattr__(self, "hi", hi)
+        if not isinstance(self.density, Fraction):
+            object.__setattr__(self, "density", as_rational(self.density))
         # A Fraction's denominator is positive, so 0 <= x <= 1 exactly when
         # 0 <= numerator <= denominator: two integer comparisons.
         if not (
             0 <= lo.numerator <= lo.denominator and 0 <= hi.numerator <= hi.denominator
         ):
             raise ValueError(f"piece bounds [{lo}, {hi}] outside [0, 1]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "density", density)
 
 
 @dataclass(frozen=True)
@@ -275,9 +287,10 @@ class StepDensity:
                 DensityViolation(GAP_OR_OVERLAP, f"last piece ends at {self.pieces[-1].hi}, not 1")
             )
         for k, piece in enumerate(self.pieces):
-            if piece.lo >= piece.hi:
+            lo, hi = piece.lo, piece.hi
+            if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:
                 found.append(
-                    DensityViolation(GAP_OR_OVERLAP, f"piece {k} is empty or reversed: [{piece.lo}, {piece.hi}]")
+                    DensityViolation(GAP_OR_OVERLAP, f"piece {k} is empty or reversed: [{lo}, {hi}]")
                 )
             if piece.density.numerator < 0:
                 found.append(
@@ -435,6 +448,23 @@ class Scenario:
             raise ValueError("a scenario needs at least one player")
         for name, density in self.players:
             density.require_valid(f"density for {name!r}")
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Answers of pure per-density queries, shared by every procedure
+        run on this object (the tie branches of one enumeration replay on
+        it). Like ``StepDensity._cum``, not a dataclass field, so equality
+        and hashing ignore it. It lives as long as the scenario, and keys
+        name a density by ``_density_keys``, never by ``id``, so a copy or
+        a pickle round trip carries answers that still hold."""
+        return {}
+
+    @cached_property
+    def _density_keys(self) -> tuple[int, ...]:
+        """Per player, the first player index holding the same density
+        object, so players declaring one object share its answers."""
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(id(d), i) for i, (_, d) in enumerate(self.players))
 
     @classmethod
     def of(cls, declarations: Mapping[str, StepDensity]) -> "Scenario":

@@ -159,8 +159,18 @@ def _pick(resolver: TieResolver, location: Fraction, tied: tuple, events: list) 
 
 def _median_point(scenario: Scenario, name: str, strict: bool) -> Fraction:
     """The midpoint of the player's median interval; strict mode refuses a
-    nondegenerate interval, whose points are then equally good cuts."""
-    median = scenario.density(name).median_interval()
+    nondegenerate interval, whose points are then equally good cuts.
+
+    The interval is kept in the scenario's memo under the player's density
+    key, so players declaring one density object, and every tie branch
+    replayed on the scenario, look it up once. The interval, not its
+    midpoint, is kept, so strict mode refuses on every call.
+    """
+    i = scenario.index(name)
+    key = ("median", scenario._density_keys[i])
+    median = scenario._memo.get(key)
+    if median is None:
+        median = scenario._memo[key] = scenario.players[i][1].median_interval()
     if strict and median.lo != median.hi:
         raise NonUniqueMedianError(name, median)
     return median.midpoint
@@ -213,10 +223,22 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
     of the whole by their own declaration and splits identical declarations
     into exact 1/n pieces. The tie rule settles simultaneous calls; the
     last player takes the remainder.
+
+    A call depends only on the density, the knife position and the count
+    of players left, so it is kept in the scenario's memo under those
+    three, the density named by its first player index. Players declaring
+    one density object share their calls, and so do all the tie branches
+    replayed on the scenario: n identical players make n - 1 calls in all,
+    not one per player per branch. The memo holds only states the runs
+    visit.
     """
     _require_players(scenario)
     resolver = tie.resolver()
-    remaining = list(scenario.players)
+    memo = scenario._memo
+    remaining = [
+        (key, name, density)
+        for key, (name, density) in zip(scenario._density_keys, scenario.players)
+    ]
     position = ZERO
     cuts: list[Fraction] = []
     order: list[str] = []
@@ -224,17 +246,21 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
     while len(remaining) > 1:
         count = len(remaining)
         calls = []
-        for name, density in remaining:
-            threshold = (ONE - density.cdf(position)) / count
-            calls.append((density.quantile_left(threshold, start=position), name))
+        for key, name, density in remaining:
+            state = ("knife", key, position, count)
+            point = memo.get(state)
+            if point is None:
+                threshold = (ONE - density.cdf(position)) / count
+                point = memo[state] = density.quantile_left(threshold, start=position)
+            calls.append((point, name))
         earliest = min(point for point, _ in calls)
         tied = tuple(name for point, name in calls if point == earliest)
         winner = _pick(resolver, earliest, tied, events)
         cuts.append(earliest)
         order.append(winner)
-        remaining = [(name, d) for name, d in remaining if name != winner]
+        remaining = [entry for entry in remaining if entry[1] != winner]
         position = earliest
-    order.append(remaining[0][0])
+    order.append(remaining[0][1])
     return _outcome(order, cuts, events=events)
 
 

@@ -126,6 +126,12 @@ def _enumerate_outcomes(
     once under ``tie``; that run and every scripted replay after it branch
     on each winner they did not pick at the tie events past their script,
     so each outcome is reached exactly once.
+
+    Every replay runs on the same ``scenario`` object, so the branches
+    share the answers its memo keeps: the moving knife's calls and the
+    median intervals (see ``moving_knife`` and ``_median_point``). Those
+    depend on the declarations only, never on a tie, and the memo dies with
+    the scenario, so no answer passes from one check to the next.
     """
     if procedure == "ep":
         tied, _ = _ep_search(scenario, strict)

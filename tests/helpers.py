@@ -9,7 +9,8 @@ certificate check recomputes the cells and the dual value by scans, and
 the equal-value oracle scans a coarse grid and refines a bracket with
 exact chords, on top of the scan queries. The best-ordering oracle for the
 equal-value procedure solves every ordering and keeps the maximum, with no
-pruning.
+pruning. The tie-enumeration reference replays every branch on a fresh
+scenario, so no branch reads an answer another branch left in a memo.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from fairslice import (
     StepDensity,
     contiguous_allocation,
     equal_value_solve,
+    run_procedure,
 )
+from fairslice.procedures import _ScriptRule
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -527,3 +530,23 @@ def exhaustive_ep_best(scenario):
         raise NoFeasibleOrderingError("no ordering is feasible")
     best = max(value for _, _, value in solved)
     return [triple for triple in solved if triple[2] == best]
+
+
+def fresh_tie_outcomes(procedure, scenario, tie, strict=False):
+    """Every outcome across tie resolutions, as ``verify._enumerate_outcomes``
+    lists them for the procedures that run, but each run on a fresh
+    ``Scenario(scenario.players)`` whose query memo starts empty."""
+    outcomes = []
+    pending = [(tie, 0)]
+    while pending:
+        rule, scripted = pending.pop()
+        fresh = Scenario(scenario.players)
+        outcome = run_procedure(procedure, fresh, strict=strict, tie=rule)
+        outcomes.append(outcome)
+        events = outcome.tie_events
+        for i in range(scripted, len(events)):
+            prefix = tuple(event.winner for event in events[:i])
+            for alternative in events[i].tied:
+                if alternative != events[i].winner:
+                    pending.append((_ScriptRule(prefix + (alternative,)), i + 1))
+    return outcomes

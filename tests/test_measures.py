@@ -272,6 +272,33 @@ def test_piece_refuses_exactly_the_bounds_outside_the_unit_interval(lo, hi, dens
         assert inside
 
 
+@given(NEAR_UNIT, NEAR_UNIT)
+def test_interval_refuses_exactly_the_bounds_outside_the_ordered_unit_interval(lo, hi):
+    inside = ZERO <= lo <= hi <= ONE
+    try:
+        Interval(lo, hi)
+    except ValueError as exc:
+        assert not inside and str(exc) == f"invalid interval [{lo}, {hi}]"
+    else:
+        assert inside
+
+
+def test_piece_and_interval_keep_fraction_fields_and_convert_the_rest():
+    lo, hi, density = F(1, 3), F(2, 3), F(3)
+    piece = Piece(lo, hi, density)
+    assert piece.lo is lo and piece.hi is hi and piece.density is density
+    interval = Interval(lo, hi)
+    assert interval.lo is lo and interval.hi is hi
+    for value in (Piece(0, "1/2", 2), Interval(0, "1/2")):
+        assert (value.lo, value.hi) == (ZERO, HALF)
+        assert type(value.lo) is F and type(value.hi) is F
+    assert type(Piece(0, 1, 1).density) is F
+    with pytest.raises(ParseError, match="floats are rejected"):
+        Interval(0, 0.5)
+    with pytest.raises(ParseError, match="not a rational literal"):
+        Piece("x", 0.5, 1)
+
+
 def reference_codes(pieces) -> tuple:
     """The codes ``validate`` reports, in its order, from plain Fraction
     comparisons only."""

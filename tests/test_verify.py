@@ -1,12 +1,17 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice import (
     Allocation,
+    FairsliceError,
     IntervalSet,
     InvalidPlayersError,
     NonUniqueMedianError,
@@ -28,7 +33,7 @@ from fairslice import (
 from fairslice import solve, verify
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.procedures import TIE_LOWEST
-from helpers import random_density
+from helpers import QUARTER_POOL, fresh_tie_outcomes, random_density
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
 
@@ -392,6 +397,96 @@ def test_moving_knife_tie_enumeration_reaches_every_ordering_once(n):
         assert set(orderings) == set(itertools.permutations(scenario.names))
         assert len({outcome.cuts for outcome in outcomes}) == 1
         assert outcomes[0] == run_procedure("moving-knife", scenario, tie=tie)
+
+
+def count_queries(monkeypatch):
+    """Record every ``quantile_left`` and ``median_interval`` call."""
+    calls = {"quantile_left": 0, "median_interval": 0}
+    for name in calls:
+        query = getattr(StepDensity, name)
+
+        def counted(self, *args, _name=name, _query=query, **kwargs):
+            calls[_name] += 1
+            return _query(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepDensity, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_theorem_a_seeded_moving_knife_makes_each_call_once(n, monkeypatch):
+    calls = count_queries(monkeypatch)
+    report = theorem_a_check(
+        "moving-knife", StepDensity.uniform(), ce2_p2_density(), n, tie=TieRule.seeded(7)
+    )
+    assert report.details["enumerated_outcomes"] == math.factorial(n)
+    # All n! branches visit the same knife positions; the identical players
+    # share one call per (position, players left), n - 1 in all.
+    assert calls == {"quantile_left": n - 1, "median_interval": 0}
+
+
+@pytest.mark.parametrize("procedure", ["cut-choose", "sp-e", "sp-p"])
+def test_theorem_a_seeded_two_player_procedures_take_one_median(procedure, monkeypatch):
+    calls = count_queries(monkeypatch)
+    report = theorem_a_check(
+        procedure, StepDensity.uniform(), ce2_p2_density(), 2, tie=TieRule.seeded(7)
+    )
+    assert report.details["enumerated_outcomes"] == 2
+    # both players declare one object, and both tie branches share its median
+    assert calls["median_interval"] == 1
+
+
+TWO_PLAYER = ("cut-choose", "sp-e", "sp-p")
+
+
+@st.composite
+def memo_cases(draw):
+    """A procedure that reads the scenario memo, on players some of whom
+    share one density object (or hold an equal copy), with zero-density
+    pieces allowed, under a seeded tie rule."""
+    procedure = draw(st.sampled_from(TWO_PLAYER + ("moving-knife",)))
+    n = 2 if procedure in TWO_PLAYER else draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.sampled_from((QUARTER_POOL, None)))
+    densities = [
+        random_density(rng, max_pieces=3, **({"pool": pool} if pool else {}))
+        for _ in range(draw(st.integers(1, n)))
+    ]
+    players = []
+    for i in range(n):
+        density = densities[draw(st.integers(0, len(densities) - 1))]
+        if draw(st.booleans()):
+            density = StepDensity(density.pieces)
+        players.append((f"p{i + 1}", density))
+    tie = TieRule.seeded(draw(st.integers(0, 2**64 - 1)))
+    return procedure, Scenario(tuple(players)), tie, draw(st.booleans())
+
+
+def outcome_or_refusal(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except FairsliceError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_cases())
+def test_scenario_memo_never_changes_an_answer(case):
+    procedure, warm, tie, strict = case
+    enumerated = outcome_or_refusal(verify._enumerate_outcomes, procedure, warm, tie, strict)
+    assert warm._memo  # the checks below read a warm memo
+    assert enumerated == outcome_or_refusal(fresh_tie_outcomes, procedure, warm, tie, strict)
+    fresh_run = outcome_or_refusal(
+        run_procedure, procedure, Scenario(warm.players), strict=strict, tie=tie
+    )
+    for scenario in (warm, copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
+        assert scenario == warm
+        assert outcome_or_refusal(
+            run_procedure, procedure, scenario, strict=strict, tie=tie
+        ) == fresh_run
+        assert outcome_or_refusal(
+            verify._enumerate_outcomes, procedure, scenario, tie, strict
+        ) == enumerated
 
 
 def test_theorem_a_propagates_strict_refusals():
