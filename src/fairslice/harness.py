@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EPUndefinedError, MismatchError, OutputTooLargeError, ParseError
 from .measures import (
@@ -112,11 +112,23 @@ def _require_schema(doc: dict, path: str) -> None:
         raise ParseError(f"{path}: missing or unsupported schema, expected {SCHEMA!r}")
 
 
-def _load_json(source: Union[str, dict], path: str) -> dict:
+def _unique_keys(pairs: list) -> dict:
+    """A ``json.loads`` object hook refusing a key that one object repeats,
+    of which ``json.loads`` would keep only the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def _load_json(source: Union[str, dict], path: str, object_pairs_hook=None) -> dict:
     if isinstance(source, dict):
         return source
     try:
-        parsed = json.loads(source)
+        parsed = json.loads(source, object_pairs_hook=object_pairs_hook)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     except RecursionError:
@@ -293,7 +305,9 @@ def _pieces_doc(density: StepDensity, fmt) -> list:
 
 
 def load_allocation(source: Union[str, dict], scenario: Optional[Scenario] = None) -> Allocation:
-    doc = _load_json(source, "allocation")
+    # Duplicate keys are refused here only: a repeated owner would
+    # otherwise lose a portion before the partition check could see it.
+    doc = _load_json(source, "allocation", _unique_keys)
     _require_schema(doc, "allocation")
     portions_doc = _require_mapping(doc.get("portions"), "portions")
     portions = []
@@ -384,10 +398,14 @@ class ExpectedValue:
 
 @dataclass(frozen=True)
 class CounterexampleCase:
+    """A registered case: its scenarios, the frozen values, and ``replay``,
+    which recomputes each value from the scenarios."""
+
     id: int
     title: str
     scenarios: Mapping[str, Scenario]
     expected: Mapping[str, ExpectedValue]
+    replay: Callable[["CounterexampleCase"], dict]
 
 
 @dataclass(frozen=True)
@@ -448,6 +466,7 @@ def _ce1() -> CounterexampleCase:
         "cut and choose on the square fails Pareto optimality in both directions",
         {"vertical": vertical, "horizontal": horizontal},
         expected,
+        _actuals_ce1,
     )
 
 
@@ -481,6 +500,7 @@ def _ce2() -> CounterexampleCase:
         "an envy-free two-player allocation need not be Pareto optimal",
         {"main": scenario},
         expected,
+        _actuals_ce2,
     )
 
 
@@ -524,6 +544,7 @@ def _ce3() -> CounterexampleCase:
         "the equal-value cut system can be unsolvable for some assignments",
         {"main": scenario},
         expected,
+        _actuals_ce3,
     )
 
 
@@ -556,6 +577,7 @@ def _ce4() -> CounterexampleCase:
         "moving every mark rightward cannot raise everyone above 1/n",
         {"main": scenario},
         expected,
+        _actuals_ce4,
     )
 
 
@@ -613,6 +635,7 @@ def _ce5() -> CounterexampleCase:
         "the equal-value procedure is not Pareto optimal",
         {"main": _ce5_scenario()},
         expected,
+        _actuals_ce5,
     )
 
 
@@ -673,12 +696,8 @@ def _ce6() -> CounterexampleCase:
         "the median-cut procedure is not Pareto optimal",
         {"main": _ce6_scenario()},
         expected,
+        _actuals_ce6,
     )
-
-
-CASES: dict[int, CounterexampleCase] = {
-    case.id: case for case in (_ce1(), _ce2(), _ce3(), _ce4(), _ce5(), _ce6())
-}
 
 
 def _values_tuple(scenario: Scenario, allocation: Allocation) -> tuple[Fraction, ...]:
@@ -821,13 +840,8 @@ def _actuals_ce6(case: CounterexampleCase) -> dict:
     }
 
 
-_RUNNERS = {
-    1: _actuals_ce1,
-    2: _actuals_ce2,
-    3: _actuals_ce3,
-    4: _actuals_ce4,
-    5: _actuals_ce5,
-    6: _actuals_ce6,
+CASES: dict[int, CounterexampleCase] = {
+    case.id: case for case in (_ce1(), _ce2(), _ce3(), _ce4(), _ce5(), _ce6())
 }
 
 
@@ -840,7 +854,7 @@ def run_counterexample(case_id: int) -> ComparisonReport:
     if case_id not in CASES:
         raise ValueError(f"no case {case_id}; ids are {sorted(CASES)}")
     case = CASES[case_id]
-    actuals = _RUNNERS[case_id](case)
+    actuals = case.replay(case)
     entries = []
     for key in case.expected:
         expected = case.expected[key]

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -35,6 +35,7 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 # than 4300 digits (its default int_max_str_digits).
 _MAX_INTEGER_CHARS = 4300
 _LO = attrgetter("lo")
+_FIRST = itemgetter(0)
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -153,40 +154,10 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
-
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        pieces = []
-        for a in self.intervals:
-            for b in other.intervals:
-                lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-                if hi > lo:
-                    pieces.append(Interval(lo, hi))
-        return IntervalSet(tuple(pieces))
-
-    def complement(self) -> "IntervalSet":
-        pieces = []
-        cursor = ZERO
-        for iv in self.intervals:
-            if iv.lo > cursor:
-                pieces.append(Interval(cursor, iv.lo))
-            cursor = iv.hi
-        if cursor < ONE:
-            pieces.append(Interval(cursor, ONE))
-        return IntervalSet(tuple(pieces))
-
-    def contains_point(self, x: RationalLike) -> bool:
-        x = as_rational(x)
-        return any(iv.lo <= x <= iv.hi for iv in self.intervals)
-
     def __str__(self) -> str:
         if not self.intervals:
             return "{}"
         return " u ".join(str(iv) for iv in self.intervals)
-
-
-FULL_SET = IntervalSet((Interval(ZERO, ONE),))
 
 
 # Density validation codes, reported rather than raised so that callers can
@@ -492,9 +463,11 @@ class Scenario:
 class Allocation:
     """A partition of [0, 1] into one interval set per player.
 
-    Portions may share endpoints (endpoints carry no mass); the constructor
-    checks that interiors are pairwise disjoint and that the union covers
-    the whole cake.
+    Portions may share endpoints (endpoints carry no mass). Each portion's
+    spans are already merged and nonempty, so the portions tile [0, 1]
+    exactly when their spans, sorted by left end, start at 0, each start
+    where the previous one ends, and the last ends at 1; the constructor
+    checks that in one sweep and names the first gap or overlap it meets.
     """
 
     portions: tuple[tuple[str, IntervalSet], ...]
@@ -503,16 +476,24 @@ class Allocation:
         names = [name for name, _ in self.portions]
         if len(set(names)) != len(names):
             raise AllocationError(f"duplicate portion owners: {names}")
-        covered = IntervalSet(
-            tuple(iv for _, portion in self.portions for iv in portion.intervals)
-        )
-        total = sum((portion.length for _, portion in self.portions), ZERO)
-        if covered != FULL_SET:
-            raise AllocationError(f"portions cover {covered}, not the whole cake")
-        if total != ONE:
-            raise AllocationError(
-                f"portion lengths sum to {total}: interiors overlap"
-            )
+        cursor = ZERO
+        for lo, hi, _ in self._layout:
+            # Contiguous cuts hand one Fraction to both neighbours.
+            if lo is not cursor and lo != cursor:
+                if lo > cursor:
+                    raise AllocationError(f"portions leave a gap between {cursor} and {lo}")
+                raise AllocationError(f"portions overlap between {lo} and {min(cursor, hi)}")
+            cursor = hi
+        if cursor != ONE:
+            raise AllocationError(f"portions leave a gap between {cursor} and 1")
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[Fraction, Fraction, str], ...]:
+        """Every span as (lo, hi, owner), sorted by lo. Like
+        ``Scenario._memo``, not a dataclass field, so equality and hashing
+        ignore it."""
+        spans = [(iv.lo, iv.hi, name) for name, portion in self.portions for iv in portion.intervals]
+        return tuple(sorted(spans, key=_FIRST))
 
     @classmethod
     def of(cls, portions: Mapping[str, IntervalSet]) -> "Allocation":

@@ -440,10 +440,8 @@ def decompose(
         for piece in density.pieces:
             points.add(piece.lo)
     if allocation is not None:
-        for _, portion in allocation.portions:
-            for iv in portion.intervals:
-                points.add(iv.lo)
-                points.add(iv.hi)
+        # The spans tile [0, 1], so their left ends and 1 are every endpoint.
+        points.update([lo for lo, _, _ in allocation._layout])
     bounds = sorted(points)
     # Tuples built from lists, not generators: tuple(generator) allocates
     # ten slots and shrinks, and CPython parks each shrunk tuple on its
@@ -469,26 +467,19 @@ def _cells_and_owners(
     """The allocation's cell decomposition and the player index owning
     each cell.
 
-    Every portion is a union of whole cells and portions meet only at
-    endpoints, so one merge of the cells with all portion spans, sorted by
-    left end, finds each owner.
+    Every portion is a union of whole cells, so one merge of the cells
+    with the allocation's spans, both sorted by left end, finds each owner.
     """
     _require_owners(scenario, allocation)
     dec = decompose(scenario, allocation)
     index = {name: i for i, (name, _) in enumerate(scenario.players)}
-    spans = sorted(
-        [
-            (iv.lo, iv.hi, index[name])
-            for name, portion in allocation.portions
-            for iv in portion.intervals
-        ]
-    )
+    spans = allocation._layout
     owners = []
     k = 0
     for cell in dec.cells:
         while spans[k][1] <= cell.lo:
             k += 1
-        owners.append(spans[k][2])
+        owners.append(index[spans[k][2]])
     return dec, tuple(owners)
 
 

@@ -10,7 +10,9 @@ the equal-value oracle scans a coarse grid and refines a bracket with
 exact chords, on top of the scan queries. The best-ordering oracle for the
 equal-value procedure solves every ordering and keeps the maximum, with no
 pruning. The tie-enumeration reference replays every branch on a fresh
-scenario, so no branch reads an answer another branch left in a memo.
+scenario, so no branch reads an answer another branch left in a memo. The
+partition reference merges every span and sums the lengths, where
+``Allocation`` sweeps its sorted spans.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from fairslice import (
+    Allocation,
+    Interval,
+    IntervalSet,
     LinearConstraint,
     LinearProgram,
     NoFeasibleOrderingError,
@@ -88,15 +93,17 @@ def fine_grid_scenario(rng, n, k):
     return Scenario(tuple(players))
 
 
-def draw_grid_density(draw, grid):
+def draw_grid_density(draw, grid, min_weight=0):
     """A density drawn with a Hypothesis ``draw`` on the 1/grid lattice: up
-    to six interior breakpoints and integer weights 0-3, not all zero, so
-    zero-density plateaus occur and cuts land on shared breakpoints."""
+    to six interior breakpoints and integer weights ``min_weight``-3, not
+    all zero, so with the default zero-density plateaus occur and cuts land
+    on shared breakpoints."""
     interior = draw(st.sets(st.integers(1, grid - 1), max_size=6))
     bounds = [ZERO, *(Fraction(j, grid) for j in sorted(interior)), ONE]
     weights = draw(
-        st.lists(st.integers(0, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1)
-        .filter(any)
+        st.lists(
+            st.integers(min_weight, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1
+        ).filter(any)
     )
     total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
     return StepDensity.of(
@@ -118,11 +125,43 @@ def random_allocation(rng, scenario, pool=BREAK_POOL):
     bounds = [ZERO, *cuts, ONE]
     for owner, lo, hi in zip(owners, bounds, bounds[1:]):
         pieces[owner].append((lo, hi))
-    from fairslice import Allocation, IntervalSet
-
     return Allocation.of(
         {name: IntervalSet.of(*spans) for name, spans in pieces.items()}
     )
+
+
+@st.composite
+def dealt_portions(draw, owners=st.integers(2, 3)):
+    """Interval sets that partition [0, 1]: the spans between up to six
+    sorted break-pool points, each dealt to one of two or three owners
+    (an owner may get nothing)."""
+    k = draw(owners)
+    points = sorted(draw(st.lists(st.sampled_from(BREAK_POOL), max_size=6, unique=True)))
+    bounds = [ZERO, *points, ONE]
+    spans: list[list[Interval]] = [[] for _ in range(k)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        spans[draw(st.integers(0, k - 1))].append(Interval(lo, hi))
+    return [IntervalSet(tuple(s)) for s in spans]
+
+
+def gaps(portion):
+    """What an interval set leaves of [0, 1], by a scan of its merged
+    spans."""
+    spans, cursor = [], ZERO
+    for iv in portion.intervals:
+        spans.append(Interval(cursor, iv.lo))
+        cursor = iv.hi
+    spans.append(Interval(cursor, ONE))
+    return IntervalSet(tuple(spans))
+
+
+def merged_cover_partition(portions):
+    """Reference partition rule: the portions partition [0, 1] when the
+    merge of all their spans is [0, 1] and their lengths sum to 1 (so no
+    two interiors overlap)."""
+    covered = IntervalSet(tuple(iv for portion in portions for iv in portion.intervals))
+    total = sum((portion.length for portion in portions), ZERO)
+    return covered == IntervalSet.of((ZERO, ONE)) and total == ONE
 
 
 def float_mass(density, region):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -492,10 +493,9 @@ def test_ce6_replay_solves_one_lp_per_pareto_question(monkeypatch):
 def test_cli_paper_ce_mismatch_exits_4(capsys, monkeypatch):
     import fairslice.harness as harness_module
 
-    broken = dict(harness_module._RUNNERS)
-    real = broken[2]
-    broken[2] = lambda case: {**real(case), "cut": F(1, 3)}
-    monkeypatch.setattr(harness_module, "_RUNNERS", broken)
+    case = harness_module.CASES[2]
+    broken = dataclasses.replace(case, replay=lambda c: {**case.replay(c), "cut": F(1, 3)})
+    monkeypatch.setitem(harness_module.CASES, 2, broken)
     assert main(["paper-ce", "2"]) == 4
     out = capsys.readouterr().out
     parsed = json.loads(out)
@@ -1116,6 +1116,38 @@ def test_cli_verify_bad_allocation_exit_2_with_one_line(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error [PARSE_ERROR]: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (
+            '{"P1": [{"from": 0, "to": "1/2"}], "P2": [{"from": "1/2", "to": "3/4"}]}',
+            "INVALID_ALLOCATION]: portions leave a gap between 3/4 and 1",
+        ),
+        (
+            '{"P1": [{"from": 0, "to": "1/2"}], "P2": [{"from": "1/4", "to": 1}]}',
+            "INVALID_ALLOCATION]: portions overlap between 1/4 and 1/2",
+        ),
+        # json.loads alone would keep only the last P1 and pass the check.
+        (
+            '{"P1": [{"from": 0, "to": 1}], "P2": [{"from": "1/2", "to": 1}],'
+            ' "P1": [{"from": 0, "to": "1/2"}]}',
+            "PARSE_ERROR]: allocation: duplicate key 'P1'",
+        ),
+    ],
+)
+def test_cli_verify_refuses_a_non_partition_or_a_repeated_owner(
+    scenario_file, tmp_path, capsys, text, err
+):
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text(
+        '{"schema": "fairslice/1", "portions": ' + text + "}", encoding="utf-8"
+    )
+    assert main(["verify", str(scenario_file), str(allocation), "--checks", "proportional"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error [{err}\n"
 
 
 def test_every_public_name_resolves():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,10 @@ from fairslice import (
 )
 from helpers import (
     BREAK_POOL,
+    dealt_portions,
     float_mass,
+    gaps,
+    merged_cover_partition,
     random_density,
     scan_density_at,
     scan_mass,
@@ -96,10 +100,16 @@ def test_interval_set_normalization_merges_and_sorts():
 
 def test_interval_set_operations():
     s = IntervalSet.of((0, "1/4"), ("1/2", "3/4"))
-    assert s.complement() == IntervalSet.of(("1/4", "1/2"), ("3/4", 1))
-    assert s.union(s.complement()).length == ONE
-    assert s.intersection(s.complement()).is_empty
-    assert s.contains_point("1/8") and not s.contains_point("3/8")
+    t = IntervalSet.of(("3/4", 1), ("1/4", "1/2"))
+    assert s.length == t.length == HALF
+    assert not s.is_empty and IntervalSet().is_empty
+    # The allocation's layout holds every span once, sorted by left end.
+    assert Allocation.of({"A": s, "B": t})._layout == (
+        (ZERO, F(1, 4), "A"),
+        (F(1, 4), HALF, "B"),
+        (HALF, F(3, 4), "A"),
+        (F(3, 4), ONE, "B"),
+    )
 
 
 @st.composite
@@ -114,8 +124,15 @@ def interval_sets(draw):
 
 @given(interval_sets())
 def test_complement_involution_and_partition(s):
-    assert s.complement().complement() == s
-    assert s.length + s.complement().length == ONE
+    t = gaps(s)
+    assert gaps(t) == s
+    assert s.length + t.length == ONE
+    # A set and its gaps partition the cake, and their spans alternate.
+    layout = Allocation.of({"A": s, "B": t})._layout
+    owners = [owner for _, _, owner in layout]
+    assert all(a != b for a, b in zip(owners, owners[1:]))
+    with pytest.raises(AllocationError, match="between"):
+        Allocation.of({"A": s, "B": s})
 
 
 # --- densities --------------------------------------------------------------
@@ -390,15 +407,17 @@ def densities(draw, max_pieces=4):
 
 @given(densities(), interval_sets())
 def test_mass_complement_and_additivity(d, s):
-    t = s.complement()
+    t = gaps(s)
     assert d.mass(s) + d.mass(t) == ONE
-    assert d.mass(s.union(t)) == d.mass(s) + d.mass(t)
+    assert d.mass(IntervalSet(s.intervals + t.intervals)) == d.mass(s) + d.mass(t)
 
 
-@given(densities(), interval_sets(), interval_sets())
-def test_mass_additive_over_disjoint_pieces(d, s, t):
-    t = t.intersection(s.complement())
-    assert d.mass(s.union(t)) == d.mass(s) + d.mass(t)
+@given(densities(), dealt_portions())
+def test_mass_additive_over_disjoint_pieces(d, portions):
+    masses = [d.mass(portion) for portion in portions]
+    assert sum(masses) == ONE
+    for (a, s), (b, t) in combinations(list(zip(masses, portions)), 2):
+        assert d.mass(IntervalSet(s.intervals + t.intervals)) == a + b
 
 
 @given(densities(), st.sampled_from([F(k, 12) for k in range(13)]))
@@ -482,16 +501,65 @@ def test_allocation_partition_checks():
         {"A": IntervalSet.of((0, HALF)), "B": IntervalSet.of((HALF, 1))}
     )
     assert good.portion("A").length == HALF
-    with pytest.raises(AllocationError):
+    with pytest.raises(AllocationError, match="portions leave a gap between 3/4 and 1"):
         Allocation.of(
             {"A": IntervalSet.of((0, HALF)), "B": IntervalSet.of((HALF, "3/4"))}
         )
-    with pytest.raises(AllocationError):
+    with pytest.raises(AllocationError, match="portions overlap between 1/2 and 3/4"):
         Allocation.of(
             {"A": IntervalSet.of((0, "3/4")), "B": IntervalSet.of((HALF, 1))}
         )
+    with pytest.raises(AllocationError, match="portions leave a gap between 0 and 1/4"):
+        Allocation.of({"A": IntervalSet.of(("1/4", 1))})
+    with pytest.raises(AllocationError, match="portions leave a gap between 1/4 and 1/2"):
+        Allocation.of({"A": IntervalSet.of((0, "1/4")), "B": IntervalSet.of((HALF, 1))})
+    # A span inside another overlaps along its whole length.
+    with pytest.raises(AllocationError, match="portions overlap between 1/4 and 1/2"):
+        Allocation.of({"A": IntervalSet.of((0, 1)), "B": IntervalSet.of(("1/4", HALF))})
+    with pytest.raises(AllocationError, match="portions leave a gap between 0 and 1"):
+        Allocation.of({"A": IntervalSet(), "B": IntervalSet()})
     with pytest.raises(AllocationError, match="duplicate portion owners"):
         Allocation((("A", IntervalSet.of((0, HALF))), ("A", IntervalSet.of((HALF, 1)))))
+
+
+@st.composite
+def portion_lists(draw):
+    """One to three interval sets: a partition dealt from sorted points,
+    then perhaps a span dropped, stretched or copied to another owner, or
+    a free span added. Gaps, overlaps, shared endpoints, empty portions
+    and zero-length spans all occur, and spans are listed out of order."""
+    spans = [list(p.intervals) for p in draw(dealt_portions(owners=st.integers(1, 3)))]
+    ends = [ZERO, *BREAK_POOL, ONE]
+    held = [k for k, owned in enumerate(spans) if owned]
+    k = draw(st.sampled_from(held))
+    j = draw(st.integers(0, len(spans[k]) - 1))
+    change = draw(st.sampled_from(["none", "drop", "stretch", "copy", "free"]))
+    if change == "drop":
+        del spans[k][j]
+    elif change == "stretch":
+        lo, hi = sorted((spans[k][j].lo, draw(st.sampled_from(ends))))
+        spans[k][j] = Interval(lo, hi)
+    elif change == "copy":
+        spans[draw(st.integers(0, len(spans) - 1))].append(spans[k][j])
+    elif change == "free":
+        lo, hi = sorted(draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+        spans[k].append(Interval(lo, hi))
+    order = draw(st.permutations(range(len(spans))))
+    return [IntervalSet(tuple(draw(st.permutations(spans[i])))) for i in order]
+
+
+@settings(max_examples=300)
+@given(portion_lists())
+def test_allocation_sweep_agrees_with_merged_cover(portions):
+    named = tuple((f"p{i}", portion) for i, portion in enumerate(portions))
+    if merged_cover_partition(portions):
+        layout = Allocation(named)._layout
+        assert [(lo, hi) for lo, hi, _ in layout] == sorted(
+            (iv.lo, iv.hi) for portion in portions for iv in portion.intervals
+        )
+    else:
+        with pytest.raises(AllocationError, match="^portions (overlap|leave a gap) between"):
+            Allocation(named)
 
 
 def test_interval_set_text():

@@ -422,6 +422,25 @@ def test_equitability_ce3_strict_names_infeasible_orderings(ce3):
     assert err.value.code == "EP_UNDEFINED"
 
 
+@st.composite
+def positive_scenarios(draw):
+    """n = 2 to 4 players on the 1/24 grid, every density positive."""
+    n = draw(st.integers(2, 4))
+    return Scenario(
+        tuple((f"p{i + 1}", draw_grid_density(draw, 24, min_weight=1)) for i in range(n))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_scenarios())
+def test_equitability_strict_never_raises_on_positive_densities(scenario):
+    # The salvaged CE3 claim: with no zero-density span, every ordering has
+    # an equal-value solution, so strict mode finds no infeasible ordering.
+    outcome = equitability(scenario, strict=True)
+    values = declared_values(scenario, outcome.allocation)
+    assert set(values.values()) == {outcome.common_value}
+
+
 def test_equitability_ce3_lenient(ce3):
     outcome = equitability(ce3)
     assert outcome.ordering == ("P2", "P1", "P3")
