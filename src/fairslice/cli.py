@@ -9,6 +9,7 @@ counterexample mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -39,7 +40,10 @@ CHECKS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process. No option has a
+    mutable default, and ``choices=CASES`` reads the live registry."""
     parser = argparse.ArgumentParser(
         prog="fairslice",
         description="Exact-arithmetic cake-cutting procedures and property checks.",
@@ -187,8 +191,7 @@ def _cmd_manipulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except FairsliceError as exc:

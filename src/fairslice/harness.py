@@ -122,11 +122,11 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _load_json(source: Union[str, dict], path: str, object_pairs_hook=None) -> dict:
+def _load_json(source: Union[str, dict], path: str) -> dict:
     if isinstance(source, dict):
         return source
     try:
-        parsed = json.loads(source, object_pairs_hook=object_pairs_hook)
+        parsed = json.loads(source, object_pairs_hook=_unique_keys)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -305,9 +305,7 @@ def _pieces_doc(density: StepDensity, fmt) -> list:
 
 
 def load_allocation(source: Union[str, dict], scenario: Optional[Scenario] = None) -> Allocation:
-    # Duplicate keys are refused here only: a repeated owner would
-    # otherwise lose a portion before the partition check could see it.
-    doc = _load_json(source, "allocation", _unique_keys)
+    doc = _load_json(source, "allocation")
     _require_schema(doc, "allocation")
     portions_doc = _require_mapping(doc.get("portions"), "portions")
     portions = []

@@ -11,7 +11,9 @@ segments of the greedy leftmost cuts. Cuts only move right as t grows, so
 each cut carries forward-only cursors into the pieces and cumulative-mass
 index of the densities, and a segment costs one pass over the cuts with no
 bisection. Every segment end advances some cursor, so an ordering takes at
-most about twice the total piece count of its densities in segments.
+most about twice the total piece count of its densities in segments. Like
+the simplex tableau, the segment loop is fraction-free: it runs on integer
+numerator/denominator pairs, and only the root is built as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -89,6 +91,22 @@ def greedy_cuts(
     return None if cuts is None else tuple(cuts)
 
 
+def _integer_rows(density: StepDensity) -> tuple[list[int], ...]:
+    """The numerators and denominators, as plain integer lists, of a
+    density's k + 1 piece bounds (the pieces tile [0, 1]), its k piece
+    densities and its k + 1 cumulative masses."""
+    pieces = density.pieces
+    bounds = [piece.lo for piece in pieces]
+    bounds.append(pieces[-1].hi)
+    rates = [piece.density for piece in pieces]
+    cum = density._cum
+    return (
+        [b.numerator for b in bounds], [b.denominator for b in bounds],
+        [r.numerator for r in rates], [r.denominator for r in rates],
+        [c.numerator for c in cum], [c.denominator for c in cum],
+    )
+
+
 @dataclass(frozen=True)
 class EqualValueSolution:
     cuts: tuple[Fraction, ...]
@@ -123,6 +141,13 @@ def equal_value_solve(
     no segment below t* is walked. The cursors still start at index 0 and
     reach their pieces in the same forward loops.
 
+    The segment loop does no ``Fraction`` arithmetic. Each walk reads its
+    densities' piece bounds, piece densities and cumulative masses into
+    integer lists, keeps every rational as a (numerator, denominator) pair
+    reduced by one gcd, and compares by cross-multiplying. Only a root that
+    lies inside its segment is built as a ``Fraction``, and the greedy
+    chain at that root must give the last piece exactly the root's value.
+
     A right-hand limit L(start+) <= start leaves no root above ``start``
     and returns None at once. Otherwise L starts above the diagonal, and a
     segment that holds no root ends with L still above it, so the walk
@@ -139,54 +164,94 @@ def equal_value_solve(
     if not (ZERO <= start <= ONE):
         raise ValueError(f"equal-value walk start {start} outside [0, 1]")
     ordered = [scenario.players[i][1] for i in idx]
+    rows = [_integer_rows(density) for density in ordered]
     last = len(ordered) - 1
     own = [0] * last
     anchor = [0] * len(ordered)
-    t = start
+    # Each rational below is a pair of integers, numerator then
+    # denominator, with the denominator positive: t is (tn, td).
+    tn, td = start.numerator, start.denominator
     # Every segment but the last ends where some cursor steps forward, and
     # a cursor takes fewer steps than its density has pieces.
     for _ in range(2 * sum(len(d.pieces) for d in ordered) + 2):
-        x = slope = ZERO
-        step = None
-        for i, density in enumerate(ordered):
-            pieces, cum = density.pieces, density._cum
+        xn, xd = 0, 1
+        sn, sd = 0, 1
+        for i, (bn, bd, rn, rd, cn, cd) in enumerate(rows):
+            # x = xn/xd is cut i - 1 (0 for the first player) and sn/sd its
+            # slope in t. Piece j of density i starts at bound bn[j]/bd[j],
+            # with cumulative mass cn[j]/cd[j], and has density rn[j]/rd[j];
+            # hn/hd is the density of the piece that holds x.
             j = anchor[i]
-            while j + 1 < len(pieces) and pieces[j + 1].lo <= x:
+            top = len(rn) - 1
+            while j < top and bn[j + 1] * xd <= xn * bd[j + 1]:
                 j += 1
             anchor[i] = j
-            held = pieces[j]
+            hn, hd = rn[j], rd[j]
             if i:
-                # Cut i - 1 stays affine until it leaves its own piece or
-                # the piece of density i that holds it.
-                dt = (min(end, held.hi) - x) / slope
-                if step is None or dt < step:
-                    step = dt
-            base = cum[j] + held.density * (x - held.lo)
+                # Cut i - 1 stays affine until it leaves its own piece,
+                # which ends at (en, ed), or the piece of density i that
+                # holds it; dt is the target step to the nearer end.
+                mn, md = bn[j + 1], bd[j + 1]
+                if en * md < mn * ed:
+                    mn, md = en, ed
+                dtn = (mn * xd - xn * md) * sd
+                dtd = md * xd * sn
+                if i == 1 or dtn * std < stn * dtd:
+                    stn, std = dtn, dtd
+            # base: the mass of density i left of x.
+            if hn:
+                ln, ld = bn[j], bd[j]
+                scale = hd * ld * xd
+                basen = cn[j] * scale + hn * (xn * ld - ln * xd) * cd[j]
+                based = cd[j] * scale
+                g = gcd(basen, based)
+                basen, based = basen // g, based // g
+            else:
+                basen, based = cn[j], cd[j]
             if i == last:
                 break
-            level = base + t
-            if level >= cum[-1]:
+            # level: the mass of density i left of its own cut, base + t.
+            lvn = basen * td + tn * based
+            lvd = based * td
+            g = gcd(lvn, lvd)
+            lvn, lvd = lvn // g, lvd // g
+            if lvn * cd[-1] >= cn[-1] * lvd:
                 return None
             k = own[i]
-            while cum[k + 1] <= level:
+            while cn[k + 1] * lvd <= lvn * cd[k + 1]:
                 k += 1
             own[i] = k
-            piece = pieces[k]
-            x = piece.lo + (level - cum[k]) / piece.density
-            slope = (ONE + held.density * slope) / piece.density
-            end = piece.hi
-        value_plus = ONE - base
-        if value_plus <= t:
+            # The cut lo + (level - cum) / density on piece k, and its
+            # slope (1 + held density * slope) / density.
+            pn, pd, scale = rn[k], rd[k], lvd * cd[k]
+            xn = bn[k] * scale * pn + (lvn * cd[k] - cn[k] * lvd) * pd * bd[k]
+            xd = bd[k] * scale * pn
+            g = gcd(xn, xd)
+            xn, xd = xn // g, xd // g
+            sn, sd = (hd * sd + hn * sn) * pd, hd * sd * pn
+            g = gcd(sn, sd)
+            sn, sd = sn // g, sd // g
+            en, ed = bn[k + 1], bd[k + 1]
+        g = gcd(stn, std)
+        stn, std = stn // g, std // g
+        # L(t+) = 1 - base; if it is already at or below t, no root lies
+        # above t. L falls along the segment with slope held density *
+        # slope, which gives the root of L(t) = t on the segment's line.
+        vn = based - basen
+        if vn * td <= tn * based:
             return None
-        value_slope = -held.density * slope
-        t_next = t + step
-        root = (value_plus - value_slope * t) / (ONE - value_slope)
-        if t < root <= t_next:
+        an, ad = hn * sn, hd * sd
+        root_n = vn * ad * td + an * tn * based
+        root_d = based * td * (ad + an)
+        next_n, next_d = tn * std + stn * td, td * std
+        if tn * root_d < root_n * td and root_n * next_d <= next_n * root_d:
+            root = Fraction(root_n, root_d)
             cuts_root = _chain(ordered, root)
             if cuts_root is not None and ONE - ordered[-1].cdf(cuts_root[-1]) == root:
                 return EqualValueSolution(tuple(cuts_root), root)
             raise AssertionError("equal-value walk lost its root")
-        t = t_next
+        g = gcd(next_n, next_d)
+        tn, td = next_n // g, next_d // g
     raise AssertionError("equal-value walk failed to terminate")
 
 

@@ -7,7 +7,9 @@ LP oracle enumerates vertices by brute force, the two-player Pareto
 oracle sweeps threshold allocations by density ratio, the Pareto
 certificate check recomputes the cells and the dual value by scans, and
 the equal-value oracle scans a coarse grid and refines a bracket with
-exact chords, on top of the scan queries. The best-ordering oracle for the
+exact chords, on top of the scan queries. ``fraction_walk`` is the
+equal-value walk written in ``Fraction`` arithmetic, the reference for the
+engine's integer walk. The best-ordering oracle for the
 equal-value procedure solves every ordering and keeps the maximum, with no
 pruning. The tie-enumeration reference replays every branch on a fresh
 scenario, so no branch reads an answer another branch left in a memo. The
@@ -37,6 +39,7 @@ from fairslice import (
     run_procedure,
 )
 from fairslice.procedures import _ScriptRule
+from fairslice.solve import EqualValueSolution, _chain, as_permutation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +48,15 @@ BREAK_POOL = sorted(
     {Fraction(n, d) for d in (2, 3, 4, 5, 6, 8, 10, 12) for n in range(1, d)}
 )
 QUARTER_POOL = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+
+
+def weighted_density(bounds, weights):
+    """The density with the given breakpoints whose pieces carry mass in
+    proportion to ``weights`` times their widths."""
+    total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
+    return StepDensity.of(
+        *((a, b, w / total) for w, a, b in zip(weights, bounds, bounds[1:]))
+    )
 
 
 def random_density(rng, max_pieces=4, pool=BREAK_POOL, allow_zero=True):
@@ -56,10 +68,7 @@ def random_density(rng, max_pieces=4, pool=BREAK_POOL, allow_zero=True):
         weights = [Fraction(rng.randint(low, 5)) for _ in range(len(bounds) - 1)]
         if any(weights):
             break
-    total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
-    return StepDensity.of(
-        *((a, b, w / total) for w, a, b in zip(weights, bounds, bounds[1:]))
-    )
+    return weighted_density(bounds, weights)
 
 
 def random_scenario(rng, n, max_pieces=4, pool=BREAK_POOL, allow_zero=True):
@@ -105,10 +114,24 @@ def draw_grid_density(draw, grid, min_weight=0):
             st.integers(min_weight, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1
         ).filter(any)
     )
-    total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
-    return StepDensity.of(
-        *((a, b, w / total) for w, a, b in zip(weights, bounds, bounds[1:]))
+    return weighted_density(bounds, weights)
+
+
+def draw_long_density(draw):
+    """A density drawn with a Hypothesis ``draw`` whose interior breakpoints
+    mix the 1/12 grid, where cuts of other players land and zero-density
+    plateaus abut, with rationals over 40- to 60-digit denominators, so an
+    exact walk reduces big integers. Integer weights 0-3, not all zero."""
+    long_point = st.integers(10**39, 10**60).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
     )
+    grid_point = st.integers(1, 11).map(lambda j: Fraction(j, 12))
+    interior = draw(st.sets(st.one_of(grid_point, long_point), max_size=5))
+    bounds = [ZERO, *sorted(interior), ONE]
+    weights = draw(
+        st.lists(st.integers(0, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1).filter(any)
+    )
+    return weighted_density(bounds, weights)
 
 
 def random_allocation(rng, scenario, pool=BREAK_POOL):
@@ -553,6 +576,58 @@ def grid_screen_no_solution(scenario, ordering, steps=1000):
         if value == t:
             return False
     return True
+
+
+def fraction_walk(scenario, ordering, start=ZERO):
+    """The equal-value walk of ``solve.equal_value_solve`` with every
+    quantity a ``Fraction``: the same segments, cursors, root test and
+    root check, for valid arguments."""
+    ordered = [scenario.players[i][1] for i in as_permutation(scenario, ordering)]
+    last = len(ordered) - 1
+    own = [0] * last
+    anchor = [0] * len(ordered)
+    t = start
+    for _ in range(2 * sum(len(d.pieces) for d in ordered) + 2):
+        x = slope = ZERO
+        step = None
+        for i, density in enumerate(ordered):
+            pieces, cum = density.pieces, density._cum
+            j = anchor[i]
+            while j + 1 < len(pieces) and pieces[j + 1].lo <= x:
+                j += 1
+            anchor[i] = j
+            held = pieces[j]
+            if i:
+                dt = (min(end, held.hi) - x) / slope
+                if step is None or dt < step:
+                    step = dt
+            base = cum[j] + held.density * (x - held.lo)
+            if i == last:
+                break
+            level = base + t
+            if level >= cum[-1]:
+                return None
+            k = own[i]
+            while cum[k + 1] <= level:
+                k += 1
+            own[i] = k
+            piece = pieces[k]
+            x = piece.lo + (level - cum[k]) / piece.density
+            slope = (ONE + held.density * slope) / piece.density
+            end = piece.hi
+        value_plus = ONE - base
+        if value_plus <= t:
+            return None
+        value_slope = -held.density * slope
+        t_next = t + step
+        root = (value_plus - value_slope * t) / (ONE - value_slope)
+        if t < root <= t_next:
+            cuts_root = _chain(ordered, root)
+            if cuts_root is not None and ONE - ordered[-1].cdf(cuts_root[-1]) == root:
+                return EqualValueSolution(tuple(cuts_root), root)
+            raise AssertionError("equal-value walk lost its root")
+        t = t_next
+    raise AssertionError("equal-value walk failed to terminate")
 
 
 def exhaustive_ep_best(scenario):

@@ -744,6 +744,49 @@ def test_cli_density_without_pieces_exit_2_with_one_line(tmp_path, capsys):
     )
 
 
+def test_cli_run_refuses_a_repeated_key_in_a_scenario_document(tmp_path, capsys):
+    # Player A first declares a density of 7 on [0, 1] (total mass 7), then
+    # a valid one; json.loads alone would keep the second and never report
+    # the first.
+    player_a = (
+        '{"name": "A", "pieces": [{"from": 0, "to": 1, "density": 7}],'
+        ' "pieces": [{"from": 0, "to": 1, "density": 1}]}'
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        f'{{"schema": "fairslice/1", "players": [{player_a}, {json.dumps(uniform_player("B"))}]}}',
+        encoding="utf-8",
+    )
+    assert main(["run", str(path), "--procedure", "cut-choose", "--cutter", "A"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [PARSE_ERROR]: document: duplicate key 'pieces'\n"
+
+
+def test_load_densities_refuses_a_repeated_key():
+    text = (
+        '{"schema": "fairslice/1", "densities": '
+        '[[{"from": 0, "to": 1, "density": 2, "density": 1}]]}'
+    )
+    with pytest.raises(ParseError, match="^densities: duplicate key 'density'$"):
+        load_densities(text)
+
+
+def test_cli_parser_is_built_once_and_carries_nothing_between_calls():
+    from fairslice.cli import _build_parser
+
+    parser = _build_parser()
+    assert _build_parser() is parser
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    for sub in subcommands.values():
+        for action in sub._actions:
+            assert not isinstance(action.default, (list, dict, set)), action.dest
+    first = parser.parse_args(["run", "a.json", "--strict", "--tie", "seed:1", "--cutter", "A"])
+    second = parser.parse_args(["run", "a.json"])
+    assert (first.strict, first.tie, first.cutter) == (True, "seed:1", "A")
+    assert (second.strict, second.tie, second.cutter) == (False, None, None)
+
+
 @pytest.mark.parametrize("checks", ["", ",", " , "])
 def test_cli_verify_empty_check_selection_exit_2_with_one_line(
     scenario_file, tmp_path, capsys, checks

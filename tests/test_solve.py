@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -36,7 +37,9 @@ from helpers import (
     QUARTER_POOL,
     check_pareto_certificate,
     draw_grid_density,
+    draw_long_density,
     fine_grid_scenario,
+    fraction_walk,
     grid_affine_equal_value,
     grid_screen_no_solution,
     random_allocation,
@@ -152,14 +155,17 @@ def test_equal_value_postcondition_on_random_scenarios():
 
 
 @st.composite
-def equal_value_cases(draw, min_n=3, max_n=4):
+def equal_value_cases(draw, min_n=3, max_n=4, draw_density=None):
     """n = min_n to max_n players with step densities on a coarse common
-    grid, and one ordering. Zero weights give zero-density plateaus, the
-    shared grid makes cuts land on breakpoints, and players beyond the
-    distinct pool repeat one of its densities."""
+    grid, or from ``draw_density(draw)`` when given, and one ordering. Zero
+    weights give zero-density plateaus, the shared grid makes cuts land on
+    breakpoints, and players beyond the distinct pool repeat one of its
+    densities."""
     n = draw(st.integers(min_n, max_n))
-    grid = draw(st.sampled_from((4, 6, 12)))
-    pool = [draw_grid_density(draw, grid) for _ in range(draw(st.integers(1, n)))]
+    if draw_density is None:
+        grid = draw(st.sampled_from((4, 6, 12)))
+        draw_density = functools.partial(draw_grid_density, grid=grid)
+    pool = [draw_density(draw) for _ in range(draw(st.integers(1, n)))]
     densities = pool + [draw(st.sampled_from(pool)) for _ in range(n - len(pool))]
     players = tuple((f"p{i + 1}", density) for i, density in enumerate(densities))
     return Scenario(players), tuple(draw(st.permutations(range(n))))
@@ -208,6 +214,31 @@ def test_equal_value_walk_from_a_start_returns_only_roots_above_it(case, kind, f
         assert warm == cold
     else:
         assert warm is None
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.one_of(equal_value_cases(2, 5), equal_value_cases(2, 5, draw_long_density)),
+    st.sampled_from(("zero", "root", "below root", "random")),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**50),
+)
+def test_integer_walk_matches_the_fraction_walk(case, kind, fraction):
+    scenario, ordering = case
+    cold = fraction_walk(scenario, ordering)
+    root = ZERO if cold is None else cold.common_value
+    start = {
+        "zero": ZERO,
+        "root": root,
+        "below root": root - root * fraction / 1000,
+        "random": fraction,
+    }[kind]
+    assert equal_value_solve(scenario, ordering, start=start) == fraction_walk(
+        scenario, ordering, start
+    )
+    # The walk reads each density into integers for itself and keeps none
+    # of it: only the cached index and verdict live on a density.
+    for _, density in scenario.players:
+        assert set(vars(density)) <= {"pieces", "_cum", "_violations"}
 
 
 @pytest.mark.parametrize("start", [F(-1, 100), F(101, 100), -1, 2])
