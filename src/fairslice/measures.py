@@ -118,7 +118,14 @@ class Interval:
 
 
 def _normalize_intervals(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    spans = sorted((iv for iv in intervals if iv.hi > iv.lo))
+    # hi > lo on integers, denominators being positive.
+    spans = sorted(
+        [
+            iv
+            for iv in intervals
+            if iv.hi.numerator * iv.lo.denominator > iv.lo.numerator * iv.hi.denominator
+        ]
+    )
     merged: list[Interval] = []
     for iv in spans:
         if merged and iv.lo <= merged[-1].hi:

@@ -128,7 +128,11 @@ def contiguous_allocation(ordering: Sequence[str], cuts: Sequence[Fraction]) -> 
     bounds = [ZERO, *cuts, ONE]
     portions = []
     for name, lo, hi in zip(ordering, bounds, bounds[1:]):
-        portion = IntervalSet((Interval(lo, hi),)) if hi > lo else IntervalSet()
+        # hi > lo on integers, denominators being positive.
+        if hi.numerator * lo.denominator > lo.numerator * hi.denominator:
+            portion = IntervalSet((Interval(lo, hi),))
+        else:
+            portion = IntervalSet()
         portions.append((name, portion))
     return Allocation(tuple(portions))
 
@@ -376,6 +380,12 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     return them. Only L(t*) > t* needs the walk, whose root then beats t*,
     so the walk starts at t* and skips every segment below it.
 
+    The chain at t* only has to tell the sign of L(t*) - t*, so it runs on
+    integers (``solve._settle_chain``), and its cuts become ``Fraction``s
+    only for a tie. Each distinct density is read into integer rows once
+    per search, and every walk, on any path, takes its ordering's rows
+    from that read; nothing is kept after the search.
+
     Strict mode must name every infeasible ordering, and the CE3 replay
     reports them too, so those callers set ``walk_all`` (strict mode
     implies it) and every ordering is walked; a pruned search lists only
@@ -386,26 +396,30 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     _require_players(scenario)
     walk_all = walk_all or strict
     names = scenario.names
-    densities = [density for _, density in scenario.players]
+    # Each density's integer rows, read once: a player whose density key
+    # names an earlier player shares that player's rows.
+    rows = []
+    for i, key in enumerate(scenario._density_keys):
+        rows.append(rows[key] if key < i else solve._integer_rows(scenario.players[i][1]))
     best = None
     tied = []
     infeasible = []
     for perm in itertools.permutations(range(scenario.n)):
         ordered_names = tuple(names[i] for i in perm)
+        ordered_rows = [rows[i] for i in perm]
         if best is not None and not walk_all:
-            ordered = [densities[i] for i in perm]
-            cuts = solve._chain(ordered, best)
-            if cuts is None:
+            settled = solve._settle_chain(ordered_rows, best.numerator, best.denominator)
+            if settled is None or settled[0] < 0:
                 continue
-            last_value = ONE - ordered[-1].cdf(cuts[-1])
-            if last_value < best:
-                continue
-            if last_value == best:
-                solution = solve.EqualValueSolution(tuple(cuts), best)
+            if settled[0] == 0:
+                cuts = tuple([Fraction(xn, xd) for xn, xd in settled[1]])
+                solution = solve.EqualValueSolution(cuts, best)
             else:  # L(t*) > t*, so the root lies above t*: walk from there.
-                solution = solve.equal_value_solve(scenario, perm, start=best)
+                solution = solve.equal_value_solve(
+                    scenario, perm, start=best, _rows=ordered_rows
+                )
         else:
-            solution = solve.equal_value_solve(scenario, perm)
+            solution = solve.equal_value_solve(scenario, perm, _rows=ordered_rows)
         if solution is None:
             infeasible.append(ordered_names)
         elif best is None or solution.common_value > best:

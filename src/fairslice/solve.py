@@ -14,6 +14,10 @@ bisection. Every segment end advances some cursor, so an ordering takes at
 most about twice the total piece count of its densities in segments. Like
 the simplex tableau, the segment loop is fraction-free: it runs on integer
 numerator/denominator pairs, and only the root is built as a ``Fraction``.
+The procedure search settles most orderings without a walk, by the sign of
+L(t*) - t* at its best value t* so far; ``_settle_chain`` computes that
+greedy chain on the same integer rows, which the search reads once per
+distinct density and hands to each walk.
 """
 
 from __future__ import annotations
@@ -107,6 +111,69 @@ def _integer_rows(density: StepDensity) -> tuple[list[int], ...]:
     )
 
 
+def _settle_chain(
+    rows: Sequence[tuple[list[int], ...]], tn: int, td: int
+) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """``_chain`` at the target t = tn/td (td > 0) and the sign of L(t) - t,
+    on the ``_integer_rows`` of the ordered densities.
+
+    Each of the first n - 1 players takes the leftmost cut worth t after
+    the previous cut x, by the steps of ``quantile_left``: the piece j with
+    the last lo <= x, the level cum_j + density_j·(x - lo_j) + t, a refusal
+    when the level exceeds the total, and the cut lo_k + (level - cum_k) /
+    density_k on the last piece k with cum_k < level (a target of 0 leaves
+    the cut at x). Returns None on a refusal, else the sign of the last
+    piece's value 1 - F(x) minus t and the cuts as reduced (numerator,
+    denominator) pairs.
+    """
+    xn, xd = 0, 1
+    cuts = []
+    last = len(rows) - 1
+    for i, (bn, bd, rn, rd, cn, cd) in enumerate(rows):
+        # j: the last piece whose lower bound is at or left of x.
+        j, top = 0, len(rn) - 1
+        while j < top:
+            mid = (j + top + 1) // 2
+            if bn[mid] * xd <= xn * bd[mid]:
+                j = mid
+            else:
+                top = mid - 1
+        # base: the mass left of x, cum_j + density_j·(x - lo_j).
+        hn, hd = rn[j], rd[j]
+        if hn:
+            ln, ld = bn[j], bd[j]
+            scale = hd * ld * xd
+            basen = cn[j] * scale + hn * (xn * ld - ln * xd) * cd[j]
+            based = cd[j] * scale
+        else:
+            basen, based = cn[j], cd[j]
+        if i == last:
+            value = (based - basen) * td - tn * based
+            return (value > 0) - (value < 0), cuts
+        if tn:
+            lvn = basen * td + tn * based
+            lvd = based * td
+            g = gcd(lvn, lvd)
+            lvn, lvd = lvn // g, lvd // g
+            if lvn * cd[-1] > cn[-1] * lvd:
+                return None
+            # k: the last piece whose cumulative mass lies below the level;
+            # cum_j <= base < level, and the total is at least the level.
+            k, top = j, len(rn) - 1
+            while k < top:
+                mid = (k + top + 1) // 2
+                if cn[mid] * lvd < lvn * cd[mid]:
+                    k = mid
+                else:
+                    top = mid - 1
+            pn, pd, scale = rn[k], rd[k], lvd * cd[k]
+            xn = bn[k] * scale * pn + (lvn * cd[k] - cn[k] * lvd) * pd * bd[k]
+            xd = bd[k] * scale * pn
+            g = gcd(xn, xd)
+            xn, xd = xn // g, xd // g
+        cuts.append((xn, xd))
+
+
 @dataclass(frozen=True)
 class EqualValueSolution:
     cuts: tuple[Fraction, ...]
@@ -114,7 +181,11 @@ class EqualValueSolution:
 
 
 def equal_value_solve(
-    scenario: Scenario, ordering: Sequence, *, start: Fraction = ZERO
+    scenario: Scenario,
+    ordering: Sequence,
+    *,
+    start: Fraction = ZERO,
+    _rows: Optional[Sequence[tuple[list[int], ...]]] = None,
 ) -> Optional[EqualValueSolution]:
     """Find a target t > ``start`` whose greedy cuts give the last piece
     value t too.
@@ -141,9 +212,10 @@ def equal_value_solve(
     no segment below t* is walked. The cursors still start at index 0 and
     reach their pieces in the same forward loops.
 
-    The segment loop does no ``Fraction`` arithmetic. Each walk reads its
-    densities' piece bounds, piece densities and cumulative masses into
-    integer lists, keeps every rational as a (numerator, denominator) pair
+    The segment loop does no ``Fraction`` arithmetic. It runs on the
+    ``_integer_rows`` of the ordered densities, read at the start of the
+    walk or handed over in ``_rows`` by a caller that read them once for
+    many walks, keeps every rational as a (numerator, denominator) pair
     reduced by one gcd, and compares by cross-multiplying. Only a root that
     lies inside its segment is built as a ``Fraction``, and the greedy
     chain at that root must give the last piece exactly the root's value.
@@ -164,7 +236,7 @@ def equal_value_solve(
     if not (ZERO <= start <= ONE):
         raise ValueError(f"equal-value walk start {start} outside [0, 1]")
     ordered = [scenario.players[i][1] for i in idx]
-    rows = [_integer_rows(density) for density in ordered]
+    rows = [_integer_rows(density) for density in ordered] if _rows is None else _rows
     last = len(ordered) - 1
     own = [0] * last
     anchor = [0] * len(ordered)

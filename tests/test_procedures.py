@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairslice import (
+    AllocationError,
     EPUndefinedError,
     EQUITABLE,
     Interval,
@@ -17,6 +19,7 @@ from fairslice import (
     Scenario,
     StepDensity,
     TieRule,
+    contiguous_allocation,
     cut_and_choose,
     declared_values,
     equitability,
@@ -29,6 +32,7 @@ from fairslice.procedures import TIE_LOWEST, TieEvent, _ScriptRule, _ep_search
 from helpers import (
     draw_grid_density,
     exhaustive_ep_best,
+    fine_grid_scenario,
     random_scenario,
     scan_mass,
     scan_plateau_end,
@@ -471,11 +475,12 @@ def test_equitability_identical_players_prefers_lexicographic():
 
 
 @st.composite
-def ep_scenarios(draw):
-    """n = 2 to 4 players on a coarse common grid, with zero weights. The
-    pool of distinct densities may be smaller than n: a pool of n - 1
-    repeats one density, a pool of one makes every player identical."""
-    n = draw(st.integers(2, 4))
+def ep_scenarios(draw, min_n=2, max_n=4):
+    """n = min_n to max_n players on a coarse common grid, with zero
+    weights. The pool of distinct densities may be smaller than n: a pool
+    of n - 1 repeats one density, a pool of one makes every player
+    identical."""
+    n = draw(st.integers(min_n, max_n))
     grid = draw(st.sampled_from((4, 6, 12)))
     sizes = sorted({1, n - 1, n})
     pool = [draw_grid_density(draw, grid) for _ in range(draw(st.sampled_from(sizes)))]
@@ -484,9 +489,7 @@ def ep_scenarios(draw):
     return Scenario(tuple((f"p{i + 1}", densities[j]) for i, j in enumerate(order)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(ep_scenarios())
-def test_pruned_ep_search_matches_exhaustive_oracle(scenario):
+def _assert_ep_search_matches_exhaustive_oracle(scenario):
     try:
         expected = exhaustive_ep_best(scenario)
     except NoFeasibleOrderingError:
@@ -507,6 +510,18 @@ def test_pruned_ep_search_matches_exhaustive_oracle(scenario):
         for perm in permutations(range(scenario.n))
         if solve.equal_value_solve(scenario, perm) is None
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ep_scenarios())
+def test_pruned_ep_search_matches_exhaustive_oracle(scenario):
+    _assert_ep_search_matches_exhaustive_oracle(scenario)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ep_scenarios(5, 5))
+def test_pruned_ep_search_matches_exhaustive_oracle_for_five_players(scenario):
+    _assert_ep_search_matches_exhaustive_oracle(scenario)
 
 
 def test_pruned_ep_search_raises_when_no_ordering_is_feasible():
@@ -591,7 +606,48 @@ def test_pruned_ep_search_walks_from_the_best_value_so_far(monkeypatch, ce3, ce5
     assert warm > 0
 
 
+def test_lenient_search_asks_quantiles_only_to_check_walked_roots(monkeypatch):
+    # Chains at the best value run on integer rows, so the only quantiles
+    # are the n - 1 of each root check, and the search leaves nothing on a
+    # density beyond its cached index and verdict.
+    calls = _count_walks(monkeypatch)
+    queries = []
+    quantile = StepDensity.quantile
+
+    def counted(density, *args, **kwargs):
+        queries.append(args)
+        return quantile(density, *args, **kwargs)
+
+    monkeypatch.setattr(StepDensity, "quantile", counted)
+    rng = random.Random(20)
+    settled = 0
+    for n, k in ((3, 8), (3, 16), (3, 24), (4, 8), (4, 12), (5, 8)):
+        for _ in range(3):
+            scenario = fine_grid_scenario(rng, n, k)
+            calls.clear()
+            queries.clear()
+            try:
+                _ep_search(scenario)
+            except NoFeasibleOrderingError:
+                pass
+            roots = sum(solution is not None for _, _, solution in calls)
+            assert len(queries) == (n - 1) * roots
+            settled += factorial(n) - len(calls)
+            for _, density in scenario.players:
+                assert set(vars(density)) == {"pieces", "_cum", "_violations"}
+    assert settled > 0
+
+
 # --- shared outcome invariants --------------------------------------------------
+
+
+def test_contiguous_allocation_refuses_unsorted_cuts_and_empties_equal_ones():
+    with pytest.raises(AllocationError):
+        contiguous_allocation(("p1", "p2", "p3"), (F(2, 3), F(1, 3)))
+    allocation = contiguous_allocation(("p1", "p2", "p3"), (HALF, HALF))
+    assert allocation.portion("p2").is_empty
+    assert allocation.portion("p1").intervals == (Interval(ZERO, HALF),)
+    assert allocation.portion("p3").intervals == (Interval(HALF, ONE),)
 
 
 def test_outcomes_partition_the_cake_exactly():

@@ -32,7 +32,7 @@ from fairslice import (
     utilitarian_bound,
 )
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
-from fairslice.solve import check_point
+from fairslice.solve import _chain, _integer_rows, _settle_chain, check_point
 from helpers import (
     QUARTER_POOL,
     check_pareto_certificate,
@@ -239,6 +239,42 @@ def test_integer_walk_matches_the_fraction_walk(case, kind, fraction):
     # of it: only the cached index and verdict live on a density.
     for _, density in scenario.players:
         assert set(vars(density)) <= {"pieces", "_cum", "_violations"}
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.one_of(equal_value_cases(2, 5), equal_value_cases(2, 5, draw_long_density)),
+    st.sampled_from(("cum", "total", "prefix root", "root", "random")),
+    st.integers(0, 100),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**50),
+)
+def test_integer_settle_chain_matches_the_fraction_chain(case, kind, pick, fraction):
+    scenario, ordering = case
+    ordered = [scenario.players[i][1] for i in ordering]
+    # "cum" puts the first player's level on a cumulative-mass entry and
+    # "total" on the total; the root of the first two players alone, the
+    # second holding the rest, puts the second player's level on the total;
+    # the root of the whole ordering is a tie.
+    cum = ordered[0]._cum
+    prefix = equal_value_solve(Scenario(tuple(scenario.players[i] for i in ordering[:2])), (0, 1))
+    whole = equal_value_solve(scenario, ordering)
+    target = {
+        "cum": cum[pick % len(cum)],
+        "total": cum[-1],
+        "prefix root": fraction if prefix is None else prefix.common_value,
+        "root": fraction if whole is None else whole.common_value,
+        "random": fraction,
+    }[kind]
+    expected = None
+    cuts = _chain(ordered, target)
+    if cuts is not None:
+        value = ONE - ordered[-1].cdf(cuts[-1])
+        sign = (value > target) - (value < target)
+        expected = (sign, [(cut.numerator, cut.denominator) for cut in cuts])
+    rows = [_integer_rows(density) for density in ordered]
+    assert _settle_chain(rows, target.numerator, target.denominator) == expected
+    if kind == "root" and whole is not None:
+        assert expected[0] == 0
 
 
 @pytest.mark.parametrize("start", [F(-1, 100), F(101, 100), -1, 2])
