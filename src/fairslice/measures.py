@@ -8,11 +8,10 @@ top compare values exactly, with no tolerance anywhere.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -34,7 +33,6 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 # refused before parsing: CPython will not convert an integer string of more
 # than 4300 digits (its default int_max_str_digits).
 _MAX_INTEGER_CHARS = 4300
-_LO = attrgetter("lo")
 _FIRST = itemgetter(0)
 
 
@@ -236,9 +234,14 @@ class StepDensity:
     pieces tiling [0, 1]; every engine entry point calls ``require_valid``
     first. Validation or the first query builds a cumulative-mass index in
     O(k) for k pieces, whose last entry is the total mass that validation
-    checks; each query after that costs O(log k) (a bisection plus a few
-    exact operations). The verdict ``require_valid`` reads is kept per
-    object, so each density is validated once however many callers ask.
+    checks; each query after that costs O(log k). It finds its piece by a
+    binary search on integers, reading the numerators and denominators of
+    the density's own piece bounds or cumulative masses and comparing by
+    cross-multiplying, and builds one Fraction for its answer. Nothing else
+    is cached on a density: integer copies of its rows would keep several
+    lists alive per density for little gain. The verdict ``require_valid``
+    reads is kept per object, so each density is validated once however
+    many callers ask.
     """
 
     pieces: tuple[Piece, ...]
@@ -322,16 +325,38 @@ class StepDensity:
             cum.append(acc)
         return tuple(cum)
 
-    def _locate(self, x: Fraction) -> int:
-        """Index of the last piece starting at or left of x (0 if none)."""
-        return max(bisect_right(self.pieces, x, key=_LO) - 1, 0)
+    def _piece_at(self, xn: int, xd: int) -> int:
+        """Index of the last piece whose lower bound is at or left of
+        x = xn/xd (xd > 0), or 0 if none: a binary search that compares
+        by cross-multiplying the bounds' numerators and denominators."""
+        pieces = self.pieces
+        j, top = 0, len(pieces) - 1
+        while j < top:
+            mid = (j + top + 1) // 2
+            ln, ld = pieces[mid].lo.as_integer_ratio()
+            if ln * xd <= xn * ld:
+                j = mid
+            else:
+                top = mid - 1
+        return j
+
+    def _mass_left(self, xn: int, xd: int) -> tuple[int, int, int]:
+        """The piece j holding x = xn/xd (xd > 0), by ``_piece_at``, and
+        the mass left of x, cum_j + density_j·(x - lo_j), as an integer
+        pair n/d with d > 0, not reduced; no Fraction is built."""
+        j = self._piece_at(xn, xd)
+        piece = self.pieces[j]
+        cn, cd = self._cum[j].as_integer_ratio()
+        rn, rd = piece.density.as_integer_ratio()
+        if not rn:
+            return j, cn, cd
+        ln, ld = piece.lo.as_integer_ratio()
+        scale = rd * ld * xd
+        return j, cn * scale + rn * (xn * ld - ln * xd) * cd, cd * scale
 
     def _cdf(self, x: Fraction) -> Fraction:
-        j = self._locate(x)
-        piece = self.pieces[j]
-        if not piece.density:
-            return self._cum[j]
-        return self._cum[j] + piece.density * (x - piece.lo)
+        _, n, d = self._mass_left(*x.as_integer_ratio())
+        return Fraction(n, d)
 
     def mass(self, region: Union[Interval, IntervalSet]) -> Fraction:
         """Exact measure of a region: the cdf difference across each span."""
@@ -358,26 +383,51 @@ class StepDensity:
         """
         target = as_rational(target)
         start = as_rational(start)
-        if target < 0:
+        tn, td = target.as_integer_ratio()
+        sn, sd = start.as_integer_ratio()
+        if tn < 0:
             raise ValueError(f"quantile target {target} is negative")
-        if not (ZERO <= start <= ONE):
+        if not 0 <= sn <= sd:
             raise ValueError(f"quantile anchor {start} outside [0, 1]")
         if side not in ("left", "right"):
             raise ValueError(f"unknown quantile side {side!r}")
-        if side == "left" and target == 0:
+        left = side == "left"
+        if left and not tn:
             return start
         cum = self._cum
-        base = self._cdf(start)
-        level = base + target
-        if level > cum[-1]:
+        j, bn, bd = self._mass_left(sn, sd)
+        # The level ln/ld is the mass left of the answer: base + target.
+        ln, ld = bn * td + tn * bd, bd * td
+        total_n, total_d = cum[-1].as_integer_ratio()
+        if ln * total_d > total_n * ld:
             raise InsufficientMassError(_Deferred(
-                lambda: f"only {cum[-1] - base} mass available in [{start}, 1], needed {target}"
+                lambda: f"only {cum[-1] - Fraction(bn, bd)} mass available in [{start}, 1], "
+                f"needed {target}"
             ))
-        j = (bisect_left if side == "left" else bisect_right)(cum, level) - 1
-        if j == len(self.pieces):
+        # k: the last index whose cumulative mass lies below the level
+        # (left) or at most at it (right). cum_j <= base <= level, so the
+        # search starts at the piece holding ``start``.
+        k, top = j, len(cum) - 1
+        while k < top:
+            mid = (k + top + 1) // 2
+            cn, cd = cum[mid].as_integer_ratio()
+            if cn * ld < ln * cd or (not left and cn * ld == ln * cd):
+                k = mid
+            else:
+                top = mid - 1
+        if k == len(self.pieces):
             return ONE
-        piece = self.pieces[j]
-        return piece.lo + (level - cum[j]) / piece.density
+        # The cut lo_k + (level - cum_k) / density_k. The level lies past
+        # cum_k and at or before cum_(k+1) (left), or at or past cum_k and
+        # before cum_(k+1) (right), so piece k's density is positive.
+        piece = self.pieces[k]
+        cn, cd = cum[k].as_integer_ratio()
+        rn, rd = piece.density.as_integer_ratio()
+        lo_n, lo_d = piece.lo.as_integer_ratio()
+        scale = ld * cd
+        return Fraction(
+            lo_n * scale * rn + (ln * cd - cn * ld) * rd * lo_d, lo_d * scale * rn
+        )
 
     def quantile_left(self, target: RationalLike, start: RationalLike = ZERO) -> Fraction:
         """Leftmost x at or right of ``start`` with mass([start, x]) >= target.
@@ -408,7 +458,7 @@ class StepDensity:
         x = as_rational(x)
         if not (ZERO <= x <= ONE):
             raise ValueError(f"density_at argument {x} outside [0, 1]")
-        piece = self.pieces[self._locate(x)]
+        piece = self.pieces[self._piece_at(*x.as_integer_ratio())]
         return piece.density if piece.lo <= x < piece.hi else ZERO
 
 

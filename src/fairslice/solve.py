@@ -219,6 +219,10 @@ def equal_value_solve(
     reduced by one gcd, and compares by cross-multiplying. Only a root that
     lies inside its segment is built as a ``Fraction``, and the greedy
     chain at that root must give the last piece exactly the root's value.
+    That check is the walk's independent one: ``_chain`` and ``cdf`` run
+    on the density queries of ``measures``, whose integer kernel reads
+    each density's own ``Fraction``s and shares no code with the segment
+    loop.
 
     A right-hand limit L(start+) <= start leaves no root above ``start``
     and returns None at once. Otherwise L starts above the diagonal, and a

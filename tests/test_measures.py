@@ -25,6 +25,7 @@ from fairslice import (
 from helpers import (
     BREAK_POOL,
     dealt_portions,
+    draw_long_density,
     float_mass,
     gaps,
     merged_cover_partition,
@@ -255,6 +256,21 @@ def test_quantile_insufficient_mass():
     assert str(err.value) == "only 1/4 mass available in [3/4, 1], needed 1/2"
 
 
+def test_quantile_shortfall_text_on_a_zero_density_tail():
+    # The message renders the mass left of the anchor from the integer pair
+    # the kernel computed; the anchor sits in a positive piece or in the
+    # zero-density tail, and both sides refuse alike.
+    d = StepDensity.of((0, "1/2", 2), ("1/2", 1, 0))
+    for start, text in (
+        (F(3, 8), "only 1/4 mass available in [3/8, 1], needed 1/2"),
+        (F(3, 4), "only 0 mass available in [3/4, 1], needed 1/2"),
+    ):
+        for side in ("left", "right"):
+            with pytest.raises(InsufficientMassError) as err:
+                d.quantile(HALF, start, side)
+            assert str(err.value) == text
+
+
 def test_quantile_refuses_bad_arguments():
     d = StepDensity.uniform()
     with pytest.raises(ValueError, match="quantile target -1/2 is negative"):
@@ -472,6 +488,35 @@ def test_index_queries_match_scan_reference(d, s, data):
     assert d.median_interval() == Interval(
         scan_quantile_left(d, HALF), scan_plateau_end(d, HALF)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_index_queries_match_scan_reference_on_long_rationals(data):
+    """cdf, multi-span mass and quantiles on both sides equal the scans on
+    densities with 40- to 60-digit breakpoints: at breakpoints and at
+    off-grid points over large denominators, for a target of 0, one equal
+    to the suffix mass (which must succeed) and one just above it (which
+    must refuse)."""
+    d = data.draw(st.composite(draw_long_density)(), label="density")
+    off_grid = st.integers(10**40, 10**60).flatmap(
+        lambda q: st.integers(0, q).map(lambda p: F(p, q))
+    )
+    points = sorted({*d.breakpoints(), *data.draw(st.lists(off_grid, max_size=4), label="off grid")})
+    for x in points:
+        assert d.cdf(x) == scan_mass(d, ZERO, x)
+    spans = IntervalSet(tuple(Interval(a, b) for a, b in zip(points[::2], points[1::2])))
+    assert d.mass(spans) == sum((scan_mass(d, iv.lo, iv.hi) for iv in spans.intervals), ZERO)
+    start = data.draw(st.sampled_from(points), label="start")
+    suffix = scan_mass(d, start, ONE)
+    targets = {ZERO, suffix, *(scan_mass(d, start, x) for x in points if x > start)}
+    for target in sorted(targets):
+        assert d.quantile(target, start) == scan_quantile_left(d, target, start), target
+        assert d.quantile(target, start, "right") == scan_plateau_end(d, target, start), target
+    above = suffix + F(1, 10**70)
+    for side in ("left", "right"):
+        with pytest.raises(InsufficientMassError):
+            d.quantile(above, start, side)
 
 
 @settings(max_examples=60)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fairslice import (
     Allocation,
     FairsliceError,
+    Interval,
     IntervalSet,
     InvalidPlayersError,
     NonUniqueMedianError,
@@ -180,6 +181,54 @@ def test_envy_free_cut_and_choose_properties():
         if median.lo == median.hi:
             assert report.verdicts["p1"]
             assert report.matrix["p1"]["p1"] == HALF
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_envy_matrix_equals_the_mass_of_each_portion(data):
+    """The sweep scores exactly what ``mass`` does: multi-span portions
+    whose neighbours share an endpoint object or only an equal copy of it,
+    empty portions (equal cuts), and truth profiles in any player order."""
+    n = data.draw(st.integers(2, 4), label="n")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    scenario = Scenario(tuple((f"p{i + 1}", random_density(rng)) for i in range(n)))
+    cuts = sorted(data.draw(st.lists(st.sampled_from(QUARTER_POOL), max_size=5), label="cuts"))
+    bounds = [ZERO, *cuts, ONE]
+    spans = {name: [] for name in scenario.names}
+    for lo, hi in zip(bounds, bounds[1:]):
+        if data.draw(st.booleans(), label="copy"):
+            lo = F(lo.numerator, lo.denominator)  # equal, not the same object
+        spans[data.draw(st.sampled_from(scenario.names), label="owner")].append(Interval(lo, hi))
+    allocation = Allocation.of({name: IntervalSet(tuple(s)) for name, s in spans.items()})
+    order = data.draw(st.permutations(scenario.players), label="truth order")
+    truth = Scenario(tuple((name, random_density(rng)) for name, _ in order))
+    for profile in (None, truth):
+        report = envy_free_check(scenario, allocation, profile)
+        scored = scenario if profile is None else profile
+        assert list(report.matrix) == list(scenario.names)
+        for viewer in scenario.names:
+            density = scored.density(viewer)
+            assert list(report.matrix[viewer]) == list(scenario.names)
+            for owner in scenario.names:
+                assert report.matrix[viewer][owner] == density.mass(allocation.portion(owner))
+        diagonal = {name: report.matrix[name][name] for name in scenario.names}
+        assert report.values == diagonal
+        assert proportional_check(scenario, allocation, profile).values == diagonal
+
+
+def test_envy_sweep_takes_one_cdf_per_span_end(monkeypatch):
+    # The spans tile [0, 1], so n portions cost n cdf calls per viewer.
+    calls = []
+    cdf = StepDensity._cdf
+
+    def counted(density, x):
+        calls.append(x)
+        return cdf(density, x)
+
+    monkeypatch.setattr(StepDensity, "_cdf", counted)
+    scenario = Scenario(tuple((f"p{i}", StepDensity.uniform()) for i in range(1, 4)))
+    envy_free_check(scenario, contiguous_allocation(scenario.names, (F(1, 3), F(2, 3))))
+    assert len(calls) == 3 * 3
 
 
 # --- Pareto checks ----------------------------------------------------------------
