@@ -148,29 +148,31 @@ def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
     once and its entries share one ``Fraction``. Only strings are looked
     up or kept: a JSON ``true`` hashes equal to ``1``, so a table keyed by
     any value could hand it a bare integer's entry. A bad literal raises
-    at its first path.
+    at its first path. A missing key is reported before any literal of its
+    entry is read. Paths are built only for a literal the table misses or
+    to name an error, not once per entry.
     """
     out = []
-    for k, raw in enumerate(_require_list(doc, path)):
-        where = f"{path}[{k}]"
-        entry = _require_mapping(raw, where)
+    for k, entry in enumerate(_require_list(doc, path)):
+        if not isinstance(entry, dict):
+            _require_mapping(entry, f"{path}[{k}]")  # raises
         for key in keys:
             if key not in entry:
-                raise ParseError(f"{where}: missing {key!r}")
+                raise ParseError(f"{path}[{k}]: missing {key!r}")
         values = []
         for key in keys:
             literal = entry[key]
             if type(literal) is str:
                 value = literals.get(literal)
                 if value is None:
-                    value = literals[literal] = parse_rational(literal, f"{where}.{key}")
+                    value = literals[literal] = parse_rational(literal, f"{path}[{k}].{key}")
             else:
-                value = parse_rational(literal, f"{where}.{key}")
+                value = parse_rational(literal, f"{path}[{k}].{key}")
             values.append(value)
         try:
             out.append(make(*values))
         except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ParseError(f"{path}[{k}]: {exc}") from None
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
@@ -42,16 +43,8 @@ def as_rational(value: RationalLike) -> Fraction:
     Floats are rejected on purpose: binary floats silently misrepresent
     decimal constants, which would defeat exact replication.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ParseError(f"booleans are not rational values: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ParseError(
-            f"floats are rejected to keep arithmetic exact; write {value!r} as 'p/q'"
-        )
+    # Strings first: documents hold mostly string literals, and a failed
+    # isinstance test against Fraction goes through ABCMeta.
     if isinstance(value, str):
         text = value.strip()
         numerator, _, denominator = text.partition("/")
@@ -66,6 +59,16 @@ def as_rational(value: RationalLike) -> Fraction:
         if denominator:
             return Fraction(int(numerator), int(denominator))
         return Fraction(int(text))
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ParseError(f"booleans are not rational values: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ParseError(
+            f"floats are rejected to keep arithmetic exact; write {value!r} as 'p/q'"
+        )
     raise ParseError(f"cannot read a rational out of {type(value).__name__}")
 
 
@@ -96,11 +99,9 @@ class Interval:
             hi = as_rational(hi)
             object.__setattr__(self, "hi", hi)
         # 0 <= lo <= hi <= 1 on integers, denominators being positive.
-        if not (
-            0 <= lo.numerator
-            and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
-            and hi.numerator <= hi.denominator
-        ):
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        if not (0 <= ln and ln * hd <= hn * ld and hn <= hd):
             raise ValueError(f"invalid interval [{lo}, {hi}]")
 
     @property
@@ -216,9 +217,9 @@ class Piece:
             object.__setattr__(self, "density", as_rational(self.density))
         # A Fraction's denominator is positive, so 0 <= x <= 1 exactly when
         # 0 <= numerator <= denominator: two integer comparisons.
-        if not (
-            0 <= lo.numerator <= lo.denominator and 0 <= hi.numerator <= hi.denominator
-        ):
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        if not (0 <= ln <= ld and 0 <= hn <= hd):
             raise ValueError(f"piece bounds [{lo}, {hi}] outside [0, 1]")
 
 
@@ -232,16 +233,18 @@ class StepDensity:
     The queries (``mass``, ``cdf``, ``quantile``, ``quantile_left``,
     ``median_interval``, ``density_at``) assume a validated density, sorted
     pieces tiling [0, 1]; every engine entry point calls ``require_valid``
-    first. Validation or the first query builds a cumulative-mass index in
-    O(k) for k pieces, whose last entry is the total mass that validation
+    first. Validation is one sweep over the pieces on the integer ratio of
+    each bound. It or the first query builds a cumulative-mass index in
+    O(k) for k pieces, summed as an integer pair with one Fraction per
+    nonzero piece, whose last entry is the total mass that validation
     checks; each query after that costs O(log k). It finds its piece by a
     binary search on integers, reading the numerators and denominators of
     the density's own piece bounds or cumulative masses and comparing by
-    cross-multiplying, and builds one Fraction for its answer. Nothing else
-    is cached on a density: integer copies of its rows would keep several
-    lists alive per density for little gain. The verdict ``require_valid``
-    reads is kept per object, so each density is validated once however
-    many callers ask.
+    cross-multiplying, and builds one Fraction for its answer (``mass``
+    one for a whole interval set). Nothing else is cached on a density:
+    integer copies of its rows would keep several lists alive per density
+    for little gain. The verdict ``require_valid`` reads is kept per
+    object, so each density is validated once however many callers ask.
     """
 
     pieces: tuple[Piece, ...]
@@ -255,21 +258,28 @@ class StepDensity:
         return cls.of((ZERO, ONE, ONE))
 
     def validate(self) -> DensityReport:
+        """Every violation, in one sweep over the pieces: the two ends, then
+        each piece's width and sign, then each abutment, then the total."""
+        pieces = self.pieces
+        if not pieces:
+            return DensityReport((DensityViolation(GAP_OR_OVERLAP, "no pieces declared"),))
         found: list[DensityViolation] = []
-        if not self.pieces:
-            found.append(DensityViolation(GAP_OR_OVERLAP, "no pieces declared"))
-            return DensityReport(tuple(found))
-        if self.pieces[0].lo != ZERO:
+        if pieces[0].lo != ZERO:
             found.append(
-                DensityViolation(GAP_OR_OVERLAP, f"first piece starts at {self.pieces[0].lo}, not 0")
+                DensityViolation(GAP_OR_OVERLAP, f"first piece starts at {pieces[0].lo}, not 0")
             )
-        if self.pieces[-1].hi != ONE:
+        if pieces[-1].hi != ONE:
             found.append(
-                DensityViolation(GAP_OR_OVERLAP, f"last piece ends at {self.pieces[-1].hi}, not 1")
+                DensityViolation(GAP_OR_OVERLAP, f"last piece ends at {pieces[-1].hi}, not 1")
             )
-        for k, piece in enumerate(self.pieces):
+        seams: list[DensityViolation] = []
+        end = pieces[0].lo
+        end_ratio = end.as_integer_ratio()
+        for k, piece in enumerate(pieces):
             lo, hi = piece.lo, piece.hi
-            if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:
+            ln, ld = lo_ratio = lo.as_integer_ratio()
+            hn, hd = hi_ratio = hi.as_integer_ratio()
+            if ln * hd >= hn * ld:
                 found.append(
                     DensityViolation(GAP_OR_OVERLAP, f"piece {k} is empty or reversed: [{lo}, {hi}]")
                 )
@@ -277,14 +287,15 @@ class StepDensity:
                 found.append(
                     DensityViolation(NEGATIVE_DENSITY, f"piece {k} has density {piece.density}")
                 )
-        for k in range(len(self.pieces) - 1):
-            a, b = self.pieces[k], self.pieces[k + 1]
             # Ingest shares one Fraction per literal, so abutting pieces
-            # usually hold the same object and skip the comparison.
-            if a.hi is not b.lo and a.hi != b.lo:
-                found.append(
-                    DensityViolation(GAP_OR_OVERLAP, f"pieces {k} and {k + 1} do not abut: {a.hi} vs {b.lo}")
+            # usually hold the same object and skip the comparison; equal
+            # Fractions have equal integer ratios.
+            if lo is not end and lo_ratio != end_ratio:
+                seams.append(
+                    DensityViolation(GAP_OR_OVERLAP, f"pieces {k - 1} and {k} do not abut: {end} vs {lo}")
                 )
+            end, end_ratio = hi, hi_ratio
+        found += seams
         total = self._cum[-1]
         if total != ONE:
             found.append(DensityViolation(TOTAL_MASS_NOT_ONE, f"total mass is {total}"))
@@ -305,23 +316,23 @@ class StepDensity:
     def _cum(self) -> tuple[Fraction, ...]:
         """Entry j is the mass of [0, pieces[j].lo]; the last is the total.
 
-        Not a dataclass field, so equality and hashing ignore it. Built from
-        a list; a zero-density piece repeats the previous entry's object.
-        Each step forms acc + density * (hi - lo) over one common
-        denominator in integers, so one Fraction is built and reduced, not
-        three.
+        Not a dataclass field, so equality and hashing ignore it. The sum
+        runs on the integer pair of the previous entry: each nonzero piece
+        adds density * (hi - lo) over one common denominator and builds one
+        Fraction, whose reduced pair the next step reads; a zero-density
+        piece repeats the previous entry's object.
         """
         acc = ZERO
+        an, ad = 0, 1
         cum = [acc]
         for piece in self.pieces:
-            density, lo, hi = piece.density, piece.lo, piece.hi
-            if density.numerator:
-                den = density.denominator * lo.denominator * hi.denominator
-                width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-                acc = Fraction(
-                    acc.numerator * den + density.numerator * width * acc.denominator,
-                    acc.denominator * den,
-                )
+            rn, rd = piece.density.as_integer_ratio()
+            if rn:
+                ln, ld = piece.lo.as_integer_ratio()
+                hn, hd = piece.hi.as_integer_ratio()
+                den = rd * ld * hd
+                acc = Fraction(an * den + rn * (hn * ld - ln * hd) * ad, ad * den)
+                an, ad = acc.as_integer_ratio()
             cum.append(acc)
         return tuple(cum)
 
@@ -359,10 +370,20 @@ class StepDensity:
         return Fraction(n, d)
 
     def mass(self, region: Union[Interval, IntervalSet]) -> Fraction:
-        """Exact measure of a region: the cdf difference across each span."""
-        if isinstance(region, Interval):
-            return self._cdf(region.hi) - self._cdf(region.lo)
-        return sum((self._cdf(s.hi) - self._cdf(s.lo) for s in region.intervals), ZERO)
+        """Exact measure of a region: the cdf difference across each span,
+        summed as an integer pair from the ``_mass_left`` pairs of its ends
+        (reduced by one gcd between spans), with one Fraction built for the
+        answer; an empty set is worth 0."""
+        spans = (region,) if isinstance(region, Interval) else region.intervals
+        n, d = 0, 1
+        for span in spans:
+            if d != 1:
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            _, hn, hd = self._mass_left(*span.hi.as_integer_ratio())
+            _, ln, ld = self._mass_left(*span.lo.as_integer_ratio())
+            n, d = n * hd * ld + (hn * ld - ln * hd) * d, d * hd * ld
+        return Fraction(n, d)
 
     def cdf(self, x: RationalLike) -> Fraction:
         x = as_rational(x)

@@ -100,14 +100,14 @@ def _integer_rows(density: StepDensity) -> tuple[list[int], ...]:
     density's k + 1 piece bounds (the pieces tile [0, 1]), its k piece
     densities and its k + 1 cumulative masses."""
     pieces = density.pieces
-    bounds = [piece.lo for piece in pieces]
-    bounds.append(pieces[-1].hi)
-    rates = [piece.density for piece in pieces]
-    cum = density._cum
+    bounds = [piece.lo.as_integer_ratio() for piece in pieces]
+    bounds.append(pieces[-1].hi.as_integer_ratio())
+    rates = [piece.density.as_integer_ratio() for piece in pieces]
+    cum = [c.as_integer_ratio() for c in density._cum]
     return (
-        [b.numerator for b in bounds], [b.denominator for b in bounds],
-        [r.numerator for r in rates], [r.denominator for r in rates],
-        [c.numerator for c in cum], [c.denominator for c in cum],
+        [n for n, _ in bounds], [d for _, d in bounds],
+        [n for n, _ in rates], [d for _, d in rates],
+        [n for n, _ in cum], [d for _, d in cum],
     )
 
 

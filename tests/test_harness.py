@@ -1065,6 +1065,29 @@ def test_a_repeated_bad_literal_is_reported_at_its_first_path(tmp_path, capsys, 
     assert string_parses == ["0/8", "1/8", "1/0"]
 
 
+def test_a_missing_key_is_reported_before_a_bad_literal_of_its_entry():
+    players = [
+        uniform_player("A"),
+        {"name": "B", "pieces": [{"from": "oops", "density": 1}]},
+    ]
+    with pytest.raises(ParseError) as err:
+        load_document(doc(players))
+    assert str(err.value) == "players[1].pieces[0]: missing 'to'"
+
+
+def test_a_bad_literal_held_by_two_players_is_reported_where_it_first_appears():
+    players = [
+        {"name": "A", "pieces": [{"from": 0, "to": "1/2", "density": 1}, {"from": "1/2", "to": "2/x", "density": 1}]},
+        {"name": "B", "pieces": [{"from": "2/x", "to": 1, "density": 1}]},
+    ]
+    with pytest.raises(ParseError) as err:
+        load_document(doc(players[::-1]))
+    assert str(err.value) == "players[0].pieces[0].from: not a rational literal: '2/x'"
+    with pytest.raises(ParseError) as err:
+        load_document(doc(players))
+    assert str(err.value) == "players[0].pieces[1].to: not a rational literal: '2/x'"
+
+
 def test_true_after_the_literal_one_is_still_refused_as_a_boolean():
     # True and 1 are equal and hash equal, so a table that also kept bare
     # integers, or looked up any value, would hand back the Fraction of 1.

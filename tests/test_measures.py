@@ -80,6 +80,32 @@ def test_as_rational_caps_each_integer_not_the_literal():
         as_rational(f"{p}/{q}1")
 
 
+class _Text(str):
+    pass
+
+
+class _Ratio(F):
+    pass
+
+
+def test_as_rational_keeps_its_result_for_every_kind_of_value():
+    # Strings are tested first; no other kind of value may change its answer.
+    assert as_rational(_Text(" 3/4 ")) == F(3, 4) and type(as_rational(_Text("3/4"))) is F
+    with pytest.raises(ParseError) as err:
+        as_rational(_Text("x"))
+    assert str(err.value) == "not a rational literal: 'x'"
+    with pytest.raises(ParseError) as err:
+        as_rational(True)
+    assert str(err.value) == "booleans are not rational values: True"
+    with pytest.raises(ParseError) as err:
+        as_rational(1.5)
+    assert str(err.value) == "floats are rejected to keep arithmetic exact; write 1.5 as 'p/q'"
+    seven = as_rational(7)
+    assert seven == 7 and type(seven) is F
+    ratio = _Ratio(2, 3)
+    assert as_rational(ratio) is ratio
+
+
 # --- intervals and interval sets -------------------------------------------
 
 
@@ -195,6 +221,15 @@ def test_require_valid_raises_with_codes():
         (
             ((0, HALF, 0), (HALF, "3/4", 0), ("3/4", 1, 2)),
             "invalid density: TOTAL_MASS_NOT_ONE: total mass is 1/2",
+        ),
+        (
+            (("1/8", "1/4", 2), ("1/4", "1/8", 1), (HALF, "3/4", -1), ("3/4", "7/8", 3)),
+            "invalid density: GAP_OR_OVERLAP: first piece starts at 1/8, not 0; "
+            "GAP_OR_OVERLAP: last piece ends at 7/8, not 1; "
+            "GAP_OR_OVERLAP: piece 1 is empty or reversed: [1/4, 1/8]; "
+            "NEGATIVE_DENSITY: piece 2 has density -1; "
+            "GAP_OR_OVERLAP: pieces 1 and 2 do not abut: 1/8 vs 1/2; "
+            "TOTAL_MASS_NOT_ONE: total mass is 1/4",
         ),
     ],
 )
@@ -332,27 +367,28 @@ def test_piece_and_interval_keep_fraction_fields_and_convert_the_rest():
         Piece("x", 0.5, 1)
 
 
-def reference_codes(pieces) -> tuple:
-    """The codes ``validate`` reports, in its order, from plain Fraction
-    comparisons only."""
+def reference_violations(pieces) -> tuple:
+    """The (code, detail) pairs ``validate`` reports, in its order and
+    text, from plain Fraction comparisons only."""
     if not pieces:
-        return (GAP_OR_OVERLAP,)
-    codes = []
+        return ((GAP_OR_OVERLAP, "no pieces declared"),)
+    found = []
     if pieces[0].lo != ZERO:
-        codes.append(GAP_OR_OVERLAP)
+        found.append((GAP_OR_OVERLAP, f"first piece starts at {pieces[0].lo}, not 0"))
     if pieces[-1].hi != ONE:
-        codes.append(GAP_OR_OVERLAP)
-    for piece in pieces:
+        found.append((GAP_OR_OVERLAP, f"last piece ends at {pieces[-1].hi}, not 1"))
+    for k, piece in enumerate(pieces):
         if piece.lo >= piece.hi:
-            codes.append(GAP_OR_OVERLAP)
+            found.append((GAP_OR_OVERLAP, f"piece {k} is empty or reversed: [{piece.lo}, {piece.hi}]"))
         if piece.density < ZERO:
-            codes.append(NEGATIVE_DENSITY)
-    for a, b in zip(pieces, pieces[1:]):
+            found.append((NEGATIVE_DENSITY, f"piece {k} has density {piece.density}"))
+    for k, (a, b) in enumerate(zip(pieces, pieces[1:])):
         if a.hi != b.lo:
-            codes.append(GAP_OR_OVERLAP)
-    if sum((p.density * (p.hi - p.lo) for p in pieces), ZERO) != ONE:
-        codes.append(TOTAL_MASS_NOT_ONE)
-    return tuple(codes)
+            found.append((GAP_OR_OVERLAP, f"pieces {k} and {k + 1} do not abut: {a.hi} vs {b.lo}"))
+    total = sum((p.density * (p.hi - p.lo) for p in pieces), ZERO)
+    if total != ONE:
+        found.append((TOTAL_MASS_NOT_ONE, f"total mass is {total}"))
+    return tuple(found)
 
 
 UNIT = st.builds(F, st.integers(0, 6), st.just(6)) | st.sampled_from(BREAK_POOL)
@@ -389,7 +425,7 @@ def declared_pieces(draw):
 @given(declared_pieces())
 def test_validate_codes_match_plain_fraction_reference(pieces):
     density = StepDensity(pieces)
-    assert density.validate().codes == reference_codes(pieces)
+    assert density.validate().codes == tuple(code for code, _ in reference_violations(pieces))
     # the cumulative index adds each piece's mass exactly, and a zero-density
     # piece repeats the previous entry's object
     cum = density._cum
@@ -399,6 +435,13 @@ def test_validate_codes_match_plain_fraction_reference(pieces):
             assert after == before + piece.density * (piece.hi - piece.lo)
         else:
             assert after is before
+
+
+@settings(max_examples=300)
+@given(declared_pieces())
+def test_validate_text_matches_plain_fraction_reference(pieces):
+    violations = StepDensity(pieces).validate().violations
+    assert tuple((v.code, v.detail) for v in violations) == reference_violations(pieces)
 
 
 # --- property tests ---------------------------------------------------------
