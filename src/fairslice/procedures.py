@@ -381,10 +381,10 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     so the walk starts at t* and skips every segment below it.
 
     The chain at t* only has to tell the sign of L(t*) - t*, so it runs on
-    integers (``solve._settle_chain``), and its cuts become ``Fraction``s
-    only for a tie. Each distinct density is read into integer rows once
-    per search, and every walk, on any path, takes its ordering's rows
-    from that read; nothing is kept after the search.
+    integers (``solve._chain``), and its cuts become ``Fraction``s only for
+    a tie. The chains and the walks read each density's cached integer
+    index (``StepDensity._rows``), so players who share a density object
+    share its index, and the search itself keeps nothing.
 
     Strict mode must name every infeasible ordering, and the CE3 replay
     reports them too, so those callers set ``walk_all`` (strict mode
@@ -396,30 +396,24 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     _require_players(scenario)
     walk_all = walk_all or strict
     names = scenario.names
-    # Each density's integer rows, read once: a player whose density key
-    # names an earlier player shares that player's rows.
-    rows = []
-    for i, key in enumerate(scenario._density_keys):
-        rows.append(rows[key] if key < i else solve._integer_rows(scenario.players[i][1]))
+    densities = [density for _, density in scenario.players]
     best = None
     tied = []
     infeasible = []
     for perm in itertools.permutations(range(scenario.n)):
         ordered_names = tuple(names[i] for i in perm)
-        ordered_rows = [rows[i] for i in perm]
         if best is not None and not walk_all:
-            settled = solve._settle_chain(ordered_rows, best.numerator, best.denominator)
+            ordered = [densities[i] for i in perm]
+            settled = solve._chain(ordered, best.numerator, best.denominator)
             if settled is None or settled[0] < 0:
                 continue
             if settled[0] == 0:
                 cuts = tuple([Fraction(xn, xd) for xn, xd in settled[1]])
                 solution = solve.EqualValueSolution(cuts, best)
             else:  # L(t*) > t*, so the root lies above t*: walk from there.
-                solution = solve.equal_value_solve(
-                    scenario, perm, start=best, _rows=ordered_rows
-                )
+                solution = solve.equal_value_solve(scenario, perm, start=best)
         else:
-            solution = solve.equal_value_solve(scenario, perm, _rows=ordered_rows)
+            solution = solve.equal_value_solve(scenario, perm)
         if solution is None:
             infeasible.append(ordered_names)
         elif best is None or solution.common_value > best:

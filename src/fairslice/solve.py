@@ -13,11 +13,12 @@ index of the densities, and a segment costs one pass over the cuts with no
 bisection. Every segment end advances some cursor, so an ordering takes at
 most about twice the total piece count of its densities in segments. Like
 the simplex tableau, the segment loop is fraction-free: it runs on integer
-numerator/denominator pairs, and only the root is built as a ``Fraction``.
-The procedure search settles most orderings without a walk, by the sign of
-L(t*) - t* at its best value t* so far; ``_settle_chain`` computes that
-greedy chain on the same integer rows, which the search reads once per
-distinct density and hands to each walk.
+numerator/denominator pairs, read from each density's cached integer index
+(``StepDensity._rows``), and only the root is built as a ``Fraction``.
+The greedy chain, ``_chain``, is written once, on the integer cut kernel
+of ``measures``: ``greedy_cuts``, the walk's root check and the procedure
+search, which settles most orderings by the sign of L(t*) - t* at its best
+value t* so far, all call it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     InfeasibleSeedError,
-    InsufficientMassError,
     InvalidPlayersError,
     UnboundedError,
 )
@@ -67,18 +67,26 @@ def as_permutation(scenario: Scenario, ordering: Sequence) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def _chain(ordered: Sequence[StepDensity], target: Fraction) -> Optional[list[Fraction]]:
-    """Leftmost cuts worth ``target`` to each of ordered[:-1] in turn, or
-    None when one of them runs out of mass."""
-    position = ZERO
+def _chain(
+    ordered: Sequence[StepDensity], tn: int, td: int
+) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """The greedy chain at the target t = tn/td >= 0 (td > 0): each of the
+    first n - 1 densities takes the leftmost cut worth t after the previous
+    cut, by ``StepDensity._cut``. Returns None when one of them runs out of
+    mass, else the sign of L(t) - t, where L(t) is the last density's mass
+    right of the last cut, and the cuts as reduced (numerator, denominator)
+    pairs."""
+    xn, xd = 0, 1
     cuts = []
     for density in ordered[:-1]:
-        try:
-            position = density.quantile_left(target, position)
-        except InsufficientMassError:
+        cut = density._cut(tn, td, xn, xd, True)
+        if cut is None:
             return None
-        cuts.append(position)
-    return cuts
+        xn, xd = cut
+        cuts.append(cut)
+    _, basen, based = ordered[-1]._mass_left(xn, xd)
+    value = (based - basen) * td - tn * based
+    return (value > 0) - (value < 0), cuts
 
 
 def greedy_cuts(
@@ -87,91 +95,17 @@ def greedy_cuts(
     """Chain leftmost quantiles so each of the first n-1 pieces is worth
     exactly ``target`` to its assigned player.
 
-    Returns None when some chained quantile runs out of mass. The last
-    piece (the remainder) is not checked here.
+    Returns None when some chained quantile runs out of mass; a negative
+    target raises ValueError, as ``quantile`` does. The last piece (the
+    remainder) is not checked here.
     """
     idx = as_permutation(scenario, ordering)
-    cuts = _chain([scenario.players[i][1] for i in idx], as_rational(target))
-    return None if cuts is None else tuple(cuts)
-
-
-def _integer_rows(density: StepDensity) -> tuple[list[int], ...]:
-    """The numerators and denominators, as plain integer lists, of a
-    density's k + 1 piece bounds (the pieces tile [0, 1]), its k piece
-    densities and its k + 1 cumulative masses."""
-    pieces = density.pieces
-    bounds = [piece.lo.as_integer_ratio() for piece in pieces]
-    bounds.append(pieces[-1].hi.as_integer_ratio())
-    rates = [piece.density.as_integer_ratio() for piece in pieces]
-    cum = [c.as_integer_ratio() for c in density._cum]
-    return (
-        [n for n, _ in bounds], [d for _, d in bounds],
-        [n for n, _ in rates], [d for _, d in rates],
-        [n for n, _ in cum], [d for _, d in cum],
-    )
-
-
-def _settle_chain(
-    rows: Sequence[tuple[list[int], ...]], tn: int, td: int
-) -> Optional[tuple[int, list[tuple[int, int]]]]:
-    """``_chain`` at the target t = tn/td (td > 0) and the sign of L(t) - t,
-    on the ``_integer_rows`` of the ordered densities.
-
-    Each of the first n - 1 players takes the leftmost cut worth t after
-    the previous cut x, by the steps of ``quantile_left``: the piece j with
-    the last lo <= x, the level cum_j + density_j·(x - lo_j) + t, a refusal
-    when the level exceeds the total, and the cut lo_k + (level - cum_k) /
-    density_k on the last piece k with cum_k < level (a target of 0 leaves
-    the cut at x). Returns None on a refusal, else the sign of the last
-    piece's value 1 - F(x) minus t and the cuts as reduced (numerator,
-    denominator) pairs.
-    """
-    xn, xd = 0, 1
-    cuts = []
-    last = len(rows) - 1
-    for i, (bn, bd, rn, rd, cn, cd) in enumerate(rows):
-        # j: the last piece whose lower bound is at or left of x.
-        j, top = 0, len(rn) - 1
-        while j < top:
-            mid = (j + top + 1) // 2
-            if bn[mid] * xd <= xn * bd[mid]:
-                j = mid
-            else:
-                top = mid - 1
-        # base: the mass left of x, cum_j + density_j·(x - lo_j).
-        hn, hd = rn[j], rd[j]
-        if hn:
-            ln, ld = bn[j], bd[j]
-            scale = hd * ld * xd
-            basen = cn[j] * scale + hn * (xn * ld - ln * xd) * cd[j]
-            based = cd[j] * scale
-        else:
-            basen, based = cn[j], cd[j]
-        if i == last:
-            value = (based - basen) * td - tn * based
-            return (value > 0) - (value < 0), cuts
-        if tn:
-            lvn = basen * td + tn * based
-            lvd = based * td
-            g = gcd(lvn, lvd)
-            lvn, lvd = lvn // g, lvd // g
-            if lvn * cd[-1] > cn[-1] * lvd:
-                return None
-            # k: the last piece whose cumulative mass lies below the level;
-            # cum_j <= base < level, and the total is at least the level.
-            k, top = j, len(rn) - 1
-            while k < top:
-                mid = (k + top + 1) // 2
-                if cn[mid] * lvd < lvn * cd[mid]:
-                    k = mid
-                else:
-                    top = mid - 1
-            pn, pd, scale = rn[k], rd[k], lvd * cd[k]
-            xn = bn[k] * scale * pn + (lvn * cd[k] - cn[k] * lvd) * pd * bd[k]
-            xd = bd[k] * scale * pn
-            g = gcd(xn, xd)
-            xn, xd = xn // g, xd // g
-        cuts.append((xn, xd))
+    target = as_rational(target)
+    tn, td = target.as_integer_ratio()
+    if tn < 0:
+        raise ValueError(f"quantile target {target} is negative")
+    chained = _chain([scenario.players[i][1] for i in idx], tn, td)
+    return None if chained is None else tuple([Fraction(n, d) for n, d in chained[1]])
 
 
 @dataclass(frozen=True)
@@ -185,7 +119,6 @@ def equal_value_solve(
     ordering: Sequence,
     *,
     start: Fraction = ZERO,
-    _rows: Optional[Sequence[tuple[list[int], ...]]] = None,
 ) -> Optional[EqualValueSolution]:
     """Find a target t > ``start`` whose greedy cuts give the last piece
     value t too.
@@ -213,16 +146,14 @@ def equal_value_solve(
     reach their pieces in the same forward loops.
 
     The segment loop does no ``Fraction`` arithmetic. It runs on the
-    ``_integer_rows`` of the ordered densities, read at the start of the
-    walk or handed over in ``_rows`` by a caller that read them once for
-    many walks, keeps every rational as a (numerator, denominator) pair
-    reduced by one gcd, and compares by cross-multiplying. Only a root that
-    lies inside its segment is built as a ``Fraction``, and the greedy
-    chain at that root must give the last piece exactly the root's value.
-    That check is the walk's independent one: ``_chain`` and ``cdf`` run
-    on the density queries of ``measures``, whose integer kernel reads
-    each density's own ``Fraction``s and shares no code with the segment
-    loop.
+    cached integer index (``StepDensity._rows``) of each ordered density,
+    keeps every rational as a (numerator, denominator) pair reduced by one
+    gcd, and compares by cross-multiplying. Only a root that lies inside
+    its segment is built as a ``Fraction``, and the greedy chain at that
+    root must give the last piece exactly the root's value. That check is
+    the walk's independent one: ``_chain`` runs on the binary-search cut
+    and cdf kernel of ``measures``, which reads the same index but shares
+    no code with the segment loop's forward cursors.
 
     A right-hand limit L(start+) <= start leaves no root above ``start``
     and returns None at once. Otherwise L starts above the diagonal, and a
@@ -240,7 +171,7 @@ def equal_value_solve(
     if not (ZERO <= start <= ONE):
         raise ValueError(f"equal-value walk start {start} outside [0, 1]")
     ordered = [scenario.players[i][1] for i in idx]
-    rows = [_integer_rows(density) for density in ordered] if _rows is None else _rows
+    rows = [density._rows for density in ordered]
     last = len(ordered) - 1
     own = [0] * last
     anchor = [0] * len(ordered)
@@ -322,9 +253,10 @@ def equal_value_solve(
         next_n, next_d = tn * std + stn * td, td * std
         if tn * root_d < root_n * td and root_n * next_d <= next_n * root_d:
             root = Fraction(root_n, root_d)
-            cuts_root = _chain(ordered, root)
-            if cuts_root is not None and ONE - ordered[-1].cdf(cuts_root[-1]) == root:
-                return EqualValueSolution(tuple(cuts_root), root)
+            chained = _chain(ordered, root.numerator, root.denominator)
+            if chained is not None and chained[0] == 0:
+                cuts = tuple([Fraction(n, d) for n, d in chained[1]])
+                return EqualValueSolution(cuts, root)
             raise AssertionError("equal-value walk lost its root")
         g = gcd(next_n, next_d)
         tn, td = next_n // g, next_d // g

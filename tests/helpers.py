@@ -39,7 +39,7 @@ from fairslice import (
     run_procedure,
 )
 from fairslice.procedures import _ScriptRule
-from fairslice.solve import EqualValueSolution, _chain, as_permutation
+from fairslice.solve import EqualValueSolution, as_permutation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -256,6 +256,15 @@ def scan_plateau_end(density, target, start=ZERO):
     if x is None and acc == target:
         return ONE
     return x
+
+
+def scan_cumulative(density):
+    """The mass of [0, lo] for each piece's lo, then the total: plain
+    Fraction sums of density times width, piece by piece."""
+    cum = [ZERO]
+    for piece in density.pieces:
+        cum.append(cum[-1] + piece.density * (piece.hi - piece.lo))
+    return cum
 
 
 def scan_greedy_cuts(scenario, ordering, target):
@@ -581,8 +590,11 @@ def grid_screen_no_solution(scenario, ordering, steps=1000):
 def fraction_walk(scenario, ordering, start=ZERO):
     """The equal-value walk of ``solve.equal_value_solve`` with every
     quantity a ``Fraction``: the same segments, cursors, root test and
-    root check, for valid arguments."""
+    root check, for valid arguments. Its cumulative masses are its own
+    ``scan_cumulative`` sums, and it checks the root with a chain of public
+    ``quantile_left`` calls."""
     ordered = [scenario.players[i][1] for i in as_permutation(scenario, ordering)]
+    cums = [scan_cumulative(density) for density in ordered]
     last = len(ordered) - 1
     own = [0] * last
     anchor = [0] * len(ordered)
@@ -591,7 +603,7 @@ def fraction_walk(scenario, ordering, start=ZERO):
         x = slope = ZERO
         step = None
         for i, density in enumerate(ordered):
-            pieces, cum = density.pieces, density._cum
+            pieces, cum = density.pieces, cums[i]
             j = anchor[i]
             while j + 1 < len(pieces) and pieces[j + 1].lo <= x:
                 j += 1
@@ -622,8 +634,12 @@ def fraction_walk(scenario, ordering, start=ZERO):
         t_next = t + step
         root = (value_plus - value_slope * t) / (ONE - value_slope)
         if t < root <= t_next:
-            cuts_root = _chain(ordered, root)
-            if cuts_root is not None and ONE - ordered[-1].cdf(cuts_root[-1]) == root:
+            cuts_root = []
+            position = ZERO
+            for density in ordered[:-1]:
+                position = density.quantile_left(root, position)
+                cuts_root.append(position)
+            if ONE - ordered[-1].cdf(position) == root:
                 return EqualValueSolution(tuple(cuts_root), root)
             raise AssertionError("equal-value walk lost its root")
         t = t_next

@@ -306,6 +306,21 @@ def test_quantile_shortfall_text_on_a_zero_density_tail():
             assert str(err.value) == text
 
 
+def test_quantile_shortfall_past_the_digit_limit_still_raises_its_own_error():
+    # The anchor's denominator and the density's together put more than
+    # 4300 digits into the available mass, past CPython's default limit for
+    # int-to-str conversion, so the text cannot be rendered when the
+    # shortfall is raised; it is rendered only when read.
+    p, s = 10**2100 + 7, 10**2300 + 13
+    d = StepDensity.of((0, F(1, p), F(p, 2)), (F(1, p), 1, F(p, 2 * p - 2)))
+    start = F(1, p) + F(1, s)
+    with pytest.raises(ValueError, match="digits"):
+        str(ONE - d.cdf(start))
+    for side in ("left", "right"):
+        with pytest.raises(InsufficientMassError):
+            d.quantile(HALF, start, side)
+
+
 def test_quantile_refuses_bad_arguments():
     d = StepDensity.uniform()
     with pytest.raises(ValueError, match="quantile target -1/2 is negative"):
@@ -426,15 +441,18 @@ def declared_pieces(draw):
 def test_validate_codes_match_plain_fraction_reference(pieces):
     density = StepDensity(pieces)
     assert density.validate().codes == tuple(code for code, _ in reference_violations(pieces))
-    # the cumulative index adds each piece's mass exactly, and a zero-density
-    # piece repeats the previous entry's object
-    cum = density._cum
-    assert cum[0] == ZERO and len(cum) == len(pieces) + 1
+    # the cumulative pairs of the integer index are the plain Fraction sums
+    # of each piece's mass, reduced, and a zero-density piece repeats the
+    # previous pair
+    _, _, _, _, cn, cd = density._rows
+    cum = list(zip(cn, cd))
+    assert cum[0] == (0, 1) and len(cum) == len(pieces) + 1
+    total = ZERO
     for piece, before, after in zip(pieces, cum, cum[1:]):
-        if piece.density:
-            assert after == before + piece.density * (piece.hi - piece.lo)
-        else:
-            assert after is before
+        total += piece.density * (piece.hi - piece.lo)
+        assert after == (total.numerator, total.denominator)
+        if not piece.density:
+            assert after == before
 
 
 @settings(max_examples=300)

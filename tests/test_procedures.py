@@ -607,9 +607,9 @@ def test_pruned_ep_search_walks_from_the_best_value_so_far(monkeypatch, ce3, ce5
 
 
 def test_lenient_search_asks_quantiles_only_to_check_walked_roots(monkeypatch):
-    # Chains at the best value run on integer rows, so the only quantiles
-    # are the n - 1 of each root check, and the search leaves nothing on a
-    # density beyond its cached index and verdict.
+    # Chains at the best value and the walks' root checks run on the
+    # integer cut kernel, so the search asks no public quantile, and it
+    # leaves nothing on a density beyond its cached index and verdict.
     calls = _count_walks(monkeypatch)
     queries = []
     quantile = StepDensity.quantile
@@ -630,11 +630,10 @@ def test_lenient_search_asks_quantiles_only_to_check_walked_roots(monkeypatch):
                 _ep_search(scenario)
             except NoFeasibleOrderingError:
                 pass
-            roots = sum(solution is not None for _, _, solution in calls)
-            assert len(queries) == (n - 1) * roots
+            assert len(queries) == 0
             settled += factorial(n) - len(calls)
             for _, density in scenario.players:
-                assert set(vars(density)) == {"pieces", "_cum", "_violations"}
+                assert set(vars(density)) == {"pieces", "_rows", "_violations"}
     assert settled > 0
 
 

@@ -16,6 +16,7 @@ from fairslice import (
     IntervalSet,
     LinearConstraint,
     LinearProgram,
+    ParseError,
     Scenario,
     StepDensity,
     UnboundedError,
@@ -32,7 +33,7 @@ from fairslice import (
     utilitarian_bound,
 )
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
-from fairslice.solve import _chain, _integer_rows, _settle_chain, check_point
+from fairslice.solve import _chain, check_point
 from helpers import (
     QUARTER_POOL,
     check_pareto_certificate,
@@ -46,7 +47,9 @@ from helpers import (
     random_lp,
     random_scenario,
     ratio_sweep_dominated,
+    scan_cumulative,
     scan_density_at,
+    scan_greedy_cuts,
     scan_mass,
     vertex_enumeration_max,
 )
@@ -83,6 +86,19 @@ def test_greedy_cuts_infeasible(ce3):
 def test_greedy_cuts_rejects_non_permutations(ce3):
     with pytest.raises(ValueError):
         greedy_cuts(ce3, ("P1", "P2"), HALF)
+
+
+def test_greedy_cuts_argument_contract():
+    # A negative target is refused with quantile's text, a float is refused
+    # before any cut, and a target no suffix can supply leaves no chain.
+    trio = uniform_trio()
+    with pytest.raises(ValueError, match="^quantile target -1/2 is negative$"):
+        greedy_cuts(trio, (0, 1, 2), -HALF)
+    with pytest.raises(ParseError):
+        greedy_cuts(trio, (0, 1, 2), 0.5)
+    assert greedy_cuts(trio, (0, 1, 2), HALF) == (HALF, ONE)
+    assert greedy_cuts(trio, (0, 1, 2), F(3, 4)) is None
+    assert greedy_cuts(trio, (0, 1, 2), F(2)) is None
 
 
 # --- equal-value solve --------------------------------------------------------
@@ -235,10 +251,10 @@ def test_integer_walk_matches_the_fraction_walk(case, kind, fraction):
     assert equal_value_solve(scenario, ordering, start=start) == fraction_walk(
         scenario, ordering, start
     )
-    # The walk reads each density into integers for itself and keeps none
-    # of it: only the cached index and verdict live on a density.
+    # The walk keeps nothing of its own on a density: only the cached
+    # integer index and verdict live there.
     for _, density in scenario.players:
-        assert set(vars(density)) <= {"pieces", "_cum", "_violations"}
+        assert set(vars(density)) <= {"pieces", "_rows", "_violations"}
 
 
 @settings(max_examples=250, deadline=None)
@@ -255,7 +271,7 @@ def test_integer_settle_chain_matches_the_fraction_chain(case, kind, pick, fract
     # "total" on the total; the root of the first two players alone, the
     # second holding the rest, puts the second player's level on the total;
     # the root of the whole ordering is a tie.
-    cum = ordered[0]._cum
+    cum = scan_cumulative(ordered[0])
     prefix = equal_value_solve(Scenario(tuple(scenario.players[i] for i in ordering[:2])), (0, 1))
     whole = equal_value_solve(scenario, ordering)
     target = {
@@ -266,13 +282,12 @@ def test_integer_settle_chain_matches_the_fraction_chain(case, kind, pick, fract
         "random": fraction,
     }[kind]
     expected = None
-    cuts = _chain(ordered, target)
+    cuts = scan_greedy_cuts(scenario, ordering, target)
     if cuts is not None:
-        value = ONE - ordered[-1].cdf(cuts[-1])
+        value = scan_mass(ordered[-1], cuts[-1], ONE)
         sign = (value > target) - (value < target)
         expected = (sign, [(cut.numerator, cut.denominator) for cut in cuts])
-    rows = [_integer_rows(density) for density in ordered]
-    assert _settle_chain(rows, target.numerator, target.denominator) == expected
+    assert _chain(ordered, target.numerator, target.denominator) == expected
     if kind == "root" and whole is not None:
         assert expected[0] == 0
 
