@@ -2,9 +2,13 @@
 
 Three engines live here: a parametric solver for the equal-value cut
 systems; a trade-rate closure on cell decompositions that decides Pareto
-optimality and certifies it with weights; and a dense two-phase exact
-simplex with Bland's rule, on integer tableau rows, which builds the
-dominating allocation once the closure has found one to exist.
+optimality and certifies it with weights; and a two-phase exact revised
+simplex with Bland's rule, which builds the dominating allocation once
+the closure has found one to exist. The simplex keeps the constraint
+matrix as sparse integer columns and each tableau row as its integer
+multipliers of the constraint rows over one denominator, so a pivot
+updates r + 1 integers in each row it touches, for r constraints, not one
+per tableau column.
 
 The equal-value solver walks the target value t upward over the affine
 segments of the greedy leftmost cuts. Cuts only move right as t grows, so
@@ -295,9 +299,12 @@ class LinearProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "objective", tuple(as_rational(c) for c in self.objective))
+        object.__setattr__(self, "constraints", tuple(self.constraints))
         if len(self.objective) != self.n_vars:
             raise ValueError("objective length does not match variable count")
         for c in self.constraints:
+            if not isinstance(c, LinearConstraint):
+                raise ValueError(f"{c!r} is not a LinearConstraint")
             if len(c.coeffs) != self.n_vars:
                 raise ValueError("constraint width does not match variable count")
 
@@ -309,7 +316,13 @@ class SimplexResult:
 
 
 def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> Optional[str]:
-    """Describe the first constraint the point violates, or None."""
+    """Describe the first constraint the point violates, or None.
+
+    Each coordinate is read with ``as_rational``, as ``simplex_max`` reads
+    its seed: a ``"p/q"`` string counts, and a bool or a float raises
+    ParseError.
+    """
+    point = [as_rational(v) for v in point]
     if len(point) != lp.n_vars:
         return f"point has {len(point)} coordinates, expected {lp.n_vars}"
     for j, v in enumerate(point):
@@ -323,38 +336,35 @@ def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> Optional[str]:
 
 
 def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
-    """Exact two-phase simplex with Bland's rule on both pivot choices.
+    """Exact two-phase revised simplex with Bland's rule on both pivot
+    choices.
 
     The seed is only used to certify feasibility up front; the optimum is
     found from scratch. Bland's rule rules out cycling, so termination is
-    unconditional. The tableau is fraction-free: each row is a list of int
-    numerators over one positive row denominator, divided by their gcd
-    after every update. Every entry is the exact rational a ``Fraction``
-    tableau would hold, so every pivot choice is the same; only the final
-    basic values become fractions.
+    unconditional.
+
+    Each constraint is scaled to integers once, and negated if its
+    right-hand side is negative. The matrix M of these rows, with their
+    slack and artificial columns, is stored as sparse columns of (row,
+    value) pairs. Tableau row i is e_i·M / d_i and is never stored: it is
+    kept as its r integer multipliers e_i and its right-hand-side
+    numerator, reduced by their gcd, over a positive d_i. Every tableau
+    entry is the exact rational a dense ``Fraction`` tableau would hold,
+    so every pivot choice is the same; only the final basic values become
+    fractions.
     """
     point = tuple(as_rational(v) for v in seed)
-    violation = check_point(lp, point)
-    if violation is not None:
-        raise InfeasibleSeedError(violation)
-
-    senses = [SENSES[c.sense][1] if c.rhs < 0 else c.sense for c in lp.constraints]
-
-    n = lp.n_vars
-    next_col = n
-    slack_col: dict[int, int] = {}
-    art_col: dict[int, int] = {}
-    for i, sense in enumerate(senses):
-        if sense != "==":
-            slack_col[i] = next_col
-            next_col += 1
-    first_art = next_col
-    for i, sense in enumerate(senses):
-        if sense != "<=":
-            art_col[i] = next_col
-            next_col += 1
-    width = next_col
-
+    n, r = lp.n_vars, len(lp.constraints)
+    # The seed, over one common denominator, is checked on the integer
+    # rows as they are built; check_point only words a refusal.
+    scale = lcm(*[v.denominator for v in point])
+    x = [v.numerator * (scale // v.denominator) for v in point]
+    feasible = len(x) == n and all(v >= 0 for v in x)
+    # Columns: the n variables, a slack for each inequality, then an
+    # artificial for each row that is not <= once its sign is fixed.
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    slacks, arts = [], []
+    first_art = n + sum(c.sense != "==" for c in lp.constraints)
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
@@ -362,119 +372,138 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
         terms = [(j, a) for j, a in enumerate(c.coeffs) if a]
         den = lcm(c.rhs.denominator, *[a.denominator for _, a in terms])
         sign = -1 if c.rhs < 0 else 1
-        row = [0] * (width + 1)
+        terms = [(j, sign * a.numerator * (den // a.denominator)) for j, a in terms]
         for j, a in terms:
-            row[j] = sign * a.numerator * (den // a.denominator)
-        if i in slack_col:
-            row[slack_col[i]] = den if senses[i] == "<=" else -den
-        if i in art_col:
-            row[art_col[i]] = den
-        row[width] = sign * c.rhs.numerator * (den // c.rhs.denominator)
+            columns[j].append((i, a))
+        rhs = sign * c.rhs.numerator * (den // c.rhs.denominator)
+        sense = SENSES[c.sense][1] if sign < 0 else c.sense
+        if feasible:
+            feasible = SENSES[sense][0](sum([a * x[j] for j, a in terms]), rhs * scale)
+        row = [0] * (r + 1)
+        row[i], row[r] = 1, rhs
         rows.append(row)
         dens.append(den)
-        basis.append(art_col[i] if i in art_col else slack_col[i])
+        if sense != "==":
+            slacks.append([(i, den if sense == "<=" else -den)])
+        if sense == "<=":
+            basis.append(n + len(slacks) - 1)
+        else:
+            basis.append(first_art + len(arts))
+            arts.append([(i, den)])
+    if not feasible:
+        raise InfeasibleSeedError(check_point(lp, point))
+    columns += slacks + arts
 
-    if art_col:
-        den = lcm(*[dens[i] for i in art_col])
-        obj = [0] * (width + 1)
-        for i in art_col:
-            scale = den // dens[i]
-            obj = [x + scale * y for x, y in zip(obj, rows[i])]
-        for col in art_col.values():
-            obj[col] -= den
-        _optimize(rows, dens, basis, [obj, den])
-        for i, b in enumerate(basis):
-            if b >= first_art and rows[i][width] != 0:
+    if arts:
+        _optimize(rows, dens, basis, columns, [0] * first_art + [-1] * len(arts), r)
+        for row, b in zip(rows, basis):
+            if b >= first_art and row[r] != 0:
                 raise InfeasibleSeedError(
                     "constraints proved infeasible despite the seed; seed check is broken"
                 )
         for i in reversed(range(len(basis))):
             if basis[i] < first_art:
                 continue
-            pivot_col = next((j for j in range(first_art) if rows[i][j] != 0), None)
+            pivot_col = next((j for j in range(first_art) if _entry(rows[i], columns[j])), None)
             if pivot_col is None:
                 del rows[i], dens[i], basis[i]
             else:
-                _pivot(rows, dens, basis, None, i, pivot_col)
+                column = columns[pivot_col]
+                _pivot(rows, dens, basis, i, pivot_col, [_entry(row, column) for row in rows])
         # No artificial column is basic now, and none may enter again.
-        for row in rows:
-            del row[first_art:width]
-        width = first_art
+        del columns[first_art:]
 
     den = lcm(*[cj.denominator for cj in lp.objective])
-    obj = [0] * (width + 1)
-    for j, cj in enumerate(lp.objective):
-        obj[j] = cj.numerator * (den // cj.denominator)
-    objective = [obj, den]
-    for i, b in enumerate(basis):
-        if objective[0][b] != 0:
-            objective[:] = _eliminate(objective[0], objective[1], rows[i], b)
-    _optimize(rows, dens, basis, objective)
+    cost = [cj.numerator * (den // cj.denominator) for cj in lp.objective]
+    _optimize(rows, dens, basis, columns, cost + [0] * (first_art - n), r)
 
     solution = [ZERO] * n
-    for i, b in enumerate(basis):
+    for row, den, b in zip(rows, dens, basis):
         if b < n:
-            solution[b] = Fraction(rows[i][width], dens[i])
+            solution[b] = Fraction(row[r], den)
     value = sum((cj * xj for cj, xj in zip(lp.objective, solution)), ZERO)
     return SimplexResult(value=value, point=tuple(solution))
 
 
-def _optimize(rows, dens, basis, objective):
-    """Pivot by Bland's rule until no objective entry is positive.
+def _entry(row, column):
+    """A row's numerator in a sparse column: its multipliers times the
+    column's (row, value) pairs."""
+    total = 0
+    for k, a in column:
+        total += row[k] * a
+    return total
 
-    ``objective`` is a mutable [numerators, denominator] pair. A row's
-    ratio rhs/a is a quotient of its own numerators, so two ratios compare
-    by cross-multiplying.
+
+def _optimize(rows, dens, basis, columns, cost, r):
+    """Pivot by Bland's rule until no column prices positive.
+
+    The objective row is cost - Σ cost[b_i]·row_i over the basic rows, so
+    it is zero on every basic column. Only the signs of its entries are
+    read, so it is kept up to a positive factor, as alpha·cost + mu·M for
+    an integer alpha > 0 and r integer multipliers mu.
     """
-    width = len(objective[0]) - 1
+    mu, alpha = [0] * r, 1
+    for i, b in enumerate(basis):
+        f = alpha * cost[b] + _entry(mu, columns[b])
+        if f:
+            mu, alpha = _eliminate(mu, alpha, rows[i], dens[i], f)
     while True:
-        obj = objective[0]
-        enter = next((j for j in range(width) if obj[j] > 0), None)
-        if enter is None:
+        basic = set(basis)
+        for enter, column in enumerate(columns):
+            if enter not in basic:
+                f = alpha * cost[enter] + _entry(mu, column)
+                if f > 0:
+                    break
+        else:
             return
+        # A row's ratio rhs/a is a quotient of its own numerators, so two
+        # ratios compare by cross-multiplying.
+        col = [_entry(row, column) for row in rows]
         leave = None
-        for i, row in enumerate(rows):
-            a = row[enter]
+        for i, a in enumerate(col):
             if a > 0:
                 if leave is not None:
-                    lhs, rhs = row[width] * best_a, best_rhs * a
+                    lhs, rhs = rows[i][r] * best_a, best_rhs * a
                     if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                         continue
-                leave, best_rhs, best_a = i, row[width], a
+                leave, best_rhs, best_a = i, rows[i][r], a
         if leave is None:
             raise UnboundedError("objective is unbounded above")
-        _pivot(rows, dens, basis, objective, leave, enter)
+        row, p = _pivot(rows, dens, basis, leave, enter, col)
+        mu, alpha = _eliminate(mu, alpha, row, p, f)
 
 
-def _pivot(rows, dens, basis, objective, leave, enter):
-    """Make ``enter`` basic in row ``leave``: that row's value is its
-    numerators over its own entry at ``enter`` (negated if that entry is
-    negative), and the column is then eliminated from every other row."""
-    row = rows[leave]
-    if row[enter] < 0:
-        row = [-a for a in row]
+def _pivot(rows, dens, basis, leave, enter, col):
+    """Make ``enter`` basic in row ``leave``, given each row's numerator
+    ``col`` in that column: the row is negated if its entry is negative,
+    reduced by its gcd, and takes that entry as its denominator, and the
+    column is then eliminated from every other row where it is nonzero.
+    Returns the new pivot row and its denominator."""
+    row, p = rows[leave], col[leave]
+    if p < 0:
+        row, p = [-a for a in row], -p
+    # The entry is a sum of multiples of the multipliers, so g divides it.
     g = gcd(*row)
     if g > 1:
-        row = [a // g for a in row]
-    rows[leave] = row
-    dens[leave] = row[enter]
-    for i, other in enumerate(rows):
-        if i != leave and other[enter] != 0:
-            rows[i], dens[i] = _eliminate(other, dens[i], row, enter)
-    if objective is not None and objective[0][enter] != 0:
-        objective[:] = _eliminate(objective[0], objective[1], row, enter)
-    basis[leave] = enter
+        row, p = [a // g for a in row], p // g
+    rows[leave], dens[leave], basis[leave] = row, p, enter
+    for i, f in enumerate(col):
+        if f and i != leave:
+            rows[i], dens[i] = _eliminate(rows[i], dens[i], row, p, f)
+    return row, p
 
 
-def _eliminate(row, den, pivot_row, col):
-    """Subtract the multiple of a basic row that zeroes ``row[col]``.
+def _eliminate(row, den, pivot_row, p, f):
+    """Subtract the multiple of a basic row that zeroes an entry.
 
-    ``row`` holds numerators over ``den``. ``pivot_row`` is basic in
-    ``col``, so its entry there equals its own (positive) denominator p,
-    and row - (f/den)·pivot_row/p = (row·p - f·pivot_row) / (den·p).
+    ``row`` holds numerators over ``den``, with numerator f in the pivot
+    column, and ``pivot_row`` is basic there with entry p over its own
+    denominator p, so row - (f/den)·pivot_row/p = (row·p - f·pivot_row) /
+    (den·p). The objective passes its multipliers mu as ``row`` and alpha
+    as ``den``: alpha·cost + mu·M updates the same way, and the zip, which
+    stops at the shorter list, leaves out the pivot row's right-hand side.
     Returns the new numerators and denominator, reduced by their gcd.
     """
-    p, f = pivot_row[col], row[col]
     new = [a * p - f * b for a, b in zip(row, pivot_row)]
     den *= p
     g = gcd(den, *new)

@@ -9,12 +9,14 @@ certificate check recomputes the cells and the dual value by scans, and
 the equal-value oracle scans a coarse grid and refines a bracket with
 exact chords, on top of the scan queries. ``fraction_walk`` is the
 equal-value walk written in ``Fraction`` arithmetic, the reference for the
-engine's integer walk. The best-ordering oracle for the
-equal-value procedure solves every ordering and keeps the maximum, with no
-pruning. The tie-enumeration reference replays every branch on a fresh
-scenario, so no branch reads an answer another branch left in a memo. The
-partition reference merges every span and sums the lengths, where
-``Allocation`` sweeps its sorted spans.
+engine's integer walk, and ``dense_simplex`` is the simplex on a dense
+fraction-free tableau, the reference for the engine's revised simplex.
+The best-ordering oracle for the equal-value procedure solves every
+ordering and keeps the maximum, with no pruning. The tie-enumeration
+reference replays every branch on a fresh scenario, so no branch reads an
+answer another branch left in a memo. The partition reference merges
+every span and sums the lengths, where ``Allocation`` sweeps its sorted
+spans.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
 from fairslice import (
     Allocation,
+    InfeasibleSeedError,
     Interval,
     IntervalSet,
     LinearConstraint,
@@ -34,12 +38,20 @@ from fairslice import (
     NoFeasibleOrderingError,
     Scenario,
     StepDensity,
+    UnboundedError,
+    as_rational,
     contiguous_allocation,
     equal_value_solve,
     run_procedure,
 )
 from fairslice.procedures import _ScriptRule
-from fairslice.solve import EqualValueSolution, as_permutation
+from fairslice.solve import (
+    SENSES,
+    EqualValueSolution,
+    SimplexResult,
+    as_permutation,
+    check_point,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -414,6 +426,151 @@ def random_lp(rng, max_vars=4, max_rows=5):
     constraints.append(LinearConstraint(tuple(ONE for _ in range(n)), "<=", bound))
     objective = tuple(Fraction(rng.randint(-3, 5)) for _ in range(n))
     return LinearProgram(n, objective, tuple(constraints)), tuple(x0)
+
+
+def dense_simplex(lp, seed, pivots=None):
+    """``solve.simplex_max`` on a dense fraction-free tableau: every row is
+    stored in full, as int numerators over one positive row denominator
+    divided by their gcd after every update, and the objective row is a
+    tableau row of its own. The same Bland pivots, Phase-1 drive-out and
+    final vertex; the seed is checked by ``check_point``. A ``pivots``
+    list, if given, receives each pivot's (row, column) in order."""
+    point = tuple(as_rational(v) for v in seed)
+    violation = check_point(lp, point)
+    if violation is not None:
+        raise InfeasibleSeedError(violation)
+
+    senses = [SENSES[c.sense][1] if c.rhs < 0 else c.sense for c in lp.constraints]
+
+    n = lp.n_vars
+    next_col = n
+    slack_col = {}
+    art_col = {}
+    for i, sense in enumerate(senses):
+        if sense != "==":
+            slack_col[i] = next_col
+            next_col += 1
+    first_art = next_col
+    for i, sense in enumerate(senses):
+        if sense != "<=":
+            art_col[i] = next_col
+            next_col += 1
+    width = next_col
+
+    rows, dens, basis = [], [], []
+    for i, c in enumerate(lp.constraints):
+        terms = [(j, a) for j, a in enumerate(c.coeffs) if a]
+        den = lcm(c.rhs.denominator, *[a.denominator for _, a in terms])
+        sign = -1 if c.rhs < 0 else 1
+        row = [0] * (width + 1)
+        for j, a in terms:
+            row[j] = sign * a.numerator * (den // a.denominator)
+        if i in slack_col:
+            row[slack_col[i]] = den if senses[i] == "<=" else -den
+        if i in art_col:
+            row[art_col[i]] = den
+        row[width] = sign * c.rhs.numerator * (den // c.rhs.denominator)
+        rows.append(row)
+        dens.append(den)
+        basis.append(art_col[i] if i in art_col else slack_col[i])
+
+    if art_col:
+        den = lcm(*[dens[i] for i in art_col])
+        obj = [0] * (width + 1)
+        for i in art_col:
+            scale = den // dens[i]
+            obj = [x + scale * y for x, y in zip(obj, rows[i])]
+        for col in art_col.values():
+            obj[col] -= den
+        _dense_optimize(rows, dens, basis, [obj, den], pivots)
+        for i, b in enumerate(basis):
+            if b >= first_art and rows[i][width] != 0:
+                raise InfeasibleSeedError(
+                    "constraints proved infeasible despite the seed; seed check is broken"
+                )
+        for i in reversed(range(len(basis))):
+            if basis[i] < first_art:
+                continue
+            pivot_col = next((j for j in range(first_art) if rows[i][j] != 0), None)
+            if pivot_col is None:
+                del rows[i], dens[i], basis[i]
+            else:
+                _dense_pivot(rows, dens, basis, None, i, pivot_col, pivots)
+        for row in rows:
+            del row[first_art:width]
+        width = first_art
+
+    den = lcm(*[cj.denominator for cj in lp.objective])
+    obj = [0] * (width + 1)
+    for j, cj in enumerate(lp.objective):
+        obj[j] = cj.numerator * (den // cj.denominator)
+    objective = [obj, den]
+    for i, b in enumerate(basis):
+        if objective[0][b] != 0:
+            objective[:] = _dense_eliminate(objective[0], objective[1], rows[i], b)
+    _dense_optimize(rows, dens, basis, objective, pivots)
+
+    solution = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            solution[b] = Fraction(rows[i][width], dens[i])
+    value = sum((cj * xj for cj, xj in zip(lp.objective, solution)), ZERO)
+    return SimplexResult(value=value, point=tuple(solution))
+
+
+def _dense_optimize(rows, dens, basis, objective, pivots):
+    """Pivot by Bland's rule until no objective entry is positive;
+    ``objective`` is a mutable [numerators, denominator] pair."""
+    width = len(objective[0]) - 1
+    while True:
+        obj = objective[0]
+        enter = next((j for j in range(width) if obj[j] > 0), None)
+        if enter is None:
+            return
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave is not None:
+                    lhs, rhs = row[width] * best_a, best_rhs * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, best_rhs, best_a = i, row[width], a
+        if leave is None:
+            raise UnboundedError("objective is unbounded above")
+        _dense_pivot(rows, dens, basis, objective, leave, enter, pivots)
+
+
+def _dense_pivot(rows, dens, basis, objective, leave, enter, pivots):
+    if pivots is not None:
+        pivots.append((leave, enter))
+    row = rows[leave]
+    if row[enter] < 0:
+        row = [-a for a in row]
+    g = gcd(*row)
+    if g > 1:
+        row = [a // g for a in row]
+    rows[leave] = row
+    dens[leave] = row[enter]
+    for i, other in enumerate(rows):
+        if i != leave and other[enter] != 0:
+            rows[i], dens[i] = _dense_eliminate(other, dens[i], row, enter)
+    if objective is not None and objective[0][enter] != 0:
+        objective[:] = _dense_eliminate(objective[0], objective[1], row, enter)
+    basis[leave] = enter
+
+
+def _dense_eliminate(row, den, pivot_row, col):
+    """(row·p - f·pivot_row) / (den·p) for p = pivot_row[col] and
+    f = row[col], reduced by the gcd."""
+    p, f = pivot_row[col], row[col]
+    new = [a * p - f * b for a, b in zip(row, pivot_row)]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [a // g for a in new]
+        den //= g
+    return new, den
 
 
 # ---------------------------------------------------------------------------

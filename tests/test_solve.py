@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,11 +33,13 @@ from fairslice import (
     simplex_max,
     utilitarian_bound,
 )
+from fairslice import solve
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.solve import _chain, check_point
 from helpers import (
     QUARTER_POOL,
     check_pareto_certificate,
+    dense_simplex,
     draw_grid_density,
     draw_long_density,
     fine_grid_scenario,
@@ -420,6 +423,30 @@ def test_simplex_against_vertex_enumeration_sample():
         assert result.value == oracle
 
 
+def with_redundant_equalities(rng, plain, seed):
+    """The LP with a copy of one of its == rows, scaled by -2 so it is also
+    sign-flipped, put first, and an all-zero == row put last; an LP with
+    no == row first gains one through the seed. Returns the plain LP and
+    the redundant one."""
+    equalities = [c for c in plain.constraints if c.sense == "=="]
+    if equalities:
+        row = rng.choice(equalities)
+    else:
+        coeffs = tuple(F(rng.randint(1, 5)) for _ in range(plain.n_vars))
+        row = LinearConstraint(coeffs, "==", sum(a * x for a, x in zip(coeffs, seed)))
+        plain = LinearProgram(plain.n_vars, plain.objective, (*plain.constraints, row))
+    redundant = LinearProgram(
+        plain.n_vars,
+        plain.objective,
+        (
+            LinearConstraint(tuple(-2 * a for a in row.coeffs), "==", -2 * row.rhs),
+            *plain.constraints,
+            LinearConstraint((ZERO,) * plain.n_vars, "==", ZERO),
+        ),
+    )
+    return plain, redundant
+
+
 def test_simplex_drops_redundant_equality_rows():
     # A copy of an == row (scaled by -2, so it is also sign-flipped) and an
     # all-zero == row leave an artificial variable basic after Phase 1 with
@@ -427,27 +454,141 @@ def test_simplex_drops_redundant_equality_rows():
     rng = random.Random(41)
     for _ in range(30):
         plain, seed = random_lp(rng)
-        equalities = [c for c in plain.constraints if c.sense == "=="]
-        if equalities:
-            row = rng.choice(equalities)
-        else:
-            coeffs = tuple(F(rng.randint(1, 5)) for _ in range(plain.n_vars))
-            row = LinearConstraint(coeffs, "==", sum(a * x for a, x in zip(coeffs, seed)))
-            plain = LinearProgram(plain.n_vars, plain.objective, (*plain.constraints, row))
-        redundant = LinearProgram(
-            plain.n_vars,
-            plain.objective,
-            (
-                LinearConstraint(tuple(-2 * a for a in row.coeffs), "==", -2 * row.rhs),
-                *plain.constraints,
-                LinearConstraint((ZERO,) * plain.n_vars, "==", ZERO),
-            ),
-        )
+        plain, redundant = with_redundant_equalities(rng, plain, seed)
         oracle = vertex_enumeration_max(plain)
         assert oracle is not None
         result = simplex_max(redundant, seed)
         assert result.value == oracle == simplex_max(plain, seed).value
         assert check_point(redundant, result.point) is None
+
+
+@st.composite
+def simplex_cases(draw):
+    """An LP and a seed. A ``random_lp`` instance has rows of all three
+    senses and negative right-hand sides; it is taken as drawn ("plain"),
+    without its bounding row, so it may be unbounded ("open"), with one
+    seed coordinate moved, so the seed may be infeasible ("moved seed"), or
+    with a sign-flipped duplicate == row and an all-zero == row
+    ("redundant"). Otherwise it is the improvement LP of a moving-knife or
+    a random allocation on a fine grid with zero-density pieces, for 2 to
+    4 players ("pareto")."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("plain", "open", "moved seed", "redundant", "pareto")))
+    if kind == "pareto":
+        scenario = fine_grid_scenario(rng, rng.randint(2, 4), rng.choice((4, 6, 8)))
+        if rng.random() < 0.5:
+            allocation = moving_knife(scenario).allocation
+        else:
+            allocation = random_allocation(rng, scenario)
+        return build_improvement_lp(scenario, allocation)[:2]
+    lp, seed = random_lp(rng)
+    if kind == "open":
+        lp = LinearProgram(lp.n_vars, lp.objective, lp.constraints[:-1])
+    elif kind == "moved seed":
+        j = rng.randrange(lp.n_vars)
+        seed = (*seed[:j], seed[j] + F(rng.randint(-3, 3), 2), *seed[j + 1 :])
+    elif kind == "redundant":
+        lp = with_redundant_equalities(rng, lp, seed)[1]
+    return lp, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_cases())
+def test_revised_simplex_matches_the_dense_tableau(case):
+    # Every revised-tableau entry is the rational the dense tableau holds,
+    # so both take the same Bland pivots, drive-out and final vertex. Each
+    # pivot is compared as it is taken, so a path that leaves the dense
+    # one fails at once, even where it would never end.
+    lp, seed = case
+    expected = []
+    taken = []
+    pivot = solve._pivot
+
+    def compared(rows, dens, basis, leave, enter, col):
+        taken.append((leave, enter))
+        assert taken == expected[: len(taken)], "the pivots left the dense tableau's path"
+        return pivot(rows, dens, basis, leave, enter, col)
+
+    try:
+        result = dense_simplex(lp, seed, expected)
+    except (UnboundedError, InfeasibleSeedError) as error:
+        result = type(error)
+    with mock.patch.object(solve, "_pivot", compared):
+        if isinstance(result, type):
+            with pytest.raises(result):
+                simplex_max(lp, seed)
+        else:
+            assert simplex_max(lp, seed) == result
+    assert taken == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("feasible", "<=", ">=", "==", "negative", "short", "long", "moved")),
+    st.booleans(),
+)
+def test_integer_seed_check_refuses_exactly_what_check_point_reports(number, kind, text):
+    rng = random.Random(number)
+    lp, seed = random_lp(rng)
+    seed = list(seed)
+    if kind in ("<=", ">=", "=="):
+        # A row of that sense that the seed misses; its right-hand side
+        # may be negative, so the row is also read sign-flipped.
+        coeffs = tuple(F(rng.randint(-4, 5)) for _ in range(lp.n_vars))
+        at_seed = sum((a * x for a, x in zip(coeffs, seed)), ZERO)
+        miss = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
+        if kind == "<=" or (kind == "==" and rng.random() < 0.5):
+            miss = -miss
+        constraints = list(lp.constraints)
+        constraints.insert(
+            rng.randint(0, len(constraints)), LinearConstraint(coeffs, kind, at_seed + miss)
+        )
+        lp = LinearProgram(lp.n_vars, lp.objective, constraints)
+    elif kind == "negative":
+        seed[rng.randrange(len(seed))] = F(-1, rng.randint(1, 3))
+    elif kind == "short":
+        seed.pop()
+    elif kind == "long":
+        seed.append(ZERO)
+    elif kind == "moved":
+        seed[rng.randrange(len(seed))] += F(rng.randint(-2, 2), 2)
+    if text:
+        seed = [str(v) for v in seed]
+    violation = check_point(lp, seed)
+    if kind != "moved":
+        assert (violation is None) == (kind == "feasible")
+    if violation is None:
+        assert check_point(lp, simplex_max(lp, seed).point) is None
+        return
+    with pytest.raises(InfeasibleSeedError) as err:
+        simplex_max(lp, seed)
+    assert str(err.value) == violation
+
+
+def test_linear_program_keeps_its_own_tuple_of_constraints():
+    constraints = [LinearConstraint((ONE,), "<=", ONE)]
+    lp = LinearProgram(1, (ONE,), constraints)
+    # A row appended to the caller's list later is not the LP's, so it
+    # cannot skip the width check.
+    constraints.append(LinearConstraint((ONE, ONE), "<=", HALF))
+    assert lp.constraints == (LinearConstraint((ONE,), "<=", ONE),)
+    assert simplex_max(lp, (ZERO,)).point == (ONE,)
+    assert hash(lp) == hash(LinearProgram(1, (ONE,), tuple(constraints[:1])))
+    with pytest.raises(ValueError, match=r"^\(\(1,\), '<=', 1\) is not a LinearConstraint$"):
+        LinearProgram(1, (ONE,), [((1,), "<=", 1)])
+
+
+def test_check_point_reads_coordinates_as_rationals():
+    lp = LinearProgram(1, (ONE,), (LinearConstraint((ONE,), "<=", HALF),))
+    assert check_point(lp, ("1/2",)) is None
+    assert check_point(lp, ("3/4",)) == "constraint 0: 3/4 !<= 1/2"
+    assert simplex_max(lp, ("1/2",)).value == HALF
+    # simplex_max refuses a bool or a float seed, and so does check_point.
+    for coordinate, reason in ((True, "booleans"), (0.5, "floats")):
+        for call in (check_point, simplex_max):
+            with pytest.raises(ParseError, match=reason):
+                call(lp, (coordinate,))
 
 
 def _columns_reversed(lp, seed):
