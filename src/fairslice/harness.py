@@ -34,6 +34,7 @@ from .procedures import (
     PROPORTIONAL,
     PROCEDURE_NAMES,
     TIE_LOWEST,
+    ProcedureOutcome,
     TieRule,
     _ep_search,
     contiguous_allocation,
@@ -358,10 +359,13 @@ def to_jsonable(value):
     if isinstance(value, Scenario):
         return {name: to_jsonable(density) for name, density in value.players}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
+        fields = {
             f.name: to_jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
+        if isinstance(value, ProcedureOutcome):  # a property, not a field
+            return {"allocation": to_jsonable(value.allocation), **fields}
+        return fields
     if isinstance(value, Mapping):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

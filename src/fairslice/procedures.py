@@ -1,9 +1,10 @@
 """The four allocation procedures.
 
 Each procedure reads only the players' declared densities and returns a
-contiguous allocation together with the cuts, the left-to-right assignment,
-and any tie events it resolved. Scoring outcomes against true preferences
-belongs to the verify module.
+contiguous outcome: its cuts, the left-to-right assignment of the pieces
+they induce, and any tie events it resolved. The outcome is those cuts and
+that ordering; its ``Allocation`` is built only when read. Scoring outcomes
+against true preferences belongs to the verify module.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import (
+    AllocationError,
     EPUndefinedError,
     InvalidPlayersError,
     NoFeasibleOrderingError,
@@ -109,18 +112,39 @@ class TieEvent:
 
 @dataclass(frozen=True)
 class ProcedureOutcome:
-    """An allocation plus the diagnostics that produced it.
+    """A contiguous outcome plus the diagnostics that produced it.
 
-    ``cuts`` are sorted and, for the contiguous procedures, the portions
-    are exactly the consecutive intervals they induce, assigned left to
-    right per ``ordering``.
+    The outcome is its ``cuts`` and ``ordering``: ``ordering[i]`` owns the
+    i-th interval between consecutive bounds 0, ``cuts``, 1. The
+    constructor checks on integers that the owners are distinct, that there
+    are ``len(cuts) + 1`` of them, and that 0 <= c1 <= ... <= 1, and raises
+    ``AllocationError`` otherwise, so every outcome's allocation builds.
+    ``allocation`` is built on first read and cached; like
+    ``Allocation._layout`` it is not a field, so equality, hashing and repr
+    ignore it, and it is a function of the fields.
     """
 
-    allocation: Allocation
     cuts: tuple[Fraction, ...]
     ordering: tuple[str, ...]
     common_value: Optional[Fraction] = None
     tie_events: tuple[TieEvent, ...] = ()
+
+    def __post_init__(self):
+        owners, portions = self.ordering, len(self.cuts) + 1
+        if len(set(owners)) != len(owners) or len(owners) != portions:
+            raise AllocationError(f"{portions} portions need distinct owners, got {list(owners)}")
+        below_n, below_d = 0, 1
+        for cut in (*self.cuts, ONE):
+            n, d = cut.numerator, cut.denominator
+            if n * below_d < below_n * d:  # cut < the bound below, d > 0
+                raise AllocationError(
+                    f"cuts are not sorted in [0, 1]: {', '.join(map(str, self.cuts))}"
+                )
+            below_n, below_d = n, d
+
+    @cached_property
+    def allocation(self) -> Allocation:
+        return contiguous_allocation(self.ordering, self.cuts)
 
 
 def contiguous_allocation(ordering: Sequence[str], cuts: Sequence[Fraction]) -> Allocation:
@@ -141,14 +165,7 @@ def _outcome(
     ordering: Sequence[str], cuts: Sequence[Fraction], common_value=None, events=()
 ) -> ProcedureOutcome:
     """The outcome whose portions are the intervals the cuts induce."""
-    ordering, cuts = tuple(ordering), tuple(cuts)
-    return ProcedureOutcome(
-        allocation=contiguous_allocation(ordering, cuts),
-        cuts=cuts,
-        ordering=ordering,
-        common_value=common_value,
-        tie_events=tuple(events),
-    )
+    return ProcedureOutcome(tuple(cuts), tuple(ordering), common_value, tuple(events))
 
 
 def _pick(resolver: TieResolver, location: Fraction, tied: tuple, events: list) -> str:

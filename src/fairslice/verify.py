@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidPlayersError
 from .measures import (
+    ONE,
     ZERO,
     Allocation,
     Scenario,
@@ -170,6 +171,21 @@ def _enumerate_outcomes(
     return outcomes
 
 
+def _piece_value(density: StepDensity, outcome: ProcedureOutcome, name: str) -> Fraction:
+    """The density's mass on ``name``'s piece of a contiguous outcome.
+
+    The piece runs between the bounds on either side of ``name``'s place
+    in the ordering (0, the cuts, 1), so its mass is the cdf at its right
+    end minus the cdf at its left, with no ``Allocation`` built. Equal
+    cuts give 0, as an empty portion does.
+    """
+    i = outcome.ordering.index(name)
+    cuts = outcome.cuts
+    lo = cuts[i - 1] if i else ZERO
+    hi = cuts[i] if i < len(cuts) else ONE
+    return density._cdf(hi) - density._cdf(lo)
+
+
 def theorem_a_check(
     procedure: str,
     truth: StepDensity,
@@ -189,10 +205,10 @@ def theorem_a_check(
     form of the same argument. The first enumerated outcome is the rule's
     own run, and it is the one scored.
     """
+    if type(n) is not int or n < 2:
+        raise InvalidPlayersError(f"need at least 2 players, as an int; got {n!r}")
     truth.require_valid("truth")
     misreport.require_valid("misreport")
-    if n < 2:
-        raise InvalidPlayersError("need at least 2 players")
     scenario = Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))
     if tie.mode == "seeded":
         outcomes = _enumerate_outcomes(procedure, scenario, tie, strict)
@@ -200,16 +216,14 @@ def theorem_a_check(
     else:
         outcomes = None
         outcome = run_procedure(procedure, scenario, strict=strict, tie=tie)
-    values = {
-        name: truth.mass(outcome.allocation.portion(name)) for name in scenario.names
-    }
+    values = {name: _piece_value(truth, outcome, name) for name in scenario.names}
     share = Fraction(1, n)
     verdicts = {"min_value_le_fair_share": min(values.values()) <= share}
     details: dict = {"fair_share": share, "procedure": procedure}
     if outcomes is not None:
         distinguished = scenario.names[0]
         verdicts["distinguished_player_can_end_le_fair_share"] = any(
-            truth.mass(o.allocation.portion(distinguished)) <= share for o in outcomes
+            _piece_value(truth, o, distinguished) <= share for o in outcomes
         )
         details["enumerated_outcomes"] = len(outcomes)
     return PropertyReport(
@@ -251,13 +265,15 @@ def weak_manipulation_search(
     compared against truthful declaration across every opponent density.
     The verdict is relative to the supplied finite sets only.
     """
+    if manipulator == opponent:
+        raise InvalidPlayersError(f"manipulator and opponent share the name {manipulator!r}")
     truth.require_valid("truth")
     cutter = manipulator if cutter is None else cutter
 
     def run(declared: StepDensity, against: StepDensity) -> Fraction:
         scenario = Scenario(((manipulator, declared), (opponent, against)))
         outcome = run_procedure(procedure, scenario, strict=strict, tie=tie, cutter=cutter)
-        return truth.mass(outcome.allocation.portion(manipulator))
+        return _piece_value(truth, outcome, manipulator)
 
     baseline = tuple(run(truth, against) for against in opponents)
     for index, candidate in enumerate(candidates):

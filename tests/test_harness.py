@@ -22,6 +22,7 @@ from fairslice import (
     load_document,
     load_scenario,
     run_counterexample,
+    run_procedure,
     save_scenario,
 )
 from fairslice import solve
@@ -371,6 +372,18 @@ def test_cli_run_cut_choose(scenario_file, capsys):
     assert code == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["results"]["outcome"]["cuts"] == ["1/2 (0.5)"]
+
+
+@pytest.mark.parametrize("procedure", ["cut-choose", "moving-knife", "sp-e", "sp-p", "ep"])
+def test_cli_run_report_holds_the_outcome_allocation(procedure, scenario_file, capsys):
+    assert main(["run", str(scenario_file), "--procedure", procedure]) == 0
+    outcome = json.loads(capsys.readouterr().out)["results"]["outcome"]
+    assert set(outcome) == {"allocation", "common_value", "cuts", "ordering", "tie_events"}
+    expected = run_procedure(procedure, load_scenario(CE2_DOC)).allocation
+    assert outcome["allocation"] == {
+        name: [{"from": fmt_rational(iv.lo), "to": fmt_rational(iv.hi)} for iv in portion.intervals]
+        for name, portion in expected.portions
+    }
 
 
 def test_cli_run_requires_procedure(scenario_file, capsys):

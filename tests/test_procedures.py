@@ -27,8 +27,8 @@ from fairslice import (
     run_procedure,
     surplus_divide,
 )
-from fairslice import solve
-from fairslice.procedures import TIE_LOWEST, TieEvent, _ScriptRule, _ep_search
+from fairslice import procedures, solve
+from fairslice.procedures import TIE_LOWEST, TieEvent, _ScriptRule, _ep_search, _outcome
 from helpers import (
     draw_grid_density,
     exhaustive_ep_best,
@@ -647,6 +647,60 @@ def test_contiguous_allocation_refuses_unsorted_cuts_and_empties_equal_ones():
     assert allocation.portion("p2").is_empty
     assert allocation.portion("p1").intervals == (Interval(ZERO, HALF),)
     assert allocation.portion("p3").intervals == (Interval(HALF, ONE),)
+
+
+def refuse_to_build(ordering, cuts):
+    raise AssertionError("an outcome built its allocation before it was read")
+
+
+@pytest.mark.parametrize(
+    "ordering, cuts",
+    [
+        (("p1", "p2", "p3"), (F(2, 3), F(1, 3))),
+        (("p1", "p2"), (F(3, 2),)),
+        (("p1", "p2"), (F(-1, 2),)),
+        (("p1", "p2", "p3"), (HALF,)),
+        (("p1", "p2"), (F(1, 3), F(2, 3))),
+        (("p1", "p2", "p1"), (F(1, 3), F(2, 3))),
+    ],
+    ids=["unsorted", "past-one", "negative", "owner-too-many", "owner-too-few", "repeated-owner"],
+)
+def test_outcome_refuses_bad_cuts_and_owners_without_building_the_allocation(
+    ordering, cuts, monkeypatch
+):
+    monkeypatch.setattr(procedures, "contiguous_allocation", refuse_to_build)
+    with pytest.raises(AllocationError):
+        _outcome(ordering, cuts)
+
+
+def test_outcome_builds_its_allocation_once_when_read(monkeypatch):
+    built = []
+
+    def counted(ordering, cuts):
+        built.append((ordering, cuts))
+        return contiguous_allocation(ordering, cuts)
+
+    monkeypatch.setattr(procedures, "contiguous_allocation", counted)
+    outcome = _outcome(["p2", "p1", "p3"], [ZERO, HALF])
+    assert built == []
+    assert outcome.allocation is outcome.allocation
+    assert built == [(("p2", "p1", "p3"), (ZERO, HALF))]
+    assert outcome.allocation == contiguous_allocation(("p2", "p1", "p3"), (ZERO, HALF))
+
+
+def test_equal_outcomes_compare_and_hash_equal_whether_or_not_read():
+    def make():
+        event = TieEvent(F(1, 3), ("p1", "p3"), "p3")
+        return _outcome(("p3", "p1", "p2"), (F(1, 3), F(1, 3)), F(1, 3), (event,))
+
+    read, unread, also_read = make(), make(), make()
+    read.allocation
+    also_read.allocation
+    for other in (unread, also_read):
+        assert read == other and hash(read) == hash(other)
+        assert repr(read) == repr(other)
+    assert unread == make() and hash(unread) == hash(make())
+    assert read != _outcome(("p3", "p2", "p1"), (F(1, 3), F(1, 3)), F(1, 3))
 
 
 def test_outcomes_partition_the_cake_exactly():

@@ -15,6 +15,7 @@ from fairslice import (
     Interval,
     IntervalSet,
     InvalidPlayersError,
+    NoFeasibleOrderingError,
     NonUniqueMedianError,
     Scenario,
     StepDensity,
@@ -33,8 +34,14 @@ from fairslice import (
 )
 from fairslice import solve, verify
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
-from fairslice.procedures import TIE_LOWEST
-from helpers import QUARTER_POOL, fresh_tie_outcomes, random_density
+from fairslice.procedures import TIE_LOWEST, _outcome
+from helpers import (
+    QUARTER_POOL,
+    fine_grid_scenario,
+    fresh_tie_outcomes,
+    random_density,
+    random_scenario,
+)
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
 
@@ -321,6 +328,14 @@ def test_theorem_a_refuses_fewer_than_two_players():
     assert err.value.exit_status == 2
 
 
+@pytest.mark.parametrize("n", [2.0, "3", True])
+def test_theorem_a_refuses_a_player_count_that_is_not_an_int(n):
+    uniform = StepDensity.uniform()
+    with pytest.raises(InvalidPlayersError, match="need at least 2 players") as err:
+        theorem_a_check("moving-knife", truth=uniform, misreport=uniform, n=n)
+    assert err.value.exit_status == 2
+
+
 def test_theorem_a_cut_and_choose_bound_tight():
     report = theorem_a_check(
         "cut-choose", truth=StepDensity.uniform(), misreport=StepDensity.uniform(), n=2
@@ -559,6 +574,57 @@ def test_theorem_a_rejects_wrong_player_counts():
                 theorem_a_check(procedure, uniform, uniform, n=3, tie=tie)
 
 
+# --- scoring a contiguous outcome from its cuts --------------------------------------
+
+
+def assert_piece_values_equal_portion_masses(outcome, densities):
+    for density in densities:
+        for name in outcome.ordering:
+            portion = outcome.allocation.portion(name)
+            assert verify._piece_value(density, outcome, name) == density.mass(portion)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_piece_value_equals_the_mass_of_the_portion(data):
+    """For every outcome a procedure can reach under a seeded tie rule, and
+    for drawn cuts with repeats and ends at 0 and 1, the cut scorer
+    returns the portion's mass, for the declared densities and for
+    others."""
+    n = data.draw(st.integers(2, 4), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="fine grid"):
+        scenario = fine_grid_scenario(rng, n, data.draw(st.sampled_from((6, 12, 24)), label="k"))
+    else:
+        scenario = random_scenario(rng, n)
+    densities = [density for _, density in scenario.players] + [random_density(rng)]
+    names = ["moving-knife"] + (["ep"] if n <= 3 else [])
+    if n == 2:
+        names += ["cut-choose", "sp-e", "sp-p"]
+    tie = TieRule.seeded(data.draw(st.integers(0, 2**64 - 1), label="tie seed"))
+    for procedure in names:
+        try:
+            outcomes = verify._enumerate_outcomes(procedure, scenario, tie)
+        except NoFeasibleOrderingError:
+            continue
+        for outcome in outcomes:
+            assert_piece_values_equal_portion_masses(outcome, densities)
+    edges = [ZERO, *QUARTER_POOL, ONE]
+    cuts = sorted(data.draw(st.lists(st.sampled_from(edges), min_size=n - 1, max_size=n - 1)))
+    order = data.draw(st.permutations(scenario.names), label="ordering")
+    assert_piece_values_equal_portion_masses(_outcome(order, cuts), densities)
+
+
+def test_piece_value_of_empty_pieces_and_pieces_at_the_ends():
+    rng = random.Random(7)
+    densities = [random_density(rng) for _ in range(4)]
+    # a and c hold empty pieces at 0 and between equal cuts, e at 1
+    outcome = _outcome(("a", "b", "c", "d", "e"), (ZERO, HALF, HALF, ONE))
+    assert_piece_values_equal_portion_masses(outcome, densities)
+    for name in ("a", "c", "e"):
+        assert all(verify._piece_value(d, outcome, name) == 0 for d in densities)
+
+
 # --- weak manipulation search -------------------------------------------------------
 
 
@@ -590,6 +656,14 @@ def test_weak_manipulation_search_validates_each_density_once(procedure, monkeyp
     # one call per density object, however many Scenarios reuse it
     assert len(validated) == 5
     assert {id(d) for d in validated} == {id(d) for d in (truth, *candidates, *opponents)}
+
+
+def test_weak_manipulation_search_refuses_a_manipulator_named_as_the_opponent():
+    truth = StepDensity.uniform()
+    with pytest.raises(InvalidPlayersError, match="share the name 'A'") as err:
+        weak_manipulation_search("moving-knife", truth, [truth], [truth], opponent="A")
+    assert isinstance(err.value, ValueError)
+    assert err.value.exit_status == 2
 
 
 def test_weak_manipulation_search_refuses_an_empty_cutter_name():
