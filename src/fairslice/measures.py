@@ -242,7 +242,8 @@ class StepDensity:
     O(log k): a binary search on the index's integers, comparing by
     cross-multiplying, and one Fraction for the answer (``mass`` one for a
     whole interval set). The greedy chain and the equal-value walk of
-    ``solve`` read the same index, so no caller re-reads a piece.
+    ``solve``, and the surplus cut and the moving knife of ``procedures``,
+    read the same index, so no caller re-reads a piece.
 
     The index replaced a tuple of cumulative-mass Fractions rather than
     joining it, because memory is what it costs: a density of up to eight

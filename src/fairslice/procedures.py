@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -29,7 +30,6 @@ from .measures import (
     Allocation,
     Interval,
     IntervalSet,
-    Piece,
     Scenario,
     StepDensity,
 )
@@ -223,12 +223,11 @@ def cut_and_choose(
         raise InvalidPlayersError(f"unknown cutter {cutter!r}")
     chooser = next(name for name in scenario.names if name != cutter)
     cut = _median_point(scenario, cutter, strict)
-    chooser_density = scenario.density(chooser)
-    left_value = chooser_density.mass(Interval(ZERO, cut))
-    right_value = chooser_density.mass(Interval(cut, ONE))
+    # The left piece is worth n/d to the chooser and the right one 1 - n/d.
+    _, n, d = scenario.density(chooser)._mass_left(*cut.as_integer_ratio())
     tied = (chooser, cutter)
-    if left_value != right_value:
-        tied = (chooser,) if left_value > right_value else (cutter,)
+    if 2 * n != d:
+        tied = (chooser,) if 2 * n > d else (cutter,)
     events = []
     left_owner = _pick(tie.resolver(), cut, tied, events)
     right_owner = chooser if left_owner == cutter else cutter
@@ -245,13 +244,20 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
     into exact 1/n pieces. The tie rule settles simultaneous calls; the
     last player takes the remainder.
 
+    A call runs on the density's integer index: the mass n/d left of the
+    knife (``_mass_left``), then the leftmost cut from the knife worth
+    (d - n) / (d * count), a validated density's total mass being exactly
+    1 (``_cut``). Calls are reduced integer pairs, compared by
+    cross-multiplying, and the earliest becomes a ``Fraction`` once per
+    step, for the cut and any tie event.
+
     A call depends only on the density, the knife position and the count
     of players left, so it is kept in the scenario's memo under those
-    three, the density named by its first player index. Players declaring
-    one density object share their calls, and so do all the tie branches
-    replayed on the scenario: n identical players make n - 1 calls in all,
-    not one per player per branch. The memo holds only states the runs
-    visit.
+    three, the density named by its first player index and the position by
+    its reduced integer pair. Players declaring one density object share
+    their calls, and so do all the tie branches replayed on the scenario:
+    n identical players make n - 1 calls in all, not one per player per
+    branch. The memo holds only states the runs visit.
     """
     _require_players(scenario)
     resolver = tie.resolver()
@@ -260,7 +266,7 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
         (key, name, density)
         for key, (name, density) in zip(scenario._density_keys, scenario.players)
     ]
-    position = ZERO
+    pn, pd = 0, 1
     cuts: list[Fraction] = []
     order: list[str] = []
     events: list[TieEvent] = []
@@ -268,65 +274,107 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
         count = len(remaining)
         calls = []
         for key, name, density in remaining:
-            state = ("knife", key, position, count)
+            state = ("knife", key, pn, pd, count)
             point = memo.get(state)
             if point is None:
-                threshold = (ONE - density.cdf(position)) / count
-                point = memo[state] = density.quantile_left(threshold, start=position)
+                _, n, d = density._mass_left(pn, pd)
+                point = memo[state] = density._cut(d - n, d * count, pn, pd, True)
             calls.append((point, name))
-        earliest = min(point for point, _ in calls)
+        en, ed = earliest = calls[0][0]
+        for (xn, xd), _ in calls:
+            if xn * ed < en * xd:
+                en, ed = earliest = xn, xd
         tied = tuple(name for point, name in calls if point == earliest)
-        winner = _pick(resolver, earliest, tied, events)
-        cuts.append(earliest)
+        cut = Fraction(en, ed)
+        winner = _pick(resolver, cut, tied, events)
+        cuts.append(cut)
         order.append(winner)
         remaining = [entry for entry in remaining if entry[1] != winner]
-        position = earliest
+        pn, pd = earliest
     order.append(remaining[0][1])
     return _outcome(order, cuts, events=events)
+
+
+def _mass_between(density: StepDensity, a: Fraction, b: Fraction) -> tuple[int, int]:
+    """The density's mass of [a, b] as a reduced integer pair n/d, the
+    difference of the ``_mass_left`` pairs at its ends."""
+    _, hn, hd = density._mass_left(*b.as_integer_ratio())
+    _, ln, ld = density._mass_left(*a.as_integer_ratio())
+    n, d = hn * ld - ln * hd, hd * ld
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _surplus_cut(
     left_density: StepDensity,
     right_density: StepDensity,
     a: Fraction,
-    b: Fraction,
     variant: str,
-    mass_left: Fraction,
-    mass_right: Fraction,
+    mass_left: tuple[int, int],
+    mass_right: tuple[int, int],
 ) -> Fraction:
     """Cut point inside the surplus [a, b], both surplus masses positive.
 
     With L and R the players' measures and (wL, wR) = (1, 1) for equal
     shares or (mass_right, mass_left) for equal proportions, the cut c
-    solves wL * L[a, c] = wR * R[c, b]: the mixture M = (wL * L + wR * R) /
-    (wL + wR) gives [a, c] the mass tau = wR * mass_right / (wL + wR), and
-    0 < tau < M[a, b]. The roots form the closed interval between M's left
-    and right quantiles at tau from a. Its midpoint is taken for symmetry;
-    no share depends on the choice, as both densities vanish there.
+    solves wL * L[a, c] = wR * R[c, b], that is W(c) = wR * mass_right for
+    W(c) = wL * L[a, c] + wR * R[a, c]. W grows at the rate
+    wL * dL + wR * dR and exceeds the target at b. The roots form a closed
+    interval, from the first point where W reaches the target to the far
+    end of the zero-rate plateau there, if any; its midpoint is taken for
+    symmetry, and no share depends on the choice, as both densities vanish
+    on the plateau.
+
+    One two-cursor scan over the two densities' integer indexes finds both
+    roots, starting at the pieces that hold a (``_piece_at``): each step
+    adds the rate times the width up to the nearer piece end, on integer
+    pairs, and the scan stops at the far root, before b. The masses come
+    as integer pairs lmn/lmd and rmn/rmd; for equal proportions both sides
+    are multiplied by lmd * rmd, so the weights are (rmn * lmd, lmn * rmd)
+    and the target is lmn * rmn. Only the midpoint is built as a
+    ``Fraction``.
     """
-    w_left, w_right = (ONE, ONE) if variant == EQUITABLE else (mass_right, mass_left)
-    total = w_left + w_right
-
-    def mix(x: Fraction, y: Fraction) -> Fraction:
-        return (w_left * x + w_right * y) / total
-
-    # M on [a, b], flattened to one piece of M's mass on each side (a > 0 and
-    # b < 1 as median points): still a density, built from [a, b]'s pieces.
-    pieces = [Piece(ZERO, a, mix(left_density.cdf(a), right_density.cdf(a)) / a)]
-    i = j = 0
-    lo = a
-    while lo < b:  # two-cursor merge of the piece lists
-        p, q = left_density.pieces[i], right_density.pieces[j]
-        hi = min(p.hi, q.hi, b)
-        if hi > lo:
-            pieces.append(Piece(lo, hi, mix(p.density, q.density)))
-            lo = hi
-        i += p.hi <= lo
-        j += q.hi <= lo
-    rest = mix(ONE - left_density.cdf(b), ONE - right_density.cdf(b))
-    mixture = StepDensity((*pieces, Piece(b, ONE, rest / (ONE - b))))
-    tau = w_right * mass_right / total
-    return (mixture.quantile(tau, a) + mixture.quantile(tau, a, "right")) / 2
+    lmn, lmd = mass_left
+    rmn, rmd = mass_right
+    if variant == EQUITABLE:
+        w_left = w_right = 1
+        remn, remd = rmn, rmd
+    else:
+        w_left, w_right = rmn * lmd, lmn * rmd
+        remn, remd = lmn * rmn, 1
+    lbn, lbd, lrn, lrd, _, _ = left_density._rows
+    rbn, rbd, rrn, rrd, _, _ = right_density._rows
+    xn, xd = a.as_integer_ratio()
+    i = left_density._piece_at(xn, xd)
+    j = right_density._piece_at(xn, xd)
+    while True:  # W lacks remn/remd > 0 of the target at x = xn/xd
+        hn, hd = lbn[i + 1], lbd[i + 1]
+        on, od = rbn[j + 1], rbd[j + 1]
+        order = on * hd - hn * od  # < 0: the right piece ends first
+        if order < 0:
+            hn, hd = on, od
+        qn = w_left * lrn[i] * rrd[j] + w_right * rrn[j] * lrd[i]
+        qd = lrd[i] * rrd[j]
+        gn, gd = qn * (hn * xd - xn * hd), qd * hd * xd  # W's gain on [x, h]
+        over = gn * remd - remn * gd  # the gain past the lack, times remd * gd
+        if over >= 0:
+            break
+        g = gcd(over, remd * gd)
+        remn, remd = -over // g, remd * gd // g
+        xn, xd = hn, hd
+        i += order >= 0
+        j += order <= 0
+    if over:  # a single root, inside [x, h]
+        return Fraction(xn * remd * qn + remn * qd * xd, xd * remd * qn)
+    # W reaches the target at h; the roots run on across zero-rate pieces.
+    while True:
+        i += order >= 0
+        j += order <= 0
+        if lrn[i] or rrn[j]:
+            break
+        order = rbn[j + 1] * lbd[i + 1] - lbn[i + 1] * rbd[j + 1]
+    en, ed = (lbn[i], lbd[i]) if order > 0 else (rbn[j], rbd[j])
+    return Fraction(hn * ed + en * hd, 2 * hd * ed)
 
 
 def surplus_divide(
@@ -343,11 +391,13 @@ def surplus_divide(
     the left piece. On the surplus between the medians, the equitable
     variant equalizes the two surplus shares outright, the proportional
     variant equalizes them relative to each player's value of the whole
-    surplus. The cut is a quantile of the players' weighted mixture density
-    (``_surplus_cut``); when a whole interval balances, neither player
-    values any of it, so its midpoint is taken for symmetry at no cost to
-    either share. When only one player values the surplus it all goes to
-    that player; when neither does the cut lands mid-surplus.
+    surplus. The cut comes from one scan over both players' pieces from the
+    left median (``_surplus_cut``); when a whole interval balances, neither
+    player values any of it, so its midpoint is taken for symmetry at no
+    cost to either share. When only one player values the surplus it all
+    goes to that player; when neither does the cut lands mid-surplus. Every
+    mass is a difference of cdfs read off the density's integer index, so
+    no interval is built.
     """
     _require_players(scenario, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
@@ -365,21 +415,21 @@ def surplus_divide(
     if a == b:
         cut = a
     else:
-        mass_left = left_density.mass(Interval(a, b))
-        mass_right = right_density.mass(Interval(a, b))
-        if mass_left == 0 and mass_right == 0:
+        mass_left = _mass_between(left_density, a, b)
+        mass_right = _mass_between(right_density, a, b)
+        if not mass_left[0] and not mass_right[0]:
             cut = (a + b) / 2
-        elif mass_left == 0:
+        elif not mass_left[0]:
             cut = a
-        elif mass_right == 0:
+        elif not mass_right[0]:
             cut = b
         else:
-            cut = _surplus_cut(
-                left_density, right_density, a, b, variant, mass_left, mass_right
-            )
-    value_left = left_density.mass(Interval(ZERO, cut))
-    value_right = right_density.mass(Interval(cut, ONE))
-    common = value_left if value_left == value_right else None
+            cut = _surplus_cut(left_density, right_density, a, variant, mass_left, mass_right)
+    # The left piece is worth ln/ld to its owner, the right one 1 - rn/rd.
+    cn, cd = cut.as_integer_ratio()
+    _, ln, ld = left_density._mass_left(cn, cd)
+    _, rn, rd = right_density._mass_left(cn, cd)
+    common = Fraction(ln, ld) if ln * rd == (rd - rn) * ld else None
     return _outcome((left, right), (cut,), common, events)
 
 

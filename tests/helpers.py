@@ -7,7 +7,8 @@ LP oracle enumerates vertices by brute force, the two-player Pareto
 oracle sweeps threshold allocations by density ratio, the Pareto
 certificate check recomputes the cells and the dual value by scans, and
 the equal-value oracle scans a coarse grid and refines a bracket with
-exact chords, on top of the scan queries. ``fraction_walk`` is the
+exact chords, on top of the scan queries, and the moving-knife oracle
+follows every tie branch on scan queries. ``fraction_walk`` is the
 equal-value walk written in ``Fraction`` arithmetic, the reference for the
 engine's integer walk, and ``dense_simplex`` is the simplex on a dense
 fraction-free tableau, the reference for the engine's revised simplex.
@@ -289,6 +290,39 @@ def scan_greedy_cuts(scenario, ordering, target):
             return None
         cuts.append(position)
     return tuple(cuts)
+
+
+def scan_moving_knife(scenario):
+    """Every branch of the moving knife across tie resolutions, as
+    (cuts, ordering, tie events) with each event a (location, tied,
+    winner) triple. At each step every remaining player calls at the
+    leftmost point past the knife where the slice holds their remaining
+    mass over the count of players left, by scan queries; each of the
+    earliest callers, listed in scenario order, wins on its own branch."""
+    branches = []
+
+    def follow(position, remaining, cuts, ordering, events):
+        if len(remaining) == 1:
+            branches.append((tuple(cuts), (*ordering, remaining[0][0]), tuple(events)))
+            return
+        count = len(remaining)
+        calls = [
+            (scan_quantile_left(density, scan_mass(density, position, ONE) / count, position), name)
+            for name, density in remaining
+        ]
+        earliest = min(point for point, _ in calls)
+        tied = tuple(name for point, name in calls if point == earliest)
+        for winner in tied:
+            follow(
+                earliest,
+                [player for player in remaining if player[0] != winner],
+                [*cuts, earliest],
+                [*ordering, winner],
+                [*events, (earliest, tied, winner)] if len(tied) > 1 else events,
+            )
+
+    follow(ZERO, list(scenario.players), [], [], [])
+    return branches
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairslice import (
@@ -27,14 +27,16 @@ from fairslice import (
     run_procedure,
     surplus_divide,
 )
-from fairslice import procedures, solve
+from fairslice import measures, procedures, solve, verify
 from fairslice.procedures import TIE_LOWEST, TieEvent, _ScriptRule, _ep_search, _outcome
 from helpers import (
     draw_grid_density,
     exhaustive_ep_best,
     fine_grid_scenario,
+    fresh_tie_outcomes,
     random_scenario,
     scan_mass,
+    scan_moving_knife,
     scan_plateau_end,
     scan_quantile_left,
     scan_surplus_cut,
@@ -223,6 +225,51 @@ def test_moving_knife_identical_measures_split_exactly():
             assert value == F(1, n)
 
 
+@st.composite
+def knife_cases(draw):
+    """Two to five players on fine grids (k from 4 to 24) of integer
+    weights 0-3, not all zero, so zero-density plateaus occur. Players draw
+    their densities from a smaller pool, so some share one density object,
+    and some hold an equal copy; a seeded tie rule."""
+    n = draw(st.integers(2, 5))
+    pool = []
+    for _ in range(draw(st.integers(1, n))):
+        k = draw(st.sampled_from((4, 6, 8, 12, 24)))
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        total = sum(weights)
+        pool.append(StepDensity.of(
+            *((F(j, k), F(j + 1, k), F(w * k, total)) for j, w in enumerate(weights))
+        ))
+    players = []
+    for i in range(n):
+        density = pool[draw(st.integers(0, len(pool) - 1))]
+        if draw(st.booleans()):
+            density = StepDensity(density.pieces)
+        players.append((f"p{i + 1}", density))
+    return Scenario(tuple(players)), TieRule.seeded(draw(st.integers(0, 2**64 - 1)))
+
+
+def knife_branch(outcome):
+    events = tuple((event.location, event.tied, event.winner) for event in outcome.tie_events)
+    return outcome.cuts, outcome.ordering, events
+
+
+@settings(max_examples=100, deadline=None)
+@given(knife_cases())
+def test_moving_knife_tie_branches_agree_with_scan_oracle(case):
+    """Every outcome the knife reaches across tie resolutions, each run on
+    a fresh scenario or all replayed on one, is a branch of the scan
+    oracle, cuts, ordering and tie sets alike, and every branch is reached
+    exactly once."""
+    scenario, tie = case
+    branches = scan_moving_knife(scenario)
+    assert len(set(branches)) == len(branches)
+    fresh = [knife_branch(o) for o in fresh_tie_outcomes("moving-knife", scenario, tie)]
+    assert sorted(fresh) == sorted(branches)
+    replayed = verify._enumerate_outcomes("moving-knife", scenario, tie)
+    assert sorted(knife_branch(o) for o in replayed) == sorted(branches)
+
+
 # --- surplus division ---------------------------------------------------------
 
 
@@ -359,23 +406,82 @@ def fine_grid_pairs(draw):
     return Scenario(tuple(players))
 
 
-@settings(max_examples=150, deadline=None)
-@given(fine_grid_pairs())
-def test_surplus_cut_agrees_with_scan_oracle(scenario):
+@st.composite
+def random_pairs(draw):
+    """Two players from ``random_scenario``: up to eight pieces with breaks
+    drawn from ``BREAK_POOL``, not a common grid, and zero weights allowed."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_scenario(rng, 2, max_pieces=draw(st.integers(2, 8)))
+
+
+def eighths_plateau_pair():
+    """Medians 11/16 and 7/16, each inside a piece. Both densities vanish
+    on [1/2, 5/8], every point of which balances the proportional shares."""
+    def eighths(*weights):
+        return StepDensity.of(*((F(j, 8), F(j + 1, 8), w) for j, w in enumerate(weights)))
+
+    p1 = eighths(F(16, 11), F(16, 11), 0, 0, 0, F(24, 11), F(8, 11), F(24, 11))
+    p2 = eighths(0, F(8, 3), 0, F(8, 3), 0, 0, F(4, 3), F(4, 3))
+    return pair(p1, p2)
+
+
+def valued_surplus(scenario):
+    """(left, right, a, b) from scan medians when both players value the
+    surplus [a, b], so the surplus cut runs; None otherwise."""
     medians = {
         name: (scan_quantile_left(density, HALF) + scan_plateau_end(density, HALF)) / 2
         for name, density in scenario.players
     }
     left, right = sorted(scenario.names, key=medians.get)
     a, b = medians[left], medians[right]
-    left_density, right_density = scenario.density(left), scenario.density(right)
-    assume(a < b)
-    assume(scan_mass(left_density, a, b) > 0 and scan_mass(right_density, a, b) > 0)
+    if a < b and all(scan_mass(scenario.density(name), a, b) > 0 for name in (left, right)):
+        return left, right, a, b
+    return None
+
+
+def assert_surplus_cuts_match_oracle(scenario, left, right, a, b):
     for variant in (EQUITABLE, PROPORTIONAL):
         outcome = surplus_divide(scenario, variant)
         assert outcome.ordering == (left, right)
-        oracle = scan_surplus_cut(left_density, right_density, a, b, variant)
+        oracle = scan_surplus_cut(scenario.density(left), scenario.density(right), a, b, variant)
         assert outcome.cuts == (oracle,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(fine_grid_pairs(), random_pairs()))
+@example(eighths_plateau_pair())
+def test_surplus_cut_agrees_with_scan_oracle(scenario):
+    surplus = valued_surplus(scenario)
+    assume(surplus is not None)
+    assert_surplus_cuts_match_oracle(scenario, *surplus)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_surplus_cut_agrees_with_scan_oracle_on_256_piece_grids(seed):
+    scenario = fine_grid_scenario(random.Random(seed), 2, 256)
+    surplus = valued_surplus(scenario)
+    assert surplus is not None
+    assert_surplus_cuts_match_oracle(scenario, *surplus)
+
+
+def test_surplus_divide_builds_no_piece_or_density(monkeypatch):
+    """Once the densities exist, both variants run, the surplus cut
+    included, without building a Piece or a StepDensity."""
+    rng = random.Random(41)
+    scenarios = [eighths_plateau_pair()]
+    scenarios += [fine_grid_scenario(rng, 2, rng.choice((8, 24))) for _ in range(20)]
+    scenarios += [random_scenario(rng, 2, max_pieces=6) for _ in range(20)]
+    assert sum(valued_surplus(scenario) is not None for scenario in scenarios) >= 20
+    variants = (EQUITABLE, PROPORTIONAL)
+    expected = [surplus_divide(Scenario(s.players), v) for s in scenarios for v in variants]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the surplus procedure built a Piece or a StepDensity")
+
+    monkeypatch.setattr(measures.Piece, "__post_init__", refuse)
+    monkeypatch.setattr(measures.StepDensity, "__init__", refuse)
+    assert [surplus_divide(s, v) for s in scenarios for v in variants] == expected
+    assert [outcome.cuts for outcome in expected[:2]] == [(F(43, 88),), (F(9, 16),)]
 
 
 def test_surplus_cut_is_the_midpoint_of_a_root_interval():

@@ -464,8 +464,9 @@ def test_moving_knife_tie_enumeration_reaches_every_ordering_once(n):
 
 
 def count_queries(monkeypatch):
-    """Record every ``quantile_left`` and ``median_interval`` call."""
-    calls = {"quantile_left": 0, "median_interval": 0}
+    """Record every ``median_interval`` call and every call of ``_cut``,
+    the integer cut kernel that each knife call runs once."""
+    calls = {"_cut": 0, "median_interval": 0}
     for name in calls:
         query = getattr(StepDensity, name)
 
@@ -486,7 +487,7 @@ def test_theorem_a_seeded_moving_knife_makes_each_call_once(n, monkeypatch):
     assert report.details["enumerated_outcomes"] == math.factorial(n)
     # All n! branches visit the same knife positions; the identical players
     # share one call per (position, players left), n - 1 in all.
-    assert calls == {"quantile_left": n - 1, "median_interval": 0}
+    assert calls == {"_cut": n - 1, "median_interval": 0}
 
 
 @pytest.mark.parametrize("procedure", ["cut-choose", "sp-e", "sp-p"])
