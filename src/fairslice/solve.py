@@ -10,6 +10,15 @@ multipliers of the constraint rows over one denominator, so a pivot
 updates r + 1 integers in each row it touches, for r constraints, not one
 per tableau column.
 
+The Pareto path builds its cells once, as one integer table
+(``decompose``): the cell bounds over one common denominator, each
+player's weight on each cell as an integer pair, and each cell's owner.
+The closure compares cross-multiplied rates from it, the improvement LP's
+sparse integer rows go from it straight into the simplex core, and the
+witness is laid out from the core's integer basic values. ``simplex_max``
+is the core's front end for a public ``LinearProgram``: it scales the
+``Fraction`` rows to the same integers and also reports the LP's dual.
+
 The equal-value solver walks the target value t upward over the affine
 segments of the greedy leftmost cuts. Cuts only move right as t grows, so
 each cut carries forward-only cursors into the pieces and cumulative-mass
@@ -27,8 +36,9 @@ value t* so far, all call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import eq, ge, le
 from typing import Optional, Sequence
@@ -298,6 +308,8 @@ class LinearProgram:
     constraints: tuple[LinearConstraint, ...]
 
     def __post_init__(self):
+        if isinstance(self.n_vars, bool) or not isinstance(self.n_vars, int):
+            raise ValueError(f"variable count {self.n_vars!r} is not an int")
         object.__setattr__(self, "objective", tuple(as_rational(c) for c in self.objective))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if len(self.objective) != self.n_vars:
@@ -311,8 +323,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """The optimum, a vertex reaching it, and, from ``simplex_max``, one
+    dual value per constraint; equality ignores the dual."""
+
     value: Fraction
     point: tuple[Fraction, ...]
+    dual: Optional[tuple[Fraction, ...]] = field(default=None, compare=False)
 
 
 def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> Optional[str]:
@@ -343,42 +359,90 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
     found from scratch. Bland's rule rules out cycling, so termination is
     unconditional.
 
-    Each constraint is scaled to integers once, and negated if its
-    right-hand side is negative. The matrix M of these rows, with their
-    slack and artificial columns, is stored as sparse columns of (row,
-    value) pairs. Tableau row i is e_i·M / d_i and is never stored: it is
-    kept as its r integer multipliers e_i and its right-hand-side
-    numerator, reduced by their gcd, over a positive d_i. Every tableau
-    entry is the exact rational a dense ``Fraction`` tableau would hold,
-    so every pivot choice is the same; only the final basic values become
-    fractions.
+    This is the front end of ``_simplex_core``: each constraint is scaled
+    to integers once, by the least common denominator of its right-hand
+    side and nonzero coefficients, negated if its right-hand side is
+    negative, and kept as its nonzero (column, coefficient) terms, sense,
+    right-hand side and scale; the seed is checked on those rows.
+    ``pareto_improve`` builds the same rows from its cell table and calls
+    the core itself.
+
+    ``dual`` holds one value per constraint, read off the core's final
+    objective row alpha·cost + mu·M, which is zero on the basic columns and
+    at most zero on the others: for row k, scaled by den_k and multiplied
+    by the sign s_k, and the objective scaled by den_c, y_k =
+    −mu_k·s_k·den_k / (alpha·den_c). So y_k >= 0 on a <= row and <= 0 on a
+    >= row, every objective entry is at most its column of Σ_k y_k·row_k,
+    and Σ_k y_k·rhs_k is the optimum. Multipliers spread only through pivot
+    rows. A row that Phase 1 deletes as redundant still has its artificial
+    basic, so unless an artificial left the basis and came back it was
+    never a pivot row, and its dual value is 0.
     """
     point = tuple(as_rational(v) for v in seed)
-    n, r = lp.n_vars, len(lp.constraints)
+    n = lp.n_vars
     # The seed, over one common denominator, is checked on the integer
     # rows as they are built; check_point only words a refusal.
     scale = lcm(*[v.denominator for v in point])
     x = [v.numerator * (scale // v.denominator) for v in point]
     feasible = len(x) == n and all(v >= 0 for v in x)
-    # Columns: the n variables, a slack for each inequality, then an
-    # artificial for each row that is not <= once its sign is fixed.
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    slacks, arts = [], []
-    first_art = n + sum(c.sense != "==" for c in lp.constraints)
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    basis: list[int] = []
-    for i, c in enumerate(lp.constraints):
+    rows, signs = [], []
+    for c in lp.constraints:
         terms = [(j, a) for j, a in enumerate(c.coeffs) if a]
         den = lcm(c.rhs.denominator, *[a.denominator for _, a in terms])
         sign = -1 if c.rhs < 0 else 1
         terms = [(j, sign * a.numerator * (den // a.denominator)) for j, a in terms]
-        for j, a in terms:
-            columns[j].append((i, a))
         rhs = sign * c.rhs.numerator * (den // c.rhs.denominator)
         sense = SENSES[c.sense][1] if sign < 0 else c.sense
         if feasible:
             feasible = SENSES[sense][0](sum([a * x[j] for j, a in terms]), rhs * scale)
+        rows.append((terms, sense, rhs, den))
+        signs.append(sign)
+    if not feasible:
+        raise InfeasibleSeedError(check_point(lp, point))
+    den = lcm(*[cj.denominator for cj in lp.objective])
+    cost = [cj.numerator * (den // cj.denominator) for cj in lp.objective]
+    basic, mu, alpha = _simplex_core(n, rows, cost)
+
+    solution = [ZERO] * n
+    for b, num, d in basic:
+        solution[b] = Fraction(num, d)
+    value = sum((cj * xj for cj, xj in zip(lp.objective, solution)), ZERO)
+    dual = [Fraction(-m * s * row[3], alpha * den) for m, s, row in zip(mu, signs, rows)]
+    return SimplexResult(value=value, point=tuple(solution), dual=tuple(dual))
+
+
+def _simplex_core(n: int, constraints: Sequence, cost: list[int]):
+    """The two-phase revised simplex on integer rows: Phase 1 from the
+    slack and artificial basis when some row is not <=, then Phase 2 on the
+    integer objective ``cost`` of the n variables.
+
+    Each constraint is (terms, sense, rhs, den), as ``simplex_max``
+    builds it: its nonzero (column, coefficient) terms, its sense, its
+    right-hand side, at least 0, and the scale den that made them
+    integers, which its slack and artificial columns carry. The matrix M of
+    these rows, with their slack and artificial columns, is stored as
+    sparse columns of (row, value) pairs. Tableau row i is e_i·M / d_i and
+    is never stored: it is kept as its r integer multipliers e_i and its
+    right-hand-side numerator, reduced by their gcd, over a positive d_i.
+    Every tableau entry is the exact rational a dense ``Fraction`` tableau
+    would hold, so every pivot choice is the same.
+
+    Returns each basic variable's value as (column, numerator,
+    denominator), and the multipliers mu and alpha of the final objective
+    row alpha·cost + mu·M (see ``_optimize``).
+    """
+    r = len(constraints)
+    # Columns: the n variables, a slack for each inequality, then an
+    # artificial for each row that is not <=.
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    slacks, arts = [], []
+    first_art = n + sum(sense != "==" for _, sense, _, _ in constraints)
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    basis: list[int] = []
+    for i, (terms, sense, rhs, den) in enumerate(constraints):
+        for j, a in terms:
+            columns[j].append((i, a))
         row = [0] * (r + 1)
         row[i], row[r] = 1, rhs
         rows.append(row)
@@ -390,8 +454,6 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
         else:
             basis.append(first_art + len(arts))
             arts.append([(i, den)])
-    if not feasible:
-        raise InfeasibleSeedError(check_point(lp, point))
     columns += slacks + arts
 
     if arts:
@@ -413,16 +475,9 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
         # No artificial column is basic now, and none may enter again.
         del columns[first_art:]
 
-    den = lcm(*[cj.denominator for cj in lp.objective])
-    cost = [cj.numerator * (den // cj.denominator) for cj in lp.objective]
-    _optimize(rows, dens, basis, columns, cost + [0] * (first_art - n), r)
-
-    solution = [ZERO] * n
-    for row, den, b in zip(rows, dens, basis):
-        if b < n:
-            solution[b] = Fraction(row[r], den)
-    value = sum((cj * xj for cj, xj in zip(lp.objective, solution)), ZERO)
-    return SimplexResult(value=value, point=tuple(solution))
+    mu, alpha = _optimize(rows, dens, basis, columns, cost + [0] * (first_art - n), r)
+    basic = [(b, row[r], den) for row, den, b in zip(rows, dens, basis) if b < n]
+    return basic, mu, alpha
 
 
 def _entry(row, column):
@@ -440,7 +495,7 @@ def _optimize(rows, dens, basis, columns, cost, r):
     The objective row is cost - Σ cost[b_i]·row_i over the basic rows, so
     it is zero on every basic column. Only the signs of its entries are
     read, so it is kept up to a positive factor, as alpha·cost + mu·M for
-    an integer alpha > 0 and r integer multipliers mu.
+    an integer alpha > 0 and r integer multipliers mu, which are returned.
     """
     mu, alpha = [0] * r, 1
     for i, b in enumerate(basis):
@@ -455,7 +510,7 @@ def _optimize(rows, dens, basis, columns, cost, r):
                 if f > 0:
                     break
         else:
-            return
+            return mu, alpha
         # A row's ratio rhs/a is a quotient of its own numerators, so two
         # ratios compare by cross-multiplying.
         col = [_entry(row, column) for row in rows]
@@ -520,10 +575,40 @@ def _eliminate(row, den, pivot_row, p, f):
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """Refinement of [0, 1] on which every player's density is constant."""
+    """Refinement of [0, 1] on which every player's density is constant,
+    held as one integer table.
 
-    cells: tuple[Interval, ...]
-    densities: tuple[tuple[Fraction, ...], ...]
+    Cell c is [bounds[c], bounds[c + 1]] / denominator, one common
+    denominator for every bound. ``weights[i]`` holds player i's weight
+    on each cell, its density times the cell's length, as two tuples: the
+    numerators and the positive denominators of the reduced pairs, 0/1
+    where the density vanishes. ``owners`` holds the player index owning
+    each cell of the allocation decomposed with the scenario, else None.
+    ``cells`` (one ``Interval`` per cell) and ``densities`` (one
+    ``Fraction`` per player and cell) are views of the table, built only
+    when read; like ``StepDensity._rows``, they are not dataclass fields.
+    """
+
+    bounds: tuple[int, ...]
+    denominator: int
+    weights: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    owners: Optional[tuple[int, ...]] = None
+
+    @cached_property
+    def cells(self) -> tuple[Interval, ...]:
+        points = [Fraction(b, self.denominator) for b in self.bounds]
+        return tuple([Interval(a, b) for a, b in zip(points, points[1:])])
+
+    @cached_property
+    def densities(self) -> tuple[tuple[Fraction, ...], ...]:
+        widths = [b - a for a, b in zip(self.bounds, self.bounds[1:])]
+        den = self.denominator
+        return tuple(
+            [
+                tuple([Fraction(a * den, d * w) for a, d, w in zip(nums, dens, widths)])
+                for nums, dens in self.weights
+            ]
+        )
 
 
 def decompose(
@@ -534,103 +619,117 @@ def decompose(
     Each density is then constant on each cell, and each portion is a union
     of whole cells. Cutting finer cannot change a Pareto verdict, since
     only the per-cell fractions matter, so a density that declares
-    redundant breakpoints only adds cells. A density's column is read with
-    one forward cursor over its pieces, which tile [0, 1].
+    redundant breakpoints only adds cells.
+
+    The table is built on integers: every bound is read off the densities'
+    integer index (``StepDensity._rows``) and the allocation's spans over
+    their least common denominator, so the bounds merge as one sort of
+    integers. A density's weights are read with one forward cursor over
+    its pieces, which tile [0, 1], and each cell's owner with one over the
+    allocation's spans, sorted by left end; an allocation must name the
+    scenario's players.
     """
-    points = {ZERO, ONE}
-    for _, density in scenario.players:
-        for piece in density.pieces:
-            points.add(piece.lo)
+    indexes = [density._rows for _, density in scenario.players]
+    spans = ()
     if allocation is not None:
-        # The spans tile [0, 1], so their left ends and 1 are every endpoint.
-        points.update([lo for lo, _, _ in allocation._layout])
+        _require_owners(scenario, allocation)
+        spans = allocation._layout
+    denominators = {lo.denominator for lo, _, _ in spans}
+    for index in indexes:
+        denominators.update(index[1])
+    den = lcm(*denominators)
+    scaled = [[b * (den // d) for b, d in zip(index[0], index[1])] for index in indexes]
+    points = {0, den}
+    for ends in scaled:
+        points.update(ends)
+    # The spans tile [0, 1], so their left ends and 1 are every endpoint.
+    points.update([lo.numerator * (den // lo.denominator) for lo, _, _ in spans])
     bounds = sorted(points)
+    widths = [b - a for a, b in zip(bounds, bounds[1:])]
     # Tuples built from lists, not generators: tuple(generator) allocates
     # ten slots and shrinks, and CPython parks each shrunk tuple on its
     # size's free list when it dies, so resident memory would grow with
     # every call until those free lists fill.
-    cells = tuple([Interval(a, b) for a, b in zip(bounds, bounds[1:])])
-    densities = []
-    for _, density in scenario.players:
-        pieces = density.pieces
-        column = []
+    weights = []
+    for (_, _, rn, rd, _, _), ends in zip(indexes, scaled):
+        nums, dens = [], []
         j = 0
-        for lo in bounds[:-1]:
-            while pieces[j].hi <= lo:
+        for lo, width in zip(bounds, widths):
+            while ends[j + 1] <= lo:
                 j += 1
-            column.append(pieces[j].density)
-        densities.append(tuple(column))
-    return CellDecomposition(cells, tuple(densities))
+            if rn[j]:
+                a, d = rn[j] * width, rd[j] * den
+                g = gcd(a, d)
+                nums.append(a // g)
+                dens.append(d // g)
+            else:
+                nums.append(0)
+                dens.append(1)
+        weights.append((tuple(nums), tuple(dens)))
+    owners = None
+    if allocation is not None:
+        index = {name: i for i, (name, _) in enumerate(scenario.players)}
+        his = [hi.numerator * (den // hi.denominator) for _, hi, _ in spans]
+        owners = []
+        k = 0
+        for lo in bounds[:-1]:
+            while his[k] <= lo:
+                k += 1
+            owners.append(index[spans[k][2]])
+        owners = tuple(owners)
+    return CellDecomposition(tuple(bounds), den, tuple(weights), owners)
 
 
-def _cells_and_owners(
-    scenario: Scenario, allocation: Allocation
-) -> tuple[CellDecomposition, tuple[int, ...]]:
-    """The allocation's cell decomposition and the player index owning
-    each cell.
-
-    Every portion is a union of whole cells, so one merge of the cells
-    with the allocation's spans, both sorted by left end, finds each owner.
-    """
-    _require_owners(scenario, allocation)
-    dec = decompose(scenario, allocation)
-    index = {name: i for i, (name, _) in enumerate(scenario.players)}
-    spans = allocation._layout
-    owners = []
-    k = 0
-    for cell in dec.cells:
-        while spans[k][1] <= cell.lo:
-            k += 1
-        owners.append(index[spans[k][2]])
-    return dec, tuple(owners)
-
-
-def _rate_weights(
-    dec: CellDecomposition, owners: Sequence[int]
-) -> Optional[tuple[Fraction, ...]]:
-    """Weights a > 0 under which each cell's owner values it most, or None
-    when no such weights exist, that is, when the allocation is dominated.
+def _rate_closure(dec: CellDecomposition) -> Optional[list[list]]:
+    """The closure of the trade rates between the owners of a cell table,
+    or None when it shows the allocation dominated.
 
     Player i can pass cake to player j at the trade rate r_ij, the least
-    d_ic / d_jc over the cells c that i owns and j values. The weights
-    must satisfy a_j <= a_i·r_ij on every rate, so they exist iff no rate
-    is 0 (an owner holding a cell it does not value that another player
-    does) and no cycle of rates has a product below 1. A min-product
-    Floyd–Warshall closure D decides that exactly, stopping at the first
-    D_ii < 1, and a_j = min(1, min_i D_ij) satisfies every rate.
+    w_ic / w_jc over the cells c that i owns and j values. Weights a > 0
+    under which each cell's owner values it most must satisfy a_j <=
+    a_i·r_ij on every rate, so they exist iff no rate is 0 (an owner
+    holding a cell it does not value that another player does) and no
+    cycle of rates has a product below 1. A min-product Floyd–Warshall
+    closure D decides that exactly, stopping at the first D_ii < 1; then
+    a_j = min(1, min_i D_ij) satisfies every rate. Entry D_ij is None where
+    no chain of rates leads from i to j, else an integer pair with a
+    positive denominator; rates compare by cross-multiplying, and a
+    product is reduced by its gcd when it is kept.
     """
-    n = len(dec.densities)
-    closure: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
-    for c, owner in enumerate(owners):
-        own = dec.densities[owner][c]
+    nums = [w[0] for w in dec.weights]
+    dens = [w[1] for w in dec.weights]
+    n = len(nums)
+    closure: list[list[Optional[tuple[int, int]]]] = [[None] * n for _ in range(n)]
+    for c, owner in enumerate(dec.owners):
+        own = nums[owner][c]
         row = closure[owner]
         for j in range(n):
-            other = dec.densities[j][c]
+            other = nums[j][c]
             if j != owner and other:
                 if not own:
                     return None
-                rate = own / other
-                if row[j] is None or rate < row[j]:
-                    row[j] = rate
+                rn, rd = own * dens[j][c], dens[owner][c] * other
+                best = row[j]
+                if best is None or rn * best[1] < best[0] * rd:
+                    row[j] = (rn, rd)
     for k in range(n):
         through = closure[k]
         for row in closure:
             first = row[k]
             if first is None:
                 continue
+            fn, fd = first
             for j, second in enumerate(through):
                 if second is not None:
-                    product = first * second
-                    if row[j] is None or product < row[j]:
-                        row[j] = product
-        if any(closure[i][i] is not None and closure[i][i] < ONE for i in range(n)):
-            return None
-    return tuple(
-        [
-            min([ONE, *(row[j] for row in closure if row[j] is not None)])
-            for j in range(n)
-        ]
-    )
+                    pn, pd = fn * second[0], fd * second[1]
+                    best = row[j]
+                    if best is None or pn * best[1] < best[0] * pd:
+                        g = gcd(pn, pd)
+                        row[j] = (pn // g, pd // g)
+        for i, row in enumerate(closure):
+            if row[i] is not None and row[i][0] < row[i][1]:
+                return None
+    return closure
 
 
 @dataclass(frozen=True)
@@ -651,38 +750,41 @@ class DominationWitness:
             raise ValueError(f"not a domination witness: gains {gains}")
 
 
-def _improvement_lp(scenario: Scenario, dec: CellDecomposition, owners: Sequence[int]):
-    """The LP, seed and current values of ``build_improvement_lp`` for a
-    decomposition and its owner table."""
-    n = scenario.n
-    m = len(dec.cells)
-    weight = [
-        [dec.densities[i][c] * dec.cells[c].length for c in range(m)]
-        for i in range(n)
-    ]
-    base = [ZERO] * n
-    for c, owner in enumerate(owners):
-        base[owner] += weight[owner][c]
-    base = tuple(base)
+def _add_pair(pair: tuple[int, int], n: int, d: int) -> tuple[int, int]:
+    """The reduced pair of pair + n/d, for d > 0."""
+    an, ad = pair
+    an, ad = an * d + n * ad, ad * d
+    g = gcd(an, ad)
+    return an // g, ad // g
 
-    # Variable i * m + c is player i's share of cell c.
-    n_vars = n * m
-    constraints = []
-    for c in range(m):
-        coeffs = [ZERO] * n_vars
-        coeffs[c::m] = [ONE] * n
-        constraints.append(LinearConstraint(tuple(coeffs), "==", ONE))
-    for i in range(n):
-        coeffs = [ZERO] * n_vars
-        coeffs[i * m : (i + 1) * m] = weight[i]
-        constraints.append(LinearConstraint(tuple(coeffs), ">=", base[i]))
-    objective = tuple(w for row in weight for w in row)
-    lp = LinearProgram(n_vars, objective, tuple(constraints))
 
-    seed = [ZERO] * n_vars
-    for c, owner in enumerate(owners):
-        seed[owner * m + c] = ONE
-    return lp, tuple(seed), base
+def _improvement_lp(dec: CellDecomposition):
+    """The integer rows of ``build_improvement_lp`` for a decomposition with
+    owners, exactly as ``simplex_max`` would scale that LP: the rows, the
+    integer objective, its scale, and each player's current value as a
+    reduced pair.
+
+    Variable i·m + c is player i's share of cell c. The m cell rows come
+    first, Σ_i x_ic == 1, and then one row per player, Σ_c w_ic·x_ic >=
+    base_i, each over the least common denominator of its right-hand side
+    and nonzero weights; the objective is every weight over the least
+    common denominator of them all.
+    """
+    m = len(dec.bounds) - 1
+    n = len(dec.weights)
+    base = [(0, 1)] * n
+    for c, owner in enumerate(dec.owners):
+        nums, dens = dec.weights[owner]
+        base[owner] = _add_pair(base[owner], nums[c], dens[c])
+    rows = [([(i * m + c, 1) for i in range(n)], "==", 1, 1) for c in range(m)]
+    for i, (nums, dens) in enumerate(dec.weights):
+        bn, bd = base[i]
+        den = lcm(bd, *[d for a, d in zip(nums, dens) if a])
+        terms = [(i * m + c, a * (den // d)) for c, (a, d) in enumerate(zip(nums, dens)) if a]
+        rows.append((terms, ">=", bn * (den // bd), den))
+    scale = lcm(*[d for _, dens in dec.weights for d in dens])
+    cost = [a * (scale // d) for nums, dens in dec.weights for a, d in zip(nums, dens)]
+    return rows, cost, scale, base
 
 
 def build_improvement_lp(scenario: Scenario, allocation: Allocation):
@@ -696,11 +798,26 @@ def build_improvement_lp(scenario: Scenario, allocation: Allocation):
     value, so optimum minus the current total is the achievable sum of
     gains. The cells are those of ``decompose``, so one (scenario,
     allocation) pair has one LP, and the seed gives each cell to its owner.
+    The LP is a ``Fraction`` view of the integer rows ``pareto_improve``
+    solves, and ``simplex_max`` scales it back to those very rows.
     Returns (lp, seed point, decomposition, current values).
     """
-    dec, owners = _cells_and_owners(scenario, allocation)
-    lp, seed, base = _improvement_lp(scenario, dec, owners)
-    return lp, seed, dec, base
+    dec = decompose(scenario, allocation)
+    rows, cost, scale, base = _improvement_lp(dec)
+    n_vars = len(cost)
+    constraints = []
+    for terms, sense, rhs, den in rows:
+        coeffs = [ZERO] * n_vars
+        for j, a in terms:
+            coeffs[j] = Fraction(a, den)
+        constraints.append(LinearConstraint(tuple(coeffs), sense, Fraction(rhs, den)))
+    objective = tuple([Fraction(a, scale) for a in cost])
+    lp = LinearProgram(n_vars, objective, tuple(constraints))
+    m = len(dec.bounds) - 1
+    seed = [ZERO] * n_vars
+    for c, owner in enumerate(dec.owners):
+        seed[owner * m + c] = ONE
+    return lp, tuple(seed), dec, tuple([Fraction(*b) for b in base])
 
 
 def pareto_weights(
@@ -716,9 +833,13 @@ def pareto_weights(
     value Σ_c y_c − Σ_i λ_i·base_i equals the current total Σ_i base_i,
     which bounds every allocation's total from above.
     """
-    weights = _rate_weights(*_cells_and_owners(scenario, allocation))
-    if weights is None:
+    closure = _rate_closure(decompose(scenario, allocation))
+    if closure is None:
         return None
+    weights = [
+        min([ONE, *(Fraction(*row[j]) for row in closure if row[j] is not None)])
+        for j in range(scenario.n)
+    ]
     least = min(weights)
     return tuple([a / least - ONE for a in weights])
 
@@ -730,41 +851,56 @@ def pareto_improve(
 
     Optimality here is against all measurable allocations, not just
     contiguous ones: with step densities only the per-cell fractions
-    matter. The verdict comes from the trade-rate closure on the cells'
-    owners (see ``pareto_weights``), with no LP. Only a dominated
-    allocation solves ``build_improvement_lp``, from the same cells and
-    owners, and its Bland-rule optimum is the witness.
+    matter. The verdict comes from the trade-rate closure on the cell
+    table's owners (see ``pareto_weights``), with no LP. Only a dominated
+    allocation solves ``build_improvement_lp``: its integer rows go from
+    the same table straight to ``_simplex_core``, with no ``Fraction``
+    row, and its Bland-rule optimum is the witness. Each share x_ic of a
+    cell is laid out left to right in player order, so each piece bound
+    is one ``Fraction``, and each player's value is Σ_c x_ic·w_ic, summed
+    on integer pairs from the table with no scan of a density.
     """
-    dec, owners = _cells_and_owners(scenario, allocation)
-    if _rate_weights(dec, owners) is not None:
+    dec = decompose(scenario, allocation)
+    if _rate_closure(dec) is not None:
         return None
-    lp, seed, base = _improvement_lp(scenario, dec, owners)
-    result = simplex_max(lp, seed)
+    rows, cost, _, base = _improvement_lp(dec)
+    basic, _, _ = _simplex_core(len(cost), rows, cost)
+    shares = {b: (num, den) for b, num, den in basic if num}
 
-    m = len(dec.cells)
-    pieces: dict[str, list[Interval]] = {name: [] for name, _ in scenario.players}
-    for c, cell in enumerate(dec.cells):
-        position = cell.lo
-        for i, (name, _) in enumerate(scenario.players):
-            share = result.point[i * m + c]
-            if share > 0:
-                end = position + share * cell.length
-                pieces[name].append(Interval(position, end))
-                position = end
+    n, m = scenario.n, len(dec.bounds) - 1
+    bounds, den = dec.bounds, dec.denominator
+    pieces: list[list[Interval]] = [[] for _ in range(n)]
+    values = [(0, 1)] * n
+    position = ZERO
+    for c in range(m):
+        lo, width = bounds[c], bounds[c + 1] - bounds[c]
+        # sn/sd: the share of the cell laid out so far.
+        sn, sd = 0, 1
+        for i in range(n):
+            share = shares.get(i * m + c)
+            if share is None:
+                continue
+            xn, xd = share
+            sn, sd = sn * xd + xn * sd, sd * xd
+            end = Fraction(lo * sd + sn * width, den * sd)
+            pieces[i].append(Interval(position, end))
+            position = end
+            nums, dens = dec.weights[i]
+            values[i] = _add_pair(values[i], xn * nums[c], xd * dens[c])
+    names = scenario.names
     witness_alloc = Allocation(
-        tuple((name, IntervalSet(tuple(ivs))) for name, ivs in pieces.items())
+        tuple([(name, IntervalSet(tuple(ivs))) for name, ivs in zip(names, pieces)])
     )
-    values = declared_values(scenario, witness_alloc)
-    gains = {
-        name: values[name] - base[i] for i, (name, _) in enumerate(scenario.players)
-    }
-    return DominationWitness(witness_alloc, values, gains)
+    value_vector = {name: Fraction(*v) for name, v in zip(names, values)}
+    gains = {name: value_vector[name] - Fraction(*b) for name, b in zip(names, base)}
+    return DominationWitness(witness_alloc, value_vector, gains)
 
 
 def utilitarian_bound(scenario: Scenario) -> Fraction:
-    """Upper bound on total value: integrate the pointwise maximum density."""
+    """Upper bound on total value: integrate the pointwise maximum density,
+    the sum over the cells of ``decompose`` of the largest weight."""
     dec = decompose(scenario)
     total = ZERO
-    for c, cell in enumerate(dec.cells):
-        total += max(dec.densities[i][c] for i in range(scenario.n)) * cell.length
+    for cell in zip(*[zip(nums, dens) for nums, dens in dec.weights]):
+        total += max([Fraction(a, d) for a, d in cell])
     return total

@@ -447,10 +447,8 @@ def test_cli_verify_runs_each_check_once_in_first_mention_order(
     scenario_file, tmp_path, capsys, monkeypatch
 ):
     calls = []
-    simplex_max = solve.simplex_max
-    monkeypatch.setattr(
-        solve, "simplex_max", lambda lp, seed: calls.append(lp) or simplex_max(lp, seed)
-    )
+    core = solve._simplex_core
+    monkeypatch.setattr(solve, "_simplex_core", lambda *rows: calls.append(rows) or core(*rows))
     allocation = tmp_path / "allocation.json"
     allocation.write_text(json.dumps(HALVES_DOC), encoding="utf-8")
     argv = ["verify", str(scenario_file), str(allocation), "--checks", "envy,pareto,envy,pareto"]
@@ -486,17 +484,18 @@ def test_cli_paper_ce_reports_are_byte_identical(case_id, capsys):
 
 def test_ce6_replay_solves_one_lp_per_pareto_question(monkeypatch):
     calls = []
-    simplex_max = solve.simplex_max
+    core = solve._simplex_core
 
-    def counted(lp, seed):
-        calls.append(lp)
-        return simplex_max(lp, seed)
+    def counted(*rows):
+        calls.append(rows)
+        return core(*rows)
 
-    # Patch every module that holds the solver by name, so that a direct
-    # import of it is counted too.
+    # Patch every module that holds the simplex core by name, so that a
+    # direct import of it is counted too; simplex_max and pareto_improve
+    # both solve through it.
     for name, module in list(sys.modules.items()):
-        if name.startswith("fairslice") and getattr(module, "simplex_max", None) is simplex_max:
-            monkeypatch.setattr(module, "simplex_max", counted)
+        if name.startswith("fairslice") and getattr(module, "_simplex_core", None) is core:
+            monkeypatch.setattr(module, "_simplex_core", counted)
     run_counterexample(6)
     # One LP, for the dominated median-cut outcome; the block allocation is
     # optimal, which the trade-rate closure settles with no LP.

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairslice import (
@@ -23,6 +23,7 @@ from fairslice import (
     UnboundedError,
     build_improvement_lp,
     contiguous_allocation,
+    declared_values,
     decompose,
     equal_value_solve,
     equitability,
@@ -390,6 +391,15 @@ def test_linear_program_refuses_malformed_input():
         LinearProgram(1, (ONE,), (LinearConstraint((ONE, ONE), "<=", ONE),))
 
 
+@pytest.mark.parametrize("n_vars, width", [(True, 1), (False, 0), (2.0, 2), ("2", 2), (None, 0)])
+def test_linear_program_refuses_a_variable_count_that_is_not_an_int(n_vars, width):
+    # True would pass the width checks as 1, and 2.0 as 2, only to be
+    # solved as a one-variable LP or to fail inside the simplex.
+    row = LinearConstraint((ONE,) * width, "<=", ONE)
+    with pytest.raises(ValueError, match=rf"^variable count {n_vars!r} is not an int$"):
+        LinearProgram(n_vars, (ONE,) * width, (row,))
+
+
 @pytest.mark.parametrize(
     "sense, holds",
     [("<=", (ZERO, HALF)), (">=", (HALF, ONE)), ("==", (HALF,))],
@@ -520,6 +530,78 @@ def test_revised_simplex_matches_the_dense_tableau(case):
         else:
             assert simplex_max(lp, seed) == result
     assert taken == expected
+
+
+@st.composite
+def dual_cases(draw):
+    """A bounded LP, a seed, its optimum by vertex enumeration, and the
+    indices of rows it holds only as redundant copies. A ``random_lp``
+    instance has rows of all three senses and negative right-hand sides;
+    it is taken as drawn ("plain") or with a sign-flipped duplicate == row
+    put first and an all-zero == row put last ("redundant"), the oracle
+    reading the LP without them. Otherwise it is the improvement LP of a
+    two-player allocation on the quarter grid, small enough to enumerate
+    ("pareto")."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("plain", "redundant", "pareto")))
+    if kind == "pareto":
+        scenario = random_scenario(rng, 2, max_pieces=3, pool=QUARTER_POOL)
+        allocation = random_allocation(rng, scenario, pool=QUARTER_POOL)
+        lp, seed = build_improvement_lp(scenario, allocation)[:2]
+        return lp, seed, vertex_enumeration_max(lp), ()
+    lp, seed = random_lp(rng)
+    if kind == "plain":
+        return lp, seed, vertex_enumeration_max(lp), ()
+    plain, lp = with_redundant_equalities(rng, lp, seed)
+    return lp, seed, vertex_enumeration_max(plain), (0, len(lp.constraints) - 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dual_cases())
+def test_simplex_dual_is_feasible_and_its_value_is_the_optimum(case):
+    lp, seed, oracle, redundant = case
+    assume(oracle is not None)
+    result = simplex_max(lp, seed)
+    dual = result.dual
+    assert len(dual) == len(lp.constraints)
+    # Strong duality: the dual objective meets the primal optimum.
+    assert result.value == oracle
+    assert sum((c.rhs * y for c, y in zip(lp.constraints, dual)), ZERO) == oracle
+    # Dual feasibility for a maximum over x >= 0: the sign each sense
+    # allows, and every objective entry covered by its column.
+    for c, y in zip(lp.constraints, dual):
+        assert {"<=": y >= 0, ">=": y <= 0, "==": True}[c.sense], (c.sense, y)
+    for j, cj in enumerate(lp.objective):
+        assert sum((c.coeffs[j] * y for c, y in zip(lp.constraints, dual)), ZERO) >= cj
+    if redundant:
+        # The all-zero row is deleted in Phase 1 and prices at 0. So does
+        # one of the duplicated pair, whichever the drive-out deletes.
+        first, zero_row = redundant
+        (twin,) = [
+            k
+            for k, c in enumerate(lp.constraints)
+            if k != first and tuple(-2 * a for a in c.coeffs) == lp.constraints[first].coeffs
+        ][:1]
+        assert dual[zero_row] == 0
+        assert dual[first] == 0 or dual[twin] == 0
+
+
+def test_simplex_dual_prices_each_row():
+    # max 2x + 3y with x + y == 1 and x <= 2/3: y = 1, priced by the
+    # equality at 3; the slack bound x <= 2/3 prices at 0.
+    lp = LinearProgram(
+        2,
+        (F(2), F(3)),
+        (
+            LinearConstraint((ONE, ONE), "==", ONE),
+            LinearConstraint((ONE, ZERO), "<=", F(2, 3)),
+        ),
+    )
+    result = simplex_max(lp, (HALF, HALF))
+    assert result.dual == (F(3), ZERO)
+    # The dense tableau fills no dual, and equality ignores it.
+    dense = dense_simplex(lp, (HALF, HALF))
+    assert dense.dual is None and result == dense
 
 
 @settings(max_examples=200, deadline=None)
@@ -787,3 +869,158 @@ def test_pareto_weights_certify_the_published_optimal_blocks(ce5, ce6):
         assert check_pareto_certificate(scenario, block, weights)
     # A dominated allocation has no certificate.
     assert pareto_weights(ce6, contiguous_allocation(("A", "B"), (HALF,))) is None
+
+
+def long_cut_quartet():
+    """Four players on the 1/6 grid with zero-weight pieces, and an
+    allocation, dominated, whose cuts have 30- and 31-digit denominators;
+    P3 holds two spans."""
+    weights = {
+        "P1": [3, 0, 2, 0, 1, 4],
+        "P2": [0, 4, 1, 3, 0, 2],
+        "P3": [1, 1, 0, 0, 5, 3],
+        "P4": [2, 0, 0, 4, 2, 2],
+    }
+    sixths = [(F(j, 6), F(j + 1, 6)) for j in range(6)]
+    scenario = Scenario(
+        tuple(
+            (name, StepDensity.of(*((a, b, F(6 * w, sum(ws))) for (a, b), w in zip(sixths, ws))))
+            for name, ws in weights.items()
+        )
+    )
+    p, q = 10**29 + 7, 10**30 + 9
+    first, last = F(q // 4, q), F(2 * p, 3 * p + 1)
+    allocation = Allocation.of(
+        {
+            "P1": IntervalSet.of((HALF, last)),
+            "P2": IntervalSet.of((F(1, 6), first)),
+            "P3": IntervalSet.of((ZERO, F(1, 6)), (last, ONE)),
+            "P4": IntervalSet.of((first, HALF)),
+        }
+    )
+    return scenario, allocation
+
+
+@st.composite
+def improvement_cases(draw):
+    """n = 2 to 4 players on a fine grid with zero-density plateaus
+    ("grid"), drawn by ``random_scenario`` ("random"), or with breakpoints
+    over 40- to 60-digit denominators ("long"), and a moving-knife or a
+    ``random_allocation`` allocation; or the four players of
+    ``long_cut_quartet`` ("long cuts")."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("grid", "random", "long", "long cuts")))
+    if kind == "long cuts":
+        return long_cut_quartet()
+    n = rng.randint(2, 4)
+    if kind == "grid":
+        scenario = fine_grid_scenario(rng, n, rng.choice((4, 6, 8)))
+    elif kind == "random":
+        scenario = random_scenario(rng, n)
+    else:
+        scenario = Scenario(tuple((f"p{i + 1}", draw_long_density(draw)) for i in range(n)))
+    if rng.random() < 0.5:
+        return scenario, moving_knife(scenario).allocation
+    return scenario, random_allocation(rng, scenario)
+
+
+@settings(max_examples=100, deadline=None)
+@given(improvement_cases())
+def test_pareto_improve_hands_the_core_the_rows_simplex_max_builds(case):
+    # pareto_improve builds its integer rows from the cell table, and
+    # simplex_max scales build_improvement_lp's Fraction LP: the core must
+    # receive the same rows, term for term, and the same objective, so it
+    # takes the same pivots to the same witness.
+    scenario, allocation = case
+    lp, seed, dec, base = build_improvement_lp(scenario, allocation)
+    handed = []
+    core = solve._simplex_core
+
+    def spied(*args):
+        handed.append(args)
+        return core(*args)
+
+    with mock.patch.object(solve, "_simplex_core", spied):
+        result = simplex_max(lp, seed)
+        witness = pareto_improve(scenario, allocation)
+    rows, cost, _, _ = solve._improvement_lp(dec)
+    assert handed[0] == (lp.n_vars, rows, cost)
+    if witness is None:
+        assert len(handed) == 1 and result.value == sum(base, ZERO)
+        return
+    assert len(handed) == 2 and handed[1] == handed[0]
+    # The witness's values, summed on integers from the basic shares, are
+    # the masses of its portions.
+    assert witness.value_vector == declared_values(scenario, witness.allocation)
+    assert sum(witness.value_vector.values(), ZERO) == result.value
+    assert witness.gains == {
+        name: witness.value_vector[name] - b for name, b in zip(scenario.names, base)
+    }
+
+
+def test_pareto_improve_on_long_rational_cuts():
+    scenario, allocation = long_cut_quartet()
+    witness = pareto_improve(scenario, allocation)
+    assert witness is not None
+    assert witness.value_vector == declared_values(scenario, witness.allocation)
+    lp, seed, dec, _ = build_improvement_lp(scenario, allocation)
+    assert max(len(str(b)) for b in dec.bounds) >= 60
+    assert simplex_max(lp, seed).value == sum(witness.value_vector.values(), ZERO)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_decompose_views_are_the_breakpoints_and_scanned_densities(data):
+    # Densities on a grid or with long breakpoints, some split at points
+    # inside their pieces (redundant breakpoints, the same density), and
+    # maybe an allocation of contiguous pieces.
+    draw = data.draw
+    n = draw(st.integers(1, 4))
+    players = []
+    for i in range(n):
+        if draw(st.booleans()):
+            density = draw_grid_density(draw, draw(st.sampled_from((4, 6, 12))))
+        else:
+            density = draw_long_density(draw)
+        extra = draw(st.sets(st.sampled_from(QUARTER_POOL + [F(1, 7), F(5, 9)]), max_size=3))
+        pieces = []
+        for p in density.pieces:
+            points = [p.lo, *sorted(x for x in extra if p.lo < x < p.hi), p.hi]
+            pieces += [(a, b, p.density) for a, b in zip(points, points[1:])]
+        players.append((f"p{i + 1}", StepDensity.of(*pieces)))
+    scenario = Scenario(tuple(players))
+    allocation = None
+    points = {ZERO, ONE}
+    for _, density in scenario.players:
+        points.update(density.breakpoints())
+    if draw(st.booleans()):
+        cut = st.fractions(0, 1, max_denominator=10**30)
+        cuts = sorted(draw(st.lists(cut, min_size=n - 1, max_size=n - 1)))
+        allocation = contiguous_allocation(scenario.names, cuts)
+        points.update(cuts)
+    dec = decompose(scenario, allocation)
+    bounds = sorted(points)
+    assert dec.cells == tuple(Interval(a, b) for a, b in zip(bounds, bounds[1:]) if a < b)
+    for (_, density), column, (nums, dens) in zip(scenario.players, dec.densities, dec.weights):
+        assert column == tuple(scan_density_at(density, cell.midpoint) for cell in dec.cells)
+        # The table's integer weights are density times length.
+        assert [F(a, d) for a, d in zip(nums, dens)] == [
+            x * cell.length for x, cell in zip(column, dec.cells)
+        ]
+    if allocation is None:
+        assert dec.owners is None
+    else:
+        assert dec.owners == tuple(
+            next(
+                k
+                for k, (_, portion) in enumerate(allocation.portions)
+                if any(iv.lo < cell.midpoint < iv.hi for iv in portion.intervals)
+            )
+            for cell in dec.cells
+        )
+
+
+def test_decompose_refuses_an_allocation_of_other_players(ce5):
+    halves = contiguous_allocation(("A", "Z"), (HALF,))
+    with pytest.raises(InvalidPlayersError):
+        decompose(ce5, halves)

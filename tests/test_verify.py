@@ -282,7 +282,7 @@ def count_solve_calls(monkeypatch, *names):
 
 
 def test_pareto_check_of_an_argmax_allocation_solves_no_lp(ce2, monkeypatch):
-    calls = count_solve_calls(monkeypatch, "simplex_max", "decompose")
+    calls = count_solve_calls(monkeypatch, "_simplex_core", "decompose")
     # P2's density 2 beats P1's 1 on [0, 1/4] and [3/4, 1], and P1's 1 beats
     # P2's 0 in between.
     argmax = Allocation.of(
@@ -290,15 +290,15 @@ def test_pareto_check_of_an_argmax_allocation_solves_no_lp(ce2, monkeypatch):
     )
     report = pareto_optimal_check(ce2, argmax)
     assert report.passed and report.witness is None
-    assert calls == {"simplex_max": 0, "decompose": 1}
+    assert calls == {"_simplex_core": 0, "decompose": 1}
 
 
 def test_pareto_check_of_a_dominated_allocation_shares_one_decomposition(ce2, monkeypatch):
-    calls = count_solve_calls(monkeypatch, "simplex_max", "decompose")
+    calls = count_solve_calls(monkeypatch, "_simplex_core", "decompose")
     report = pareto_optimal_check(ce2, contiguous_allocation(("P2", "P1"), (HALF,)))
     assert not report.passed and report.witness is not None
     # The rate closure and the witness LP read one decomposition.
-    assert calls == {"simplex_max": 1, "decompose": 1}
+    assert calls == {"_simplex_core": 1, "decompose": 1}
 
 
 # --- the identical-misreport harness ----------------------------------------------
