@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EPUndefinedError, MismatchError, OutputTooLargeError, ParseError
@@ -23,9 +24,10 @@ from .measures import (
     Allocation,
     Interval,
     IntervalSet,
-    Piece,
     Scenario,
     StepDensity,
+    _literal_entry,
+    _piece_row,
     as_rational,
     declared_values,
 )
@@ -140,36 +142,27 @@ def _load_json(source: Union[str, dict], path: str) -> dict:
 
 
 def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
-    """Read a list of objects holding the rationals ``keys`` into
-    ``make(*values)``; a ``ValueError`` from ``make`` names the entry.
+    """Read a list of objects holding the rationals ``keys`` (two or more)
+    into ``make(*entries)``, one ``_literal_entry`` per key; a
+    ``ValueError`` from ``make`` names the entry.
 
     ``literals`` is the document's literal table: it maps each string
-    literal already read, anywhere in the document, to its value, so a
+    literal already read, anywhere in the document, to its entry, so a
     literal that repeats (each ``from`` is the previous ``to``) is parsed
-    once and its entries share one ``Fraction``. Only strings are looked
-    up or kept: a JSON ``true`` hashes equal to ``1``, so a table keyed by
-    any value could hand it a bare integer's entry. A bad literal raises
-    at its first path. A missing key is reported before any literal of its
-    entry is read. Paths are built only for a literal the table misses or
-    to name an error, not once per entry.
+    once and its entries share one tuple and one ``Fraction``. An entry
+    whose literals are all in the table is read in one lookup each, with
+    no path built; any other goes through ``_read_entry``, which reports
+    a missing key before any literal of its entry is read and a bad
+    literal at its first path.
     """
+    read = itemgetter(*keys)
+    known = literals.__getitem__
     out = []
     for k, entry in enumerate(_require_list(doc, path)):
-        if not isinstance(entry, dict):
-            _require_mapping(entry, f"{path}[{k}]")  # raises
-        for key in keys:
-            if key not in entry:
-                raise ParseError(f"{path}[{k}]: missing {key!r}")
-        values = []
-        for key in keys:
-            literal = entry[key]
-            if type(literal) is str:
-                value = literals.get(literal)
-                if value is None:
-                    value = literals[literal] = parse_rational(literal, f"{path}[{k}].{key}")
-            else:
-                value = parse_rational(literal, f"{path}[{k}].{key}")
-            values.append(value)
+        try:
+            values = tuple(map(known, read(entry)))
+        except (KeyError, TypeError):  # a key or a literal not yet known
+            values = _read_entry(entry, f"{path}[{k}]", keys, literals)
         try:
             out.append(make(*values))
         except ValueError as exc:
@@ -177,8 +170,37 @@ def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
     return tuple(out)
 
 
+def _read_entry(entry, where: str, keys: Sequence[str], literals: dict) -> list:
+    """The entries of one object of ``_spans``, parsing each literal the
+    table misses and keeping it if it is a string. Only strings are kept:
+    a JSON ``true`` hashes equal to ``1``, so a table keyed by any value
+    could hand it a bare integer's entry."""
+    if not isinstance(entry, dict):
+        _require_mapping(entry, where)  # raises
+    for key in keys:
+        if key not in entry:
+            raise ParseError(f"{where}: missing {key!r}")
+    values = []
+    for key in keys:
+        literal = entry[key]
+        value = literals.get(literal) if type(literal) is str else None
+        if value is None:
+            value = _literal_entry(parse_rational(literal, f"{where}.{key}"))
+            if type(literal) is str:
+                literals[literal] = value
+        values.append(value)
+    return values
+
+
+def _interval(lo: tuple, hi: tuple) -> Interval:
+    return Interval(lo[2], hi[2])
+
+
 def _pieces_from(doc, path: str, literals: dict) -> StepDensity:
-    return StepDensity(_spans(doc, path, ("from", "to", "density"), Piece, literals))
+    """A density read straight into its rows of table entries; no
+    ``Piece`` is built until its ``pieces`` are read."""
+    rows = _spans(doc, path, ("from", "to", "density"), _piece_row, literals)
+    return StepDensity._from_rows(rows)
 
 
 def _players_from(doc, path: str, literals: dict) -> tuple[tuple[str, StepDensity], ...]:
@@ -314,7 +336,7 @@ def load_allocation(source: Union[str, dict], scenario: Optional[Scenario] = Non
     portions = []
     literals: dict = {}
     for name, spans in portions_doc.items():
-        intervals = _spans(spans, f"portions.{name}", ("from", "to"), Interval, literals)
+        intervals = _spans(spans, f"portions.{name}", ("from", "to"), _interval, literals)
         portions.append((name, IntervalSet(intervals)))
     if scenario is not None and set(n for n, _ in portions) != set(scenario.names):
         raise ParseError(

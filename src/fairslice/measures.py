@@ -222,7 +222,97 @@ class Piece:
         ln, ld = lo.as_integer_ratio()
         hn, hd = hi.as_integer_ratio()
         if not (0 <= ln <= ld and 0 <= hn <= hd):
-            raise ValueError(f"piece bounds [{lo}, {hi}] outside [0, 1]")
+            raise _bounds_error(lo, hi)
+
+
+def _bounds_error(lo: Fraction, hi: Fraction) -> ValueError:
+    return ValueError(f"piece bounds [{lo}, {hi}] outside [0, 1]")
+
+
+def _literal_entry(value: Fraction) -> tuple[int, int, Fraction]:
+    """A document literal as ``StepDensity._from_rows`` reads it: the
+    value's reduced integer pair (the denominator positive), then the
+    value."""
+    n, d = value.as_integer_ratio()
+    return n, d, value
+
+
+def _piece_row(lo: tuple, hi: tuple, density: tuple) -> tuple:
+    """One piece of a document as its three ``_literal_entry`` entries.
+    Its bounds are checked to lie in [0, 1] on their integers, with the
+    error ``Piece`` gives; the rest is left to ``StepDensity.validate``."""
+    if 0 <= lo[0] <= lo[1] and 0 <= hi[0] <= hi[1]:
+        return lo, hi, density
+    raise _bounds_error(lo[2], hi[2])
+
+
+def _index(ratios) -> tuple[tuple[DensityViolation, ...], tuple[tuple[int, ...], ...]]:
+    """The one validation sweep: every violation of a density and its
+    integer index, from its pieces' (lo, hi, density) ratios in order.
+
+    Each ratio is indexable with its reduced numerator at 0 and its
+    positive denominator at 1 (a bare ``as_integer_ratio`` pair, or a
+    document literal's table entry, which holds its Fraction after them).
+    Violations come in the order ``validate`` gives; the index is the
+    ``_rows`` tuple. The cumulative mass adds density·(hi - lo) of each
+    piece on its own bounds, so the total is defined for pieces that do
+    not tile, as validation needs, and each cumulative pair is reduced by
+    one gcd; a zero-density piece repeats the previous pair.
+    """
+    bn, bd, rn, rd = [], [], [], []
+    cn, cd = [0], [1]
+    an, ad = 0, 1
+    found: list[DensityViolation] = []
+    seams: list[DensityViolation] = []
+    for k, (lo, hi, rate) in enumerate(ratios):
+        ln, ld = lo[0], lo[1]
+        hn, hd = hi[0], hi[1]
+        pn, pd = rate[0], rate[1]
+        if ln * hd >= hn * ld:
+            found.append(DensityViolation(
+                GAP_OR_OVERLAP,
+                f"piece {k} is empty or reversed: [{Fraction(ln, ld)}, {Fraction(hn, hd)}]",
+            ))
+        if pn < 0:
+            found.append(
+                DensityViolation(NEGATIVE_DENSITY, f"piece {k} has density {Fraction(pn, pd)}")
+            )
+        if k and (ln != en or ld != ed):
+            seams.append(DensityViolation(
+                GAP_OR_OVERLAP,
+                f"pieces {k - 1} and {k} do not abut: {Fraction(en, ed)} vs {Fraction(ln, ld)}",
+            ))
+        en, ed = hn, hd
+        bn.append(ln)
+        bd.append(ld)
+        rn.append(pn)
+        rd.append(pd)
+        if pn:
+            den = pd * ld * hd
+            an, ad = an * den + pn * (hn * ld - ln * hd) * ad, ad * den
+            g = gcd(an, ad)
+            an, ad = an // g, ad // g
+        cn.append(an)
+        cd.append(ad)
+    if not rn:
+        found.append(DensityViolation(GAP_OR_OVERLAP, "no pieces declared"))
+    else:
+        bn.append(hn)
+        bd.append(hd)
+        ends = []
+        if bn[0]:
+            ends.append(DensityViolation(
+                GAP_OR_OVERLAP, f"first piece starts at {Fraction(bn[0], bd[0])}, not 0"
+            ))
+        if hn != hd:
+            ends.append(DensityViolation(
+                GAP_OR_OVERLAP, f"last piece ends at {Fraction(hn, hd)}, not 1"
+            ))
+        found = ends + found + seams
+        if an != ad:
+            found.append(DensityViolation(TOTAL_MASS_NOT_ONE, f"total mass is {Fraction(an, ad)}"))
+    rows = tuple(bn), tuple(bd), tuple(rn), tuple(rd), tuple(cn), tuple(cd)
+    return tuple(found), rows
 
 
 @dataclass(frozen=True)
@@ -235,15 +325,26 @@ class StepDensity:
     The queries (``mass``, ``cdf``, ``quantile``, ``quantile_left``,
     ``median_interval``, ``density_at``) assume a validated density, sorted
     pieces tiling [0, 1]; every engine entry point calls ``require_valid``
-    first. Validation is one sweep over the pieces on the integer ratio of
-    each bound. It or the first query builds ``_rows``, the density's one
-    integer index, in O(k) for k pieces; the last cumulative mass in it is
-    the total that validation checks. Each query after that costs
-    O(log k): a binary search on the index's integers, comparing by
-    cross-multiplying, and one Fraction for the answer (``mass`` one for a
-    whole interval set). The greedy chain and the equal-value walk of
-    ``solve``, and the surplus cut and the moving knife of ``procedures``,
-    read the same index, so no caller re-reads a piece.
+    first. ``validate`` is one sweep over each piece's bounds and density
+    as reduced integer pairs: in the same pass it finds every violation
+    and builds ``_rows``, the density's one integer index, in O(k) for k
+    pieces; the last cumulative mass in it is the total that validation
+    checks. (A query on a density never validated builds the index by the
+    same sweep.) Each query after that costs O(log k): a binary search on
+    the index's integers, comparing by cross-multiplying, and one Fraction
+    for the answer (``mass`` one for a whole interval set). The greedy
+    chain and the equal-value walk of ``solve``, and the surplus cut and
+    the moving knife of ``procedures``, read the same index, so no caller
+    re-reads a piece.
+
+    A density built from ``Piece``s feeds the sweep its pieces' integer
+    ratios and keeps no table besides the index. A density read from a
+    document is built by ``_from_rows``: it keeps only its rows of
+    literal-table entries, each bound and density as its reduced integer
+    pair and the document's one Fraction for that literal. The sweep reads
+    their pairs, and ``pieces`` is built from their shared Fractions on
+    first read, so ingest builds no ``Piece``; equality, hashing and
+    ``repr`` read ``pieces`` and so build it.
 
     The index replaced a tuple of cumulative-mass Fractions rather than
     joining it, because memory is what it costs: a density of up to eight
@@ -266,51 +367,37 @@ class StepDensity:
     def uniform(cls) -> "StepDensity":
         return cls.of((ZERO, ONE, ONE))
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[tuple, tuple, tuple], ...]) -> "StepDensity":
+        """A density read from a document, from one ``_piece_row`` per
+        piece."""
+        density = cls.__new__(cls)
+        density.__dict__["_parsed_rows"] = rows
+        return density
+
+    def _parsed_pieces(self) -> tuple[Piece, ...]:
+        """The ``pieces`` of a density built by ``_from_rows``, on first
+        read (see the ``cached_property`` bound to ``pieces`` below)."""
+        rows = self.__dict__["_parsed_rows"]
+        return tuple([Piece(lo[2], hi[2], rate[2]) for lo, hi, rate in rows])
+
+    def _ratios(self):
+        """Each piece's (lo, hi, density) ratios, as ``_index`` reads them."""
+        rows = self.__dict__.get("_parsed_rows")
+        if rows is not None:
+            return rows
+        return (
+            (p.lo.as_integer_ratio(), p.hi.as_integer_ratio(), p.density.as_integer_ratio())
+            for p in self.pieces
+        )
+
     def validate(self) -> DensityReport:
         """Every violation, in one sweep over the pieces: the two ends, then
-        each piece's width and sign, then each abutment, then the total."""
-        pieces = self.pieces
-        if not pieces:
-            return DensityReport((DensityViolation(GAP_OR_OVERLAP, "no pieces declared"),))
-        found: list[DensityViolation] = []
-        if pieces[0].lo != ZERO:
-            found.append(
-                DensityViolation(GAP_OR_OVERLAP, f"first piece starts at {pieces[0].lo}, not 0")
-            )
-        if pieces[-1].hi != ONE:
-            found.append(
-                DensityViolation(GAP_OR_OVERLAP, f"last piece ends at {pieces[-1].hi}, not 1")
-            )
-        seams: list[DensityViolation] = []
-        end = pieces[0].lo
-        end_ratio = end.as_integer_ratio()
-        for k, piece in enumerate(pieces):
-            lo, hi = piece.lo, piece.hi
-            ln, ld = lo_ratio = lo.as_integer_ratio()
-            hn, hd = hi_ratio = hi.as_integer_ratio()
-            if ln * hd >= hn * ld:
-                found.append(
-                    DensityViolation(GAP_OR_OVERLAP, f"piece {k} is empty or reversed: [{lo}, {hi}]")
-                )
-            if piece.density.numerator < 0:
-                found.append(
-                    DensityViolation(NEGATIVE_DENSITY, f"piece {k} has density {piece.density}")
-                )
-            # Ingest shares one Fraction per literal, so abutting pieces
-            # usually hold the same object and skip the comparison; equal
-            # Fractions have equal integer ratios.
-            if lo is not end and lo_ratio != end_ratio:
-                seams.append(
-                    DensityViolation(GAP_OR_OVERLAP, f"pieces {k - 1} and {k} do not abut: {end} vs {lo}")
-                )
-            end, end_ratio = hi, hi_ratio
-        found += seams
-        _, _, _, _, cn, cd = self._rows
-        if cn[-1] != cd[-1]:
-            found.append(
-                DensityViolation(TOTAL_MASS_NOT_ONE, f"total mass is {Fraction(cn[-1], cd[-1])}")
-            )
-        return DensityReport(tuple(found))
+        each piece's width and sign, then each abutment, then the total.
+        The same sweep builds ``_rows`` if no query has yet."""
+        violations, rows = _index(self._ratios())
+        self.__dict__.setdefault("_rows", rows)
+        return DensityReport(violations)
 
     @cached_property
     def _violations(self) -> tuple[DensityViolation, ...]:
@@ -330,34 +417,11 @@ class StepDensity:
         k piece densities, and of its k + 1 cumulative masses, entry j the
         mass of [0, pieces[j].lo] and the last the total.
 
-        Not a dataclass field, so equality and hashing ignore it. One sweep
-        reads each Fraction's integer ratio once and adds density·(hi - lo)
-        of each piece on its own bounds, so the total is defined for pieces
-        that do not tile, as validation needs. Each cumulative pair is
-        reduced by one gcd; a zero-density piece repeats the previous pair.
+        Not a dataclass field, so equality and hashing ignore it. Usually
+        ``validate`` leaves it here; a query on a density never validated
+        builds it by the same sweep (see ``_index``).
         """
-        bn, bd, rn, rd = [], [], [], []
-        cn, cd = [0], [1]
-        an, ad = 0, 1
-        for piece in self.pieces:
-            ln, ld = piece.lo.as_integer_ratio()
-            hn, hd = piece.hi.as_integer_ratio()
-            pn, pd = piece.density.as_integer_ratio()
-            bn.append(ln)
-            bd.append(ld)
-            rn.append(pn)
-            rd.append(pd)
-            if pn:
-                den = pd * ld * hd
-                an, ad = an * den + pn * (hn * ld - ln * hd) * ad, ad * den
-                g = gcd(an, ad)
-                an, ad = an // g, ad // g
-            cn.append(an)
-            cd.append(ad)
-        if self.pieces:
-            bn.append(hn)
-            bd.append(hd)
-        return tuple(bn), tuple(bd), tuple(rn), tuple(rd), tuple(cn), tuple(cd)
+        return _index(self._ratios())[1]
 
     def _piece_at(self, xn: int, xd: int) -> int:
         """Index of the last piece whose lower bound is at or left of
@@ -510,6 +574,15 @@ class StepDensity:
             raise ValueError(f"density_at argument {x} outside [0, 1]")
         piece = self.pieces[self._piece_at(*x.as_integer_ratio())]
         return piece.density if piece.lo <= x < piece.hi else ZERO
+
+
+# ``pieces`` stays a dataclass field, set by ``__init__`` in the instance
+# dict, which a non-data descriptor on the class does not shadow. Only a
+# density built by ``_from_rows`` lacks it there, and this descriptor
+# builds it on first read. A ``__getattr__`` hook would do the same but
+# slow every attribute read of every density.
+StepDensity.pieces = cached_property(StepDensity._parsed_pieces)
+StepDensity.pieces.__set_name__(StepDensity, "pieces")
 
 
 @dataclass(frozen=True)

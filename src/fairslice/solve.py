@@ -194,7 +194,7 @@ def equal_value_solve(
     tn, td = start.numerator, start.denominator
     # Every segment but the last ends where some cursor steps forward, and
     # a cursor takes fewer steps than its density has pieces.
-    for _ in range(2 * sum(len(d.pieces) for d in ordered) + 2):
+    for _ in range(2 * sum(len(index[2]) for index in rows) + 2):
         xn, xd = 0, 1
         sn, sd = 0, 1
         for i, (bn, bd, rn, rd, cn, cd) in enumerate(rows):
@@ -758,6 +758,16 @@ def _add_pair(pair: tuple[int, int], n: int, d: int) -> tuple[int, int]:
     return an // g, ad // g
 
 
+def _owned_values(dec: CellDecomposition) -> list[tuple[int, int]]:
+    """Each player's value of the cells its owner column gives it: the
+    weights of those cells summed as a reduced pair, in player order."""
+    base = [(0, 1)] * len(dec.weights)
+    for c, owner in enumerate(dec.owners):
+        nums, dens = dec.weights[owner]
+        base[owner] = _add_pair(base[owner], nums[c], dens[c])
+    return base
+
+
 def _improvement_lp(dec: CellDecomposition):
     """The integer rows of ``build_improvement_lp`` for a decomposition with
     owners, exactly as ``simplex_max`` would scale that LP: the rows, the
@@ -772,10 +782,7 @@ def _improvement_lp(dec: CellDecomposition):
     """
     m = len(dec.bounds) - 1
     n = len(dec.weights)
-    base = [(0, 1)] * n
-    for c, owner in enumerate(dec.owners):
-        nums, dens = dec.weights[owner]
-        base[owner] = _add_pair(base[owner], nums[c], dens[c])
+    base = _owned_values(dec)
     rows = [([(i * m + c, 1) for i in range(n)], "==", 1, 1) for c in range(m)]
     for i, (nums, dens) in enumerate(dec.weights):
         bn, bd = base[i]
@@ -860,9 +867,17 @@ def pareto_improve(
     is one ``Fraction``, and each player's value is Σ_c x_ic·w_ic, summed
     on integer pairs from the table with no scan of a density.
     """
+    return _pareto_scored(scenario, allocation)[0]
+
+
+def _pareto_scored(
+    scenario: Scenario, allocation: Allocation
+) -> tuple[Optional[DominationWitness], list[tuple[int, int]]]:
+    """``pareto_improve``'s answer and each player's current value, as a
+    reduced pair in player order, from one cell table."""
     dec = decompose(scenario, allocation)
     if _rate_closure(dec) is not None:
-        return None
+        return None, _owned_values(dec)
     rows, cost, _, base = _improvement_lp(dec)
     basic, _, _ = _simplex_core(len(cost), rows, cost)
     shares = {b: (num, den) for b, num, den in basic if num}
@@ -893,7 +908,7 @@ def pareto_improve(
     )
     value_vector = {name: Fraction(*v) for name, v in zip(names, values)}
     gains = {name: value_vector[name] - Fraction(*b) for name, b in zip(names, base)}
-    return DominationWitness(witness_alloc, value_vector, gains)
+    return DominationWitness(witness_alloc, value_vector, gains), base
 
 
 def utilitarian_bound(scenario: Scenario) -> Fraction:

@@ -31,7 +31,7 @@ from .procedures import (
     _outcome,
     run_procedure,
 )
-from .solve import DominationWitness, pareto_improve
+from .solve import DominationWitness, _pareto_scored
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,15 @@ def envy_free_check(
 def pareto_optimal_check(
     scenario: Scenario, allocation: Allocation, truth: Optional[Scenario] = None
 ) -> PropertyReport:
-    """Is there no allocation better for someone and worse for no one?"""
+    """Is there no allocation better for someone and worse for no one?
+
+    The verdict and each player's value come from one cell table
+    (``solve._pareto_scored``): the values are the owners' weights summed
+    on integers, with no scan of a density.
+    """
     profile = _scored(scenario, truth)
-    witness = pareto_improve(profile, allocation)
-    values = declared_values(profile, allocation)
+    witness, base = _pareto_scored(profile, allocation)
+    values = {name: Fraction(*value) for name, value in zip(profile.names, base)}
     optimal = witness is None
     return PropertyReport(
         check="pareto",
@@ -175,15 +180,18 @@ def _piece_value(density: StepDensity, outcome: ProcedureOutcome, name: str) -> 
     """The density's mass on ``name``'s piece of a contiguous outcome.
 
     The piece runs between the bounds on either side of ``name``'s place
-    in the ordering (0, the cuts, 1), so its mass is the cdf at its right
-    end minus the cdf at its left, with no ``Allocation`` built. Equal
+    in the ordering (0, the cuts, 1), so its mass is the mass left of its
+    right end minus the mass left of its left end: two ``_mass_left``
+    integer pairs and one Fraction, with no ``Allocation`` built. Equal
     cuts give 0, as an empty portion does.
     """
     i = outcome.ordering.index(name)
     cuts = outcome.cuts
     lo = cuts[i - 1] if i else ZERO
     hi = cuts[i] if i < len(cuts) else ONE
-    return density._cdf(hi) - density._cdf(lo)
+    _, hn, hd = density._mass_left(*hi.as_integer_ratio())
+    _, ln, ld = density._mass_left(*lo.as_integer_ratio())
+    return Fraction(hn * ld - ln * hd, hd * ld)
 
 
 def theorem_a_check(

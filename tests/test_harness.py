@@ -1,11 +1,15 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice import (
     CASES,
@@ -25,9 +29,10 @@ from fairslice import (
     run_procedure,
     save_scenario,
 )
-from fairslice import solve
+from fairslice import harness, solve
 from fairslice.cli import main
 from fairslice.harness import ComparisonEntry, ComparisonReport, fmt_rational, parse_tie
+from fairslice.measures import Piece, as_rational
 from helpers import random_density, random_scenario
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -1226,6 +1231,231 @@ def test_cli_verify_refuses_a_non_partition_or_a_repeated_owner(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error [{err}\n"
+
+
+# --- ingest equivalence -------------------------------------------------------
+
+EIGHTHS = [F(j, 8) for j in range(9)]
+# Replacement literals off the grid: JSON values of other types, numbers
+# outside [0, 1] (a bound that raises, a density that is negative or breaks
+# the total) and strings that are no rational.
+WILD = [True, False, [1], 0.5, None, {"n": 1}, 2, -1, "5/4", "-1/4", " -3/2 ", "1/0", "x"]
+
+
+def spellings(value):
+    """Document spellings of one rational: canonical, not reduced, padded
+    with whitespace, and a bare integer or "-0" where they apply."""
+    n, d = value.numerator, value.denominator
+    out = [str(value), f"{2 * n}/{2 * d}", f" {value}\t"]
+    if d == 1:
+        out.append(n)
+    if n == 0:
+        out += ["-0", "0/7"]
+    return out
+
+
+@st.composite
+def drawn_pieces(draw, clean=1):
+    """The piece entries of one density: a valid step density on an
+    eighths grid, left as it is in ``clean`` draws out of ``clean`` + 2.
+    Otherwise one or two fields are replaced by a grid point, a negative
+    or out-of-range value or a wild literal, and maybe a piece is dropped
+    or all are, so gaps, overlaps, reversed pieces, negative densities
+    and totals other than 1 all occur. Each rational is spelled at random."""
+    cuts = sorted(draw(st.sets(st.sampled_from(EIGHTHS[1:-1]), max_size=3)))
+    bounds = [ZERO, *cuts, ONE]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(bounds) - 1, max_size=len(bounds) - 1))
+    weights[0] += not any(weights)
+    total = sum(w * (b - a) for w, a, b in zip(weights, bounds, bounds[1:]))
+    rows = [[a, b, w / total] for w, a, b in zip(weights, bounds, bounds[1:])]
+    replacements = st.one_of(
+        st.sampled_from(EIGHTHS + [F(-1), F(-2, 3), F(2), F(5, 4)]), st.sampled_from(WILD)
+    )
+    if draw(st.integers(0, clean + 1)) >= clean:
+        for _ in range(draw(st.integers(1, 2))):
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, 2))] = draw(replacements)
+        if len(rows) > 1 and draw(st.booleans()):
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.integers(0, 9)) == 0:
+            rows = []
+
+    def spell(value):
+        return draw(st.sampled_from(spellings(value))) if isinstance(value, F) else value
+
+    return [{"from": spell(a), "to": spell(b), "density": spell(c)} for a, b, c in rows]
+
+
+@st.composite
+def ingest_documents(draw):
+    names = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    document = doc([{"name": name, "pieces": draw(drawn_pieces(8))} for name in names])
+    if draw(st.booleans()):
+        document["truth"] = [{"name": name, "pieces": draw(drawn_pieces(8))} for name in names[::-1]]
+    return document
+
+
+def reference_density(entries, path):
+    """The density a document's entries declare, built from Pieces of
+    as_rational values, with the errors ingest reports for them."""
+    pieces = []
+    for k, entry in enumerate(entries):
+        values = []
+        for key in ("from", "to", "density"):
+            try:
+                values.append(as_rational(entry[key]))
+            except ParseError as exc:
+                raise ParseError(f"{path}[{k}].{key}: {exc}") from None
+        try:
+            pieces.append(Piece(*values))
+        except ValueError as exc:
+            raise ParseError(f"{path}[{k}]: {exc}") from None
+    return StepDensity(tuple(pieces))
+
+
+def reference_block(players, block):
+    declared = tuple(
+        (player["name"], reference_density(player["pieces"], f"{block}[{i}].pieces"))
+        for i, player in enumerate(players)
+    )
+    try:
+        return Scenario(declared)
+    except ValueError as exc:
+        raise ParseError(f"{block}: {exc}") from None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ingest_documents())
+def test_a_loaded_document_is_the_one_built_from_pieces(document):
+    text = json.dumps(document)
+    try:
+        expected = [reference_block(document["players"], "players")]
+        if "truth" in document:
+            expected.append(reference_block(document["truth"], "truth"))
+    except (ParseError, InvalidDensityError) as exc:
+        with pytest.raises(type(exc)) as err:
+            load_document(text)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    loaded = load_document(text)
+    got = [loaded.scenario] + ([loaded.truth] if "truth" in document else [])
+    for scenario, want in zip(got, expected):
+        for (_, density), (_, reference) in zip(scenario.players, want.players):
+            assert "pieces" not in vars(density)  # built only when read
+            assert density._rows == reference._rows
+            assert pickle.loads(pickle.dumps(density)) == reference
+            assert copy.copy(density) == reference
+            assert density.pieces == reference.pieces
+            assert set(vars(density)) == {"_parsed_rows", "_rows", "_violations", "pieces"}
+        assert scenario == want and hash(scenario) == hash(want) and repr(scenario) == repr(want)
+    assert load_scenario(text) == expected[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_pieces())
+def test_a_parsed_density_validates_as_the_one_built_from_pieces(entries):
+    """Invalid densities too: the same violations, in the same order."""
+    try:
+        reference = reference_density(entries, "pieces")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            harness._pieces_from(json.loads(json.dumps(entries)), "pieces", {})
+        assert str(err.value) == str(exc)
+        return
+    density = harness._pieces_from(json.loads(json.dumps(entries)), "pieces", {})
+    assert density.validate().violations == reference.validate().violations
+    assert density._rows == reference._rows
+    assert "pieces" not in vars(density)
+    assert density == reference and hash(density) == hash(reference)
+    assert repr(density) == repr(reference)
+
+
+def run_exits_2(tmp_path, capsys, players):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc(players)), encoding="utf-8")
+    assert main(["run", str(path), "--procedure", "moving-knife"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def pieces(*triples):
+    return [{"from": a, "to": b, "density": c} for a, b, c in triples]
+
+
+@pytest.mark.parametrize(
+    "declared, err",
+    [
+        (
+            pieces((0, "5/4", "4/5")),
+            "PARSE_ERROR]: players[0].pieces[0]: piece bounds [0, 5/4] outside [0, 1]",
+        ),
+        (
+            pieces(("1/4", 1, "4/3")),
+            "INVALID_DENSITY]: invalid density for 'A': "
+            "GAP_OR_OVERLAP: first piece starts at 1/4, not 0",
+        ),
+        (
+            pieces((0, "3/4", "4/3")),
+            "INVALID_DENSITY]: invalid density for 'A': "
+            "GAP_OR_OVERLAP: last piece ends at 3/4, not 1",
+        ),
+        (
+            pieces((0, "1/2", 1), ("1/2", "1/2", 1), ("1/2", 1, 1)),
+            "INVALID_DENSITY]: invalid density for 'A': "
+            "GAP_OR_OVERLAP: piece 1 is empty or reversed: [1/2, 1/2]",
+        ),
+        (
+            pieces((0, "1/2", 3), ("1/2", 1, -1)),
+            "INVALID_DENSITY]: invalid density for 'A': NEGATIVE_DENSITY: piece 1 has density -1",
+        ),
+        (
+            pieces((0, "1/3", "3/2"), ("2/3", 1, "3/2")),
+            "INVALID_DENSITY]: invalid density for 'A': "
+            "GAP_OR_OVERLAP: pieces 0 and 1 do not abut: 1/3 vs 2/3",
+        ),
+        (
+            pieces((0, 1, "3/2")),
+            "INVALID_DENSITY]: invalid density for 'A': TOTAL_MASS_NOT_ONE: total mass is 3/2",
+        ),
+        # Every kind at once, in the order ends, each piece, seams, total.
+        (
+            pieces(("1/4", "1/8", -1), ("1/2", "3/4", 1)),
+            "INVALID_DENSITY]: invalid density for 'A': "
+            "GAP_OR_OVERLAP: first piece starts at 1/4, not 0; "
+            "GAP_OR_OVERLAP: last piece ends at 3/4, not 1; "
+            "GAP_OR_OVERLAP: piece 0 is empty or reversed: [1/4, 1/8]; "
+            "NEGATIVE_DENSITY: piece 0 has density -1; "
+            "GAP_OR_OVERLAP: pieces 0 and 1 do not abut: 1/8 vs 1/2; "
+            "TOTAL_MASS_NOT_ONE: total mass is 3/8",
+        ),
+    ],
+)
+def test_cli_run_density_violation_exit_2_with_one_line(tmp_path, capsys, declared, err):
+    players = [{"name": "A", "pieces": declared}, uniform_player("B")]
+    assert run_exits_2(tmp_path, capsys, players) == f"error [{err}\n"
+
+
+def test_cli_run_reports_a_literal_error_before_a_density_violation(tmp_path, capsys):
+    players = [
+        {"name": "A", "pieces": pieces((0, 1, "3/2"))},
+        {"name": "B", "pieces": pieces((0, "1/2", 1), ("1/2", "9/8", 1))},
+    ]
+    assert run_exits_2(tmp_path, capsys, players) == (
+        "error [PARSE_ERROR]: players[1].pieces[1]: piece bounds [1/2, 9/8] outside [0, 1]\n"
+    )
+
+
+def test_cli_run_gap_between_long_bounds_exit_2_with_one_line(tmp_path, capsys):
+    p = 10**2100 + 7  # odd, so 2/p is reduced
+    players = [
+        {"name": "A", "pieces": pieces((0, f"1/{p}", f"{p}/2"), (f"2/{p}", 1, f"{p}/{2 * p - 4}"))},
+        uniform_player("B"),
+    ]
+    assert run_exits_2(tmp_path, capsys, players) == (
+        "error [INVALID_DENSITY]: invalid density for 'A': "
+        f"GAP_OR_OVERLAP: pieces 0 and 1 do not abut: 1/{p} vs 2/{p}\n"
+    )
 
 
 def test_every_public_name_resolves():

@@ -22,6 +22,7 @@ from fairslice import (
     TieRule,
     contiguous_allocation,
     cut_and_choose,
+    declared_values,
     envy_free_check,
     equitability,
     moving_knife,
@@ -37,8 +38,10 @@ from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.procedures import TIE_LOWEST, _outcome
 from helpers import (
     QUARTER_POOL,
+    draw_long_density,
     fine_grid_scenario,
     fresh_tie_outcomes,
+    random_allocation,
     random_density,
     random_scenario,
 )
@@ -279,6 +282,32 @@ def count_solve_calls(monkeypatch, *names):
 
         monkeypatch.setattr(solve, name, counted)
     return calls
+
+
+def test_pareto_check_values_are_the_declared_values():
+    """The values a Pareto check reads off its cell table are those
+    ``declared_values`` scans for, in the same player order, on random and
+    moving-knife allocations, dominated or not, and under a truth profile
+    in another player order."""
+    rng = random.Random(29)
+    dominated = optimal = 0
+    for _ in range(60):
+        n = rng.choice((2, 3, 4))
+        if rng.random() < 0.5:
+            scenario = fine_grid_scenario(rng, n, rng.choice((4, 8, 12)))
+        else:
+            scenario = random_scenario(rng, n)
+        truth = Scenario(tuple((name, random_density(rng)) for name in scenario.names[::-1]))
+        for allocation in (random_allocation(rng, scenario), moving_knife(scenario).allocation):
+            report = pareto_optimal_check(scenario, allocation)
+            expected = declared_values(scenario, allocation)
+            assert list(report.values.items()) == list(expected.items())
+            dominated += report.witness is not None
+            optimal += report.witness is None
+            scored = Scenario(tuple((name, truth.density(name)) for name in scenario.names))
+            report = pareto_optimal_check(scenario, allocation, truth=truth)
+            assert list(report.values.items()) == list(declared_values(scored, allocation).items())
+    assert dominated and optimal
 
 
 def test_pareto_check_of_an_argmax_allocation_solves_no_lp(ce2, monkeypatch):
@@ -614,6 +643,30 @@ def test_piece_value_equals_the_mass_of_the_portion(data):
     cuts = sorted(data.draw(st.lists(st.sampled_from(edges), min_size=n - 1, max_size=n - 1)))
     order = data.draw(st.permutations(scenario.names), label="ordering")
     assert_piece_values_equal_portion_masses(_outcome(order, cuts), densities)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_piece_value_is_the_mass_between_its_cuts(data):
+    """On drawn cuts, long or on the densities' grid and equal ones
+    included, a piece's value is ``mass`` of the interval between its
+    bounds."""
+    n = data.draw(st.integers(2, 4), label="n")
+    densities = [draw_long_density(data.draw) for _ in range(2)]
+    long_point = st.integers(10**39, 10**60).flatmap(
+        lambda q: st.integers(0, q).map(lambda p: F(p, q))
+    )
+    point = st.one_of(st.sampled_from([ZERO, *QUARTER_POOL, ONE]), long_point)
+    cuts = sorted(data.draw(st.lists(point, min_size=n - 1, max_size=n - 1), label="cuts"))
+    if data.draw(st.booleans(), label="repeat a cut"):
+        cuts[-1] = cuts[0]
+        cuts.sort()
+    names = tuple(f"p{i}" for i in range(n))
+    outcome = _outcome(names, tuple(cuts))
+    bounds = (ZERO, *cuts, ONE)
+    for density in densities:
+        for name, lo, hi in zip(names, bounds, bounds[1:]):
+            assert verify._piece_value(density, outcome, name) == density.mass(Interval(lo, hi))
 
 
 def test_piece_value_of_empty_pieces_and_pieces_at_the_ends():
