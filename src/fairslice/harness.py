@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EPUndefinedError, MismatchError, OutputTooLargeError, ParseError
@@ -142,54 +141,43 @@ def _load_json(source: Union[str, dict], path: str) -> dict:
 
 
 def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
-    """Read a list of objects holding the rationals ``keys`` (two or more)
-    into ``make(*entries)``, one ``_literal_entry`` per key; a
-    ``ValueError`` from ``make`` names the entry.
+    """Read a list of objects holding the rationals ``keys`` into
+    ``make(*entries)``, one ``_literal_entry`` per key; a ``ValueError``
+    from ``make`` names the entry.
 
     ``literals`` is the document's literal table: it maps each string
     literal already read, anywhere in the document, to its entry, so a
     literal that repeats (each ``from`` is the previous ``to``) is parsed
-    once and its entries share one tuple and one ``Fraction``. An entry
-    whose literals are all in the table is read in one lookup each, with
-    no path built; any other goes through ``_read_entry``, which reports
-    a missing key before any literal of its entry is read and a bad
-    literal at its first path.
+    once and its entries share one tuple and one ``Fraction``. Each entry
+    is checked to be an object holding every key, so a missing key is
+    reported before any literal of its entry is read; then each string
+    literal takes one table lookup. A literal the table misses is parsed,
+    and its path built, only then, so a bad literal is reported at its
+    first path. Only strings are kept: a JSON ``true`` hashes equal to
+    ``1``, so a table keyed by any value could hand it a bare integer's
+    entry.
     """
-    read = itemgetter(*keys)
-    known = literals.__getitem__
     out = []
     for k, entry in enumerate(_require_list(doc, path)):
-        try:
-            values = tuple(map(known, read(entry)))
-        except (KeyError, TypeError):  # a key or a literal not yet known
-            values = _read_entry(entry, f"{path}[{k}]", keys, literals)
+        if not isinstance(entry, dict):
+            _require_mapping(entry, f"{path}[{k}]")  # raises
+        for key in keys:
+            if key not in entry:
+                raise ParseError(f"{path}[{k}]: missing {key!r}")
+        values = []
+        for key in keys:
+            literal = entry[key]
+            value = literals.get(literal) if type(literal) is str else None
+            if value is None:
+                value = _literal_entry(parse_rational(literal, f"{path}[{k}].{key}"))
+                if type(literal) is str:
+                    literals[literal] = value
+            values.append(value)
         try:
             out.append(make(*values))
         except ValueError as exc:
             raise ParseError(f"{path}[{k}]: {exc}") from None
     return tuple(out)
-
-
-def _read_entry(entry, where: str, keys: Sequence[str], literals: dict) -> list:
-    """The entries of one object of ``_spans``, parsing each literal the
-    table misses and keeping it if it is a string. Only strings are kept:
-    a JSON ``true`` hashes equal to ``1``, so a table keyed by any value
-    could hand it a bare integer's entry."""
-    if not isinstance(entry, dict):
-        _require_mapping(entry, where)  # raises
-    for key in keys:
-        if key not in entry:
-            raise ParseError(f"{where}: missing {key!r}")
-    values = []
-    for key in keys:
-        literal = entry[key]
-        value = literals.get(literal) if type(literal) is str else None
-        if value is None:
-            value = _literal_entry(parse_rational(literal, f"{where}.{key}"))
-            if type(literal) is str:
-                literals[literal] = value
-        values.append(value)
-    return values
 
 
 def _interval(lo: tuple, hi: tuple) -> Interval:

@@ -491,20 +491,25 @@ class StepDensity:
         _, n, d = self._mass_left(*x.as_integer_ratio())
         return Fraction(n, d)
 
+    def _mass_between(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+        """The span kernel: the mass of [lo, hi] (lo <= hi in [0, 1]) as a
+        reduced integer pair n/d with d > 0, the difference of the
+        ``_mass_left`` pairs at its ends; no Fraction is built."""
+        _, hn, hd = self._mass_left(*hi.as_integer_ratio())
+        _, ln, ld = self._mass_left(*lo.as_integer_ratio())
+        n, d = hn * ld - ln * hd, hd * ld
+        g = gcd(n, d)
+        return n // g, d // g
+
     def mass(self, region: Union[Interval, IntervalSet]) -> Fraction:
-        """Exact measure of a region: the cdf difference across each span,
-        summed as an integer pair from the ``_mass_left`` pairs of its ends
-        (reduced by one gcd between spans), with one Fraction built for the
+        """Exact measure of a region: the ``_mass_between`` pairs of its
+        spans summed as an integer pair, with one Fraction built for the
         answer; an empty set is worth 0."""
         spans = (region,) if isinstance(region, Interval) else region.intervals
         n, d = 0, 1
         for span in spans:
-            if d != 1:
-                g = gcd(n, d)
-                n, d = n // g, d // g
-            _, hn, hd = self._mass_left(*span.hi.as_integer_ratio())
-            _, ln, ld = self._mass_left(*span.lo.as_integer_ratio())
-            n, d = n * hd * ld + (hn * ld - ln * hd) * d, d * hd * ld
+            sn, sd = self._mass_between(span.lo, span.hi)
+            n, d = n * sd + sn * d, d * sd
         return Fraction(n, d)
 
     def cdf(self, x: RationalLike) -> Fraction:
@@ -553,11 +558,15 @@ class StepDensity:
         return self.quantile(target, start)
 
     def median_interval(self) -> Interval:
-        """Closed set of points where the cdf equals one half.
+        """Closed set of points where the cdf equals one half: the left and
+        the right cut of ``_cut`` for the target 1/2 from 0.
 
         Degenerate (lo == hi) exactly when the median is unique.
         """
-        return Interval(self.quantile(HALF), self.quantile(HALF, side="right"))
+        lo = self._cut(1, 2, 0, 1, True)
+        if lo is None:
+            self.quantile(HALF)  # raises InsufficientMassError for the shortfall
+        return Interval(Fraction(*lo), Fraction(*self._cut(1, 2, 0, 1, False)))
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         points = {ZERO, ONE}
@@ -568,12 +577,15 @@ class StepDensity:
 
     def density_at(self, x: RationalLike) -> Fraction:
         """Density just right of x (pieces are read as half-open [lo, hi)),
-        so 0 at x = 1."""
+        so 0 at x = 1. The pieces tile [0, 1], so below 1 it is the density
+        of piece ``_piece_at(x)``, read off ``_rows``; no ``Piece`` is
+        built."""
         x = as_rational(x)
         if not (ZERO <= x <= ONE):
             raise ValueError(f"density_at argument {x} outside [0, 1]")
-        piece = self.pieces[self._piece_at(*x.as_integer_ratio())]
-        return piece.density if piece.lo <= x < piece.hi else ZERO
+        _, _, rn, rd, _, _ = self._rows
+        j = self._piece_at(*x.as_integer_ratio())
+        return Fraction(rn[j], rd[j]) if x < ONE else ZERO
 
 
 # ``pieces`` stays a dataclass field, set by ``__init__`` in the instance

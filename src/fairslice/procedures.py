@@ -182,19 +182,22 @@ def _median_point(scenario: Scenario, name: str, strict: bool) -> Fraction:
     """The midpoint of the player's median interval; strict mode refuses a
     nondegenerate interval, whose points are then equally good cuts.
 
-    The interval is kept in the scenario's memo under the player's density
-    key, so players declaring one density object, and every tie branch
-    replayed on the scenario, look it up once. The interval, not its
-    midpoint, is kept, so strict mode refuses on every call.
+    The interval and its midpoint are kept in the scenario's memo under
+    the player's density key, so players declaring one density object, and
+    every tie branch replayed on the scenario, look them up once and do no
+    arithmetic on a hit. The interval is kept, so strict mode refuses on
+    every call.
     """
     i = scenario.index(name)
     key = ("median", scenario._density_keys[i])
-    median = scenario._memo.get(key)
-    if median is None:
-        median = scenario._memo[key] = scenario.players[i][1].median_interval()
+    entry = scenario._memo.get(key)
+    if entry is None:
+        median = scenario.players[i][1].median_interval()
+        entry = scenario._memo[key] = median, median.midpoint
+    median, midpoint = entry
     if strict and median.lo != median.hi:
         raise NonUniqueMedianError(name, median)
-    return median.midpoint
+    return midpoint
 
 
 def _require_players(scenario: Scenario, exactly: bool = False) -> None:
@@ -295,16 +298,6 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
     return _outcome(order, cuts, events=events)
 
 
-def _mass_between(density: StepDensity, a: Fraction, b: Fraction) -> tuple[int, int]:
-    """The density's mass of [a, b] as a reduced integer pair n/d, the
-    difference of the ``_mass_left`` pairs at its ends."""
-    _, hn, hd = density._mass_left(*b.as_integer_ratio())
-    _, ln, ld = density._mass_left(*a.as_integer_ratio())
-    n, d = hn * ld - ln * hd, hd * ld
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def _surplus_cut(
     left_density: StepDensity,
     right_density: StepDensity,
@@ -395,9 +388,10 @@ def surplus_divide(
     left median (``_surplus_cut``); when a whole interval balances, neither
     player values any of it, so its midpoint is taken for symmetry at no
     cost to either share. When only one player values the surplus it all
-    goes to that player; when neither does the cut lands mid-surplus. Every
-    mass is a difference of cdfs read off the density's integer index, so
-    no interval is built.
+    goes to that player; when neither does the cut lands mid-surplus. The
+    surplus masses come from the span kernel ``_mass_between`` and the
+    piece values from ``_mass_left``, as integer pairs, so no interval is
+    built.
     """
     _require_players(scenario, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
@@ -415,8 +409,8 @@ def surplus_divide(
     if a == b:
         cut = a
     else:
-        mass_left = _mass_between(left_density, a, b)
-        mass_right = _mass_between(right_density, a, b)
+        mass_left = left_density._mass_between(a, b)
+        mass_right = right_density._mass_between(a, b)
         if not mass_left[0] and not mass_right[0]:
             cut = (a + b) / 2
         elif not mass_left[0]:

@@ -154,9 +154,10 @@ def _enumerate_outcomes(
 
     Every replay runs on the same ``scenario`` object, so the branches
     share the answers its memo keeps: the moving knife's calls and the
-    median intervals (see ``moving_knife`` and ``_median_point``). Those
-    depend on the declarations only, never on a tie, and the memo dies with
-    the scenario, so no answer passes from one check to the next.
+    median intervals with their midpoints (see ``moving_knife`` and
+    ``_median_point``). Those depend on the declarations only, never on a
+    tie, and the memo dies with the scenario, so no answer passes from one
+    check to the next.
     """
     if procedure == "ep":
         tied, _ = _ep_search(scenario, strict)
@@ -180,18 +181,15 @@ def _piece_value(density: StepDensity, outcome: ProcedureOutcome, name: str) -> 
     """The density's mass on ``name``'s piece of a contiguous outcome.
 
     The piece runs between the bounds on either side of ``name``'s place
-    in the ordering (0, the cuts, 1), so its mass is the mass left of its
-    right end minus the mass left of its left end: two ``_mass_left``
-    integer pairs and one Fraction, with no ``Allocation`` built. Equal
-    cuts give 0, as an empty portion does.
+    in the ordering (0, the cuts, 1), so its mass is the span kernel's
+    ``_mass_between`` pair as one Fraction, with no ``Allocation`` built.
+    Equal cuts give 0, as an empty portion does.
     """
     i = outcome.ordering.index(name)
     cuts = outcome.cuts
     lo = cuts[i - 1] if i else ZERO
     hi = cuts[i] if i < len(cuts) else ONE
-    _, hn, hd = density._mass_left(*hi.as_integer_ratio())
-    _, ln, ld = density._mass_left(*lo.as_integer_ratio())
-    return Fraction(hn * ld - ln * hd, hd * ld)
+    return Fraction(*density._mass_between(lo, hi))
 
 
 def theorem_a_check(

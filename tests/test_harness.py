@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairslice import (
@@ -33,6 +33,7 @@ from fairslice import harness, solve
 from fairslice.cli import main
 from fairslice.harness import ComparisonEntry, ComparisonReport, fmt_rational, parse_tie
 from fairslice.measures import Piece, as_rational
+from fairslice.procedures import PROCEDURE_NAMES
 from helpers import random_density, random_scenario
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -1014,6 +1015,141 @@ def test_cli_report_too_large_to_print_exits_2_with_one_line(tmp_path, capsys, p
     assert captured.out == ""
     assert captured.err.startswith("error [OUTPUT_TOO_LARGE]: cannot print an exact result: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+class Pairs(list):
+    """A JSON object kept as its [key, value] pairs, so a key may repeat."""
+
+
+class Raw(str):
+    """JSON text written as it is, such as a bare integer of 5,000 digits."""
+
+
+def json_text(value) -> str:
+    """``json.dumps`` that also writes ``Pairs`` and ``Raw``."""
+    if isinstance(value, Raw):
+        return str(value)
+    if isinstance(value, dict):
+        value = Pairs([key, item] for key, item in value.items())
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_text(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(json_text, value)) + "]"
+    return json.dumps(value)
+
+
+def literal(value: F):
+    """A rational as a document writes it: a bare integer or ``"p/q"``."""
+    return value.numerator if value.denominator == 1 else str(value)
+
+
+def as_pairs(value):
+    if isinstance(value, dict):
+        return Pairs([key, as_pairs(item)] for key, item in value.items())
+    if isinstance(value, list):
+        return [as_pairs(item) for item in value]
+    return value
+
+
+def places(value):
+    """Every (container, index) of a document held in ``Pairs``: an
+    object's entry or a list's item, at any depth."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield value, i
+            yield from places(item[1] if isinstance(value, Pairs) else item)
+
+
+LONG_DIGITS = "1" + "0" * 4999
+# Values of the wrong type, and literals that are empty, non-reduced,
+# signed, undefined or past the digit limit, drawn half and half.
+REPLACEMENTS = st.sampled_from(
+    (None, True, False, 0.5, 1e300, [], [1, 2], {}, {"from": 0})
+) | st.sampled_from((
+    "", " ", "2/4", "4/2", "+1/2", "-1/2", "-0", "1/-2", "1/0", "0/0", "1/2/3", "1.5",
+    LONG_DIGITS, f"1/{LONG_DIGITS}", Raw(LONG_DIGITS), "P1", "seed:-1",
+    "seed:99999999999999999999999",
+))
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` with up to three keys deleted, values replaced, or keys
+    repeated, anywhere in it."""
+    document = as_pairs(document)
+    for _ in range(draw(st.integers(0, 3))):
+        spots = list(places(document))
+        if not spots:
+            break
+        container, i = draw(st.sampled_from(spots))
+        kind = draw(st.sampled_from(("delete", "replace", "repeat")))
+        value = copy.deepcopy(draw(REPLACEMENTS))
+        if kind == "delete":
+            del container[i]
+        elif isinstance(container, Pairs):
+            if kind == "replace":
+                container[i][1] = value
+            else:
+                container.append([container[i][0], draw(st.sampled_from((value, container[i][1])))])
+        else:
+            container[i] = value
+    return json_text(document)
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A scenario document of two or three players on the quarter grid,
+    sometimes with an embedded procedure and a truth block, and a
+    contiguous allocation document for it, each then ``mutated``."""
+    names = [f"P{i + 1}" for i in range(draw(st.integers(2, 3)))]
+    players = []
+    for name in names:
+        weights = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+        players.append({"name": name, "pieces": [
+            {"from": literal(F(j, 4)), "to": literal(F(j + 1, 4)),
+             "density": literal(F(4 * w, sum(weights)))}
+            for j, w in enumerate(weights)
+        ]})
+    scenario = doc(players)
+    if draw(st.booleans()):
+        options = {"strict": draw(st.booleans()), "tie": "seed:3", "cutter": names[0]}
+        scenario["procedure"] = {"name": draw(st.sampled_from(PROCEDURE_NAMES)), "options": options}
+    if draw(st.booleans()):
+        scenario["truth"] = copy.deepcopy(players[::-1])
+    cuts = sorted(draw(st.sets(st.integers(1, 3), min_size=len(names) - 1, max_size=len(names) - 1)))
+    bounds = [0, *(f"{j}/4" for j in cuts), 1]
+    allocation = {
+        "schema": "fairslice/1",
+        "portions": {name: [{"from": a, "to": b}] for name, a, b in zip(names, bounds, bounds[1:])},
+    }
+    return draw(mutated(scenario)), draw(mutated(allocation))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(fuzzed_documents())
+def test_cli_answers_mutated_documents_with_an_exit_status_and_at_most_one_error_line(
+    tmp_path, capsys, documents
+):
+    scenario, allocation = tmp_path / "scenario.json", tmp_path / "allocation.json"
+    scenario.write_text(documents[0], encoding="utf-8")
+    allocation.write_text(documents[1], encoding="utf-8")
+    runs = [
+        ["run", str(scenario), "--procedure", procedure, *strict]
+        for procedure in PROCEDURE_NAMES
+        for strict in ([], ["--strict"])
+    ]
+    runs.append(["verify", str(scenario), str(allocation)])
+    capsys.readouterr()
+    for argv in runs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert (code == 0) == (err == ""), (argv, err)
+        assert err == "" or (err.startswith("error [") and err.count("\n") == 1), (argv, err)
 
 
 # --- the literal table --------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,11 +22,15 @@ from fairslice import (
     Scenario,
     StepDensity,
     as_rational,
+    load_scenario,
+    save_scenario,
 )
 from helpers import (
     BREAK_POOL,
     dealt_portions,
+    draw_grid_density,
     draw_long_density,
+    fine_grid_scenario,
     float_mass,
     gaps,
     merged_cover_partition,
@@ -578,6 +583,52 @@ def test_index_queries_match_scan_reference_on_long_rationals(data):
     for side in ("left", "right"):
         with pytest.raises(InsufficientMassError):
             d.quantile(above, start, side)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_kernel_is_a_reduced_pair_equal_to_the_scan(data):
+    """``_mass_between``, which ``mass`` and ``verify._piece_value`` both
+    read, against the piece-by-piece scan: spans with ends on the grid, at
+    long rationals, at 0 and 1, and empty ones."""
+    d = data.draw(
+        st.one_of(st.composite(draw_grid_density)(12), st.composite(draw_long_density)()),
+        label="density",
+    )
+    long_point = st.integers(10**40, 10**60).flatmap(
+        lambda q: st.integers(0, q).map(lambda p: F(p, q))
+    )
+    point = st.one_of(
+        st.sampled_from([F(j, 12) for j in range(13)]),
+        st.sampled_from(d.breakpoints()),
+        long_point,
+    )
+    spans = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=6), label="spans")
+    for a, b in spans + [(a, a) for a, _ in spans]:
+        lo, hi = min(a, b), max(a, b)
+        n, m = d._mass_between(lo, hi)
+        assert m > 0 and gcd(n, m) == 1
+        assert F(n, m) == scan_mass(d, lo, hi)
+
+
+def test_median_of_a_density_short_of_one_half_refuses_as_quantile_does():
+    d = StepDensity.of((0, 1, F(1, 3)))  # never validated: its total is 1/3
+    with pytest.raises(InsufficientMassError) as median:
+        d.median_interval()
+    with pytest.raises(InsufficientMassError) as quantile:
+        d.quantile(HALF)
+    assert str(median.value) == str(quantile.value)
+
+
+def test_density_at_on_a_loaded_document_reads_the_index_and_builds_no_piece():
+    text = save_scenario(fine_grid_scenario(random.Random(29), 5, 256))
+    loaded, scanned = load_scenario(text), load_scenario(text)
+    off_grid = [F(2 * j + 1, 512) for j in range(0, 256, 5)] + [F(1, 3), F(10**50 + 1, 3 * 10**50)]
+    points = [F(j, 256) for j in range(257)] + off_grid
+    for (_, density), (_, reference) in zip(loaded.players, scanned.players):
+        for x in points:
+            assert density.density_at(x) == scan_density_at(reference, x), x
+        assert "pieces" not in vars(density)
 
 
 @settings(max_examples=60)
