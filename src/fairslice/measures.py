@@ -615,7 +615,7 @@ class Scenario:
     @cached_property
     def _memo(self) -> dict:
         """Answers of pure per-density queries, shared by every procedure
-        run on this object (the tie branches of one enumeration replay on
+        run on this object (all the tie branches of one enumeration run on
         it). Like ``StepDensity._rows``, not a dataclass field, so equality
         and hashing ignore it. It lives as long as the scenario, and keys
         name a density by ``_density_keys``, never by ``id``, so a copy or

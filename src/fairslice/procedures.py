@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from typing import Callable, Optional, Sequence
 
@@ -72,35 +72,16 @@ class TieRule:
 
     def resolver(self) -> TieResolver:
         if self.mode == "lowest":
-            return lambda tied: tied[0]
+            return _first_listed
         rng = random.Random(self.seed)
         return rng.choice
 
 
+def _first_listed(tied: tuple[str, ...]) -> str:
+    return tied[0]
+
+
 TIE_LOWEST = TieRule()
-
-
-@dataclass(frozen=True)
-class _ScriptRule:
-    """Replays a fixed list of tie winners, then falls back to first-listed.
-
-    Used by the verify module to enumerate every way the ties in a run
-    could have been resolved. The procedures only call ``resolver()``, so
-    this stands in for a TieRule without being one.
-    """
-
-    script: tuple[str, ...] = ()
-
-    def resolver(self) -> TieResolver:
-        cursor = itertools.count()
-
-        def pick(tied):
-            i = next(cursor)
-            if i < len(self.script) and self.script[i] in tied:
-                return self.script[i]
-            return tied[0]
-
-        return pick
 
 
 @dataclass(frozen=True)
@@ -108,6 +89,14 @@ class TieEvent:
     location: Fraction
     tied: tuple[str, ...]
     winner: str
+
+
+# A run given a ``forks`` list appends one (event, go_on) pair per tie
+# event, in event order. ``go_on(winner, forks)`` returns the outcome of the
+# same run with ``winner`` taking that tie and the first-listed candidate
+# every later one, without redoing the work before the tie; it appends the
+# forks of its own later ties to ``forks``.
+Fork = tuple[TieEvent, Callable[[str, Optional[list]], "ProcedureOutcome"]]
 
 
 @dataclass(frozen=True)
@@ -168,14 +157,26 @@ def _outcome(
     return ProcedureOutcome(tuple(cuts), tuple(ordering), common_value, tuple(events))
 
 
-def _pick(resolver: TieResolver, location: Fraction, tied: tuple, events: list) -> str:
-    """The single candidate, or the resolver's pick among the tied ones,
-    recorded in ``events``."""
+def _settle(
+    tie: TieRule,
+    location: Fraction,
+    tied: tuple[str, ...],
+    forks: Optional[list[Fork]],
+    finish: Callable[[str, tuple[TieEvent, ...]], ProcedureOutcome],
+) -> ProcedureOutcome:
+    """``finish(winner, events)`` for the single candidate, or for the
+    rule's pick among the tied ones with the tie event recorded.
+
+    A two-player procedure has at most this one tie, so its fork goes on
+    by finishing the run with the other winner.
+    """
     if len(tied) == 1:
-        return tied[0]
-    winner = resolver(tied)
-    events.append(TieEvent(location, tied, winner))
-    return winner
+        return finish(tied[0], ())
+    winner = tie.resolver()(tied)
+    event = TieEvent(location, tied, winner)
+    if forks is not None:
+        forks.append((event, lambda other, _: finish(other, (TieEvent(location, tied, other),))))
+    return finish(winner, (event,))
 
 
 def _median_point(scenario: Scenario, name: str, strict: bool) -> Fraction:
@@ -184,9 +185,8 @@ def _median_point(scenario: Scenario, name: str, strict: bool) -> Fraction:
 
     The interval and its midpoint are kept in the scenario's memo under
     the player's density key, so players declaring one density object, and
-    every tie branch replayed on the scenario, look them up once and do no
-    arithmetic on a hit. The interval is kept, so strict mode refuses on
-    every call.
+    every run on the scenario, look them up once and do no arithmetic on a
+    hit. The interval is kept, so strict mode refuses on every call.
     """
     i = scenario.index(name)
     key = ("median", scenario._density_keys[i])
@@ -211,6 +211,8 @@ def cut_and_choose(
     cutter: str,
     strict: bool = False,
     tie: TieRule = TIE_LOWEST,
+    *,
+    forks: Optional[list[Fork]] = None,
 ) -> ProcedureOutcome:
     """Two players: the cutter halves the cake by declared value, the other
     player takes the piece they declare more valuable.
@@ -219,7 +221,7 @@ def cut_and_choose(
     in strict mode a nondegenerate interval is refused instead, since no
     single cut point is then uniquely optimal. On indifference the chooser
     takes the left piece (the tie rule can override, and the tie is
-    recorded either way).
+    recorded either way). ``forks`` collects the tie's ``Fork``.
     """
     _require_players(scenario, exactly=True)
     if cutter not in scenario.names:
@@ -231,13 +233,17 @@ def cut_and_choose(
     tied = (chooser, cutter)
     if 2 * n != d:
         tied = (chooser,) if 2 * n > d else (cutter,)
-    events = []
-    left_owner = _pick(tie.resolver(), cut, tied, events)
-    right_owner = chooser if left_owner == cutter else cutter
-    return _outcome((left_owner, right_owner), (cut,), events=events)
+
+    def finish(left_owner, events):
+        right_owner = chooser if left_owner == cutter else cutter
+        return _outcome((left_owner, right_owner), (cut,), events=events)
+
+    return _settle(tie, cut, tied, forks, finish)
 
 
-def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutcome:
+def moving_knife(
+    scenario: Scenario, tie: TieRule = TIE_LOWEST, *, forks: Optional[list[Fork]] = None
+) -> ProcedureOutcome:
     """Sweep a knife from 0; whoever calls first takes the slice and exits.
 
     Each remaining player calls where the slice reaches their share of what
@@ -247,55 +253,104 @@ def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutc
     into exact 1/n pieces. The tie rule settles simultaneous calls; the
     last player takes the remainder.
 
+    The run is ``_knife_steps`` from the knife at 0 with every player left.
+    ``forks`` collects a ``Fork`` per tie event, which goes on from that
+    event's step state, so enumerating the tie resolutions makes each
+    step's calls once per node of the tie tree, not once per outcome.
+    """
+    _require_players(scenario)
+    remaining = [
+        (key, name, density)
+        for key, (name, density) in zip(scenario._density_keys, scenario.players)
+    ]
+    return _knife_steps(scenario._memo, remaining, (0, 1), (), (), (), tie.resolver(), forks)
+
+
+def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
+    """The earliest call from the knife at pn/pd, as a reduced integer
+    pair, and the players making it, in scenario order.
+
     A call runs on the density's integer index: the mass n/d left of the
     knife (``_mass_left``), then the leftmost cut from the knife worth
     (d - n) / (d * count), a validated density's total mass being exactly
     1 (``_cut``). Calls are reduced integer pairs, compared by
-    cross-multiplying, and the earliest becomes a ``Fraction`` once per
-    step, for the cut and any tie event.
+    cross-multiplying.
 
     A call depends only on the density, the knife position and the count
     of players left, so it is kept in the scenario's memo under those
     three, the density named by its first player index and the position by
     its reduced integer pair. Players declaring one density object share
-    their calls, and so do all the tie branches replayed on the scenario:
-    n identical players make n - 1 calls in all, not one per player per
-    branch. The memo holds only states the runs visit.
+    their calls, and so do all the runs on the scenario: n identical
+    players make n - 1 calls in all, however many tie branches are walked.
+    The memo holds only states the runs visit.
     """
-    _require_players(scenario)
-    resolver = tie.resolver()
-    memo = scenario._memo
-    remaining = [
-        (key, name, density)
-        for key, (name, density) in zip(scenario._density_keys, scenario.players)
-    ]
-    pn, pd = 0, 1
-    cuts: list[Fraction] = []
-    order: list[str] = []
-    events: list[TieEvent] = []
+    count = len(remaining)
+    calls = []
+    for key, name, density in remaining:
+        state = ("knife", key, pn, pd, count)
+        point = memo.get(state)
+        if point is None:
+            _, n, d = density._mass_left(pn, pd)
+            point = memo[state] = density._cut(d - n, d * count, pn, pd, True)
+        calls.append((point, name))
+    en, ed = earliest = calls[0][0]
+    for (xn, xd), _ in calls:
+        if xn * ed < en * xd:
+            en, ed = earliest = xn, xd
+    return earliest, tuple(name for point, name in calls if point == earliest)
+
+
+def _knife_steps(
+    memo: dict,
+    remaining: list,
+    position: tuple[int, int],
+    cuts: tuple[Fraction, ...],
+    order: tuple[str, ...],
+    events: tuple[TieEvent, ...],
+    pick: TieResolver,
+    forks: Optional[list[Fork]],
+    settled: Optional[tuple] = None,
+) -> ProcedureOutcome:
+    """The knife's step loop, run from a step state to the last player.
+
+    The step state is the players left, as (density key, name, density),
+    the knife position as a reduced integer pair, and the cuts, order and
+    tie events so far. Each step makes its calls (``_knife_calls``), and the
+    earliest caller, or ``pick``'s choice among tied ones, takes the slice.
+    No step changes a state in place, so a tie event's fork keeps the state
+    the step started from, with the step's earliest call and tied players.
+    The fork goes on from there (``_knife_fork``): it passes those and its
+    own winner as ``settled``, so the step's calls are not made again, and
+    picks first-listed at later ties. The earliest call becomes a
+    ``Fraction`` once per step, for the cut and any tie event.
+    """
+    pn, pd = position
     while len(remaining) > 1:
-        count = len(remaining)
-        calls = []
-        for key, name, density in remaining:
-            state = ("knife", key, pn, pd, count)
-            point = memo.get(state)
-            if point is None:
-                _, n, d = density._mass_left(pn, pd)
-                point = memo[state] = density._cut(d - n, d * count, pn, pd, True)
-            calls.append((point, name))
-        en, ed = earliest = calls[0][0]
-        for (xn, xd), _ in calls:
-            if xn * ed < en * xd:
-                en, ed = earliest = xn, xd
-        tied = tuple(name for point, name in calls if point == earliest)
-        cut = Fraction(en, ed)
-        winner = _pick(resolver, cut, tied, events)
-        cuts.append(cut)
-        order.append(winner)
+        if settled is None:
+            earliest, tied = _knife_calls(memo, remaining, pn, pd)
+            winner = tied[0] if len(tied) == 1 else pick(tied)
+            branching = forks is not None
+        else:  # a fork's own tie: the run that forked branches on its winners
+            earliest, tied, winner = settled
+            settled, branching = None, False
+        cut = Fraction(*earliest)
+        if len(tied) > 1:
+            event = TieEvent(cut, tied, winner)
+            if branching:
+                state = (memo, remaining, (pn, pd), cuts, order, events)
+                forks.append((event, partial(_knife_fork, state, earliest, tied)))
+            events += (event,)
+        cuts += (cut,)
+        order += (winner,)
         remaining = [entry for entry in remaining if entry[1] != winner]
         pn, pd = earliest
-    order.append(remaining[0][1])
-    return _outcome(order, cuts, events=events)
+    return _outcome(order + (remaining[0][1],), cuts, events=events)
+
+
+def _knife_fork(state: tuple, earliest, tied, winner: str, forks: Optional[list[Fork]]):
+    """A knife run from a tie event's step state with ``winner`` taking
+    that tie and the first-listed caller every later one."""
+    return _knife_steps(*state, _first_listed, forks, (earliest, tied, winner))
 
 
 def _surplus_cut(
@@ -375,6 +430,8 @@ def surplus_divide(
     variant: str = EQUITABLE,
     strict: bool = False,
     tie: TieRule = TIE_LOWEST,
+    *,
+    forks: Optional[list[Fork]] = None,
 ) -> ProcedureOutcome:
     """Two players: cut inside the interval between their median points.
 
@@ -391,7 +448,7 @@ def surplus_divide(
     goes to that player; when neither does the cut lands mid-surplus. The
     surplus masses come from the span kernel ``_mass_between`` and the
     piece values from ``_mass_left``, as integer pairs, so no interval is
-    built.
+    built. ``forks`` collects the tie's ``Fork``.
     """
     _require_players(scenario, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
@@ -400,10 +457,18 @@ def surplus_divide(
     medians = {name: _median_point(scenario, name, strict) for name in names}
     a = min(medians.values())
     tied = tuple(name for name in names if medians[name] == a)
-    events = []
-    left = _pick(tie.resolver(), a, tied, events)
+    finish = partial(_surplus_split, scenario, variant, medians)
+    return _settle(tie, a, tied, forks, finish)
+
+
+def _surplus_split(
+    scenario: Scenario, variant: str, medians: dict, left: str, events: tuple
+) -> ProcedureOutcome:
+    """``surplus_divide`` once ``left`` holds the side left of its median
+    ``a``: the cut inside [a, b], b being the other player's median."""
+    names = scenario.names
     right = names[1] if left == names[0] else names[0]
-    b = medians[right]
+    a, b = medians[left], medians[right]
     left_density = scenario.density(left)
     right_density = scenario.density(right)
     if a == b:
@@ -512,18 +577,20 @@ def run_procedure(
     strict: bool = False,
     tie: TieRule = TIE_LOWEST,
     cutter: Optional[str] = None,
+    forks: Optional[list[Fork]] = None,
 ) -> ProcedureOutcome:
     """Dispatch on the wire-format procedure names used by documents and
-    the command line."""
+    the command line. ``forks`` collects a ``Fork`` per tie event; ``ep``
+    has none."""
     if name == "cut-choose":
         cutter = scenario.names[0] if cutter is None else cutter
-        return cut_and_choose(scenario, cutter, strict=strict, tie=tie)
+        return cut_and_choose(scenario, cutter, strict=strict, tie=tie, forks=forks)
     if name == "moving-knife":
-        return moving_knife(scenario, tie=tie)
+        return moving_knife(scenario, tie=tie, forks=forks)
     if name == "sp-e":
-        return surplus_divide(scenario, EQUITABLE, strict=strict, tie=tie)
+        return surplus_divide(scenario, EQUITABLE, strict=strict, tie=tie, forks=forks)
     if name == "sp-p":
-        return surplus_divide(scenario, PROPORTIONAL, strict=strict, tie=tie)
+        return surplus_divide(scenario, PROPORTIONAL, strict=strict, tie=tie, forks=forks)
     if name == "ep":
         return equitability(scenario, strict=strict)
     raise ValueError(f"unknown procedure {name!r}; expected one of {PROCEDURE_NAMES}")

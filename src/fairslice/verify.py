@@ -26,7 +26,6 @@ from .procedures import (
     TIE_LOWEST,
     ProcedureOutcome,
     TieRule,
-    _ScriptRule,
     _ep_search,
     _outcome,
     run_procedure,
@@ -148,13 +147,18 @@ def _enumerate_outcomes(
     equal-value procedure has no runtime ties; its only freedom is the
     choice among assignments tied at the maximal common value, so those are
     enumerated directly, the lenient answer first. The other procedures run
-    once under ``tie``; that run and every scripted replay after it branch
-    on each winner they did not pick at the tie events past their script,
-    so each outcome is reached exactly once.
+    once under ``tie``, and the tie tree is walked from there, depth first:
+    each run hands back a ``Fork`` per tie event it settled itself, and
+    every other winner at that event continues from the fork, taking the
+    first-listed candidate at later ties and forking at those in turn. So
+    each outcome is reached exactly once, no run redoes the work before its
+    fork, and only the first run draws from ``tie``'s generator. The list
+    is the one that replaying each branch from the start would give, in
+    the same order.
 
-    Every replay runs on the same ``scenario`` object, so the branches
-    share the answers its memo keeps: the moving knife's calls and the
-    median intervals with their midpoints (see ``moving_knife`` and
+    Every run works on the same ``scenario`` object, so the branches share
+    the answers its memo keeps: the moving knife's calls and the median
+    intervals with their midpoints (see ``_knife_calls`` and
     ``_median_point``). Those depend on the declarations only, never on a
     tie, and the memo dies with the scenario, so no answer passes from one
     check to the next.
@@ -163,17 +167,20 @@ def _enumerate_outcomes(
         tied, _ = _ep_search(scenario, strict)
         return [_outcome(names, s.cuts, s.common_value) for names, s in tied]
     outcomes = []
-    pending = [(tie, 0)]
+    pending = [None]
     while pending:
-        rule, scripted = pending.pop()
-        outcome = run_procedure(procedure, scenario, strict=strict, tie=rule)
+        branch = pending.pop()
+        forks = []
+        if branch is None:
+            outcome = run_procedure(procedure, scenario, strict=strict, tie=tie, forks=forks)
+        else:
+            go_on, winner = branch
+            outcome = go_on(winner, forks)
         outcomes.append(outcome)
-        events = outcome.tie_events
-        for i in range(scripted, len(events)):
-            prefix = tuple(event.winner for event in events[:i])
-            for alternative in events[i].tied:
-                if alternative != events[i].winner:
-                    pending.append((_ScriptRule(script=prefix + (alternative,)), i + 1))
+        for event, go_on in forks:
+            for alternative in event.tied:
+                if alternative != event.winner:
+                    pending.append((go_on, alternative))
     return outcomes
 
 
@@ -228,9 +235,11 @@ def theorem_a_check(
     details: dict = {"fair_share": share, "procedure": procedure}
     if outcomes is not None:
         distinguished = scenario.names[0]
-        verdicts["distinguished_player_can_end_le_fair_share"] = any(
-            _piece_value(truth, o, distinguished) <= share for o in outcomes
+        # outcomes[0] is the scored run, whose value is already in values
+        can_end_le = values[distinguished] <= share or any(
+            _piece_value(truth, o, distinguished) <= share for o in outcomes[1:]
         )
+        verdicts["distinguished_player_can_end_le_fair_share"] = can_end_le
         details["enumerated_outcomes"] = len(outcomes)
     return PropertyReport(
         check="theorem-a",

@@ -14,8 +14,9 @@ engine's integer walk, and ``dense_simplex`` is the simplex on a dense
 fraction-free tableau, the reference for the engine's revised simplex.
 The best-ordering oracle for the equal-value procedure solves every
 ordering and keeps the maximum, with no pruning. The tie-enumeration
-reference replays every branch on a fresh scenario, so no branch reads an
-answer another branch left in a memo. The partition reference merges
+reference replays every branch from the start under a ``ScriptRule``, on a
+fresh scenario, so no branch reads an answer another branch left in a memo
+and none goes on from another's fork. The partition reference merges
 every span and sums the lengths, where ``Allocation`` sweeps its sorted
 spans.
 """
@@ -23,8 +24,9 @@ spans.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from math import gcd, lcm
 
 from hypothesis import strategies as st
@@ -45,7 +47,6 @@ from fairslice import (
     equal_value_solve,
     run_procedure,
 )
-from fairslice.procedures import _ScriptRule
 from fairslice.solve import (
     SENSES,
     EqualValueSolution,
@@ -853,10 +854,37 @@ def exhaustive_ep_best(scenario):
     return [triple for triple in solved if triple[2] == best]
 
 
+@dataclass(frozen=True)
+class ScriptRule:
+    """Replays a fixed list of tie winners, then falls back to first-listed.
+
+    The procedures only call ``resolver()``, so this stands in for a
+    ``TieRule`` without being one.
+    """
+
+    script: tuple[str, ...] = ()
+
+    def resolver(self):
+        cursor = count()
+
+        def pick(tied):
+            i = next(cursor)
+            if i < len(self.script) and self.script[i] in tied:
+                return self.script[i]
+            return tied[0]
+
+        return pick
+
+
 def fresh_tie_outcomes(procedure, scenario, tie, strict=False):
-    """Every outcome across tie resolutions, as ``verify._enumerate_outcomes``
-    lists them for the procedures that run, but each run on a fresh
-    ``Scenario(scenario.players)`` whose query memo starts empty."""
+    """Every outcome across tie resolutions, in the order in which
+    ``verify._enumerate_outcomes`` lists them for the procedures that run.
+
+    Each branch is replayed from the start on a fresh
+    ``Scenario(scenario.players)``, whose query memo starts empty, under a
+    ``ScriptRule`` naming the winners up to its branching tie. The seeded
+    run and every replay branch on each other winner at the tie events
+    past their script, depth first, last pushed first."""
     outcomes = []
     pending = [(tie, 0)]
     while pending:
@@ -869,5 +897,5 @@ def fresh_tie_outcomes(procedure, scenario, tie, strict=False):
             prefix = tuple(event.winner for event in events[:i])
             for alternative in events[i].tied:
                 if alternative != events[i].winner:
-                    pending.append((_ScriptRule(prefix + (alternative,)), i + 1))
+                    pending.append((ScriptRule(prefix + (alternative,)), i + 1))
     return outcomes

@@ -28,8 +28,9 @@ from fairslice import (
     surplus_divide,
 )
 from fairslice import measures, procedures, solve, verify
-from fairslice.procedures import TIE_LOWEST, TieEvent, _ScriptRule, _ep_search, _outcome
+from fairslice.procedures import TIE_LOWEST, TieEvent, _ep_search, _outcome
 from helpers import (
+    ScriptRule,
     draw_grid_density,
     exhaustive_ep_best,
     fine_grid_scenario,
@@ -99,7 +100,7 @@ CENTRED_PAIR = pair(
 )
 def test_tie_for_the_left_piece_is_picked_by_the_rule_and_recorded_once(procedure, scenario):
     # cut-choose with cutter p2 lists the chooser p1 first, as sp lists p1
-    scripted = run_procedure(procedure, scenario, cutter="p2", tie=_ScriptRule(("p2",)))
+    scripted = run_procedure(procedure, scenario, cutter="p2", tie=ScriptRule(("p2",)))
     assert scripted.ordering == ("p2", "p1")
     assert scripted.tie_events == (TieEvent(HALF, ("p1", "p2"), "p2"),)
     lowest = run_procedure(procedure, scenario, cutter="p2", tie=TIE_LOWEST)

@@ -33,7 +33,7 @@ from fairslice import (
     theorem_a_check,
     weak_manipulation_search,
 )
-from fairslice import solve, verify
+from fairslice import procedures, solve, verify
 from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.procedures import TIE_LOWEST, _outcome
 from helpers import (
@@ -445,24 +445,40 @@ def identical_players(misreport, n):
     return Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))
 
 
-@pytest.mark.parametrize("procedure, n", SEEDED_CASES)
+# The knife steps that make their calls when the tie tree of n identical
+# players is walked once: one per node with two or more players left.
+# Replaying each of the n! branches from the start takes n! * (n - 1).
+KNIFE_STEPS = {2: 1, 3: 4, 4: 17, 5: 86}
+
+
+@pytest.mark.parametrize("procedure, n", SEEDED_CASES + [("moving-knife", 5)])
 def test_theorem_a_seeded_runs_each_outcome_once(procedure, n, monkeypatch):
-    runs = []
-    run = verify.run_procedure
+    runs, steps = [], []
+    run, knife_calls = verify.run_procedure, procedures._knife_calls
 
     def counted_run(*args, **kwargs):
         runs.append(args)
         return run(*args, **kwargs)
 
+    def counted_calls(*args):
+        steps.append(args)
+        return knife_calls(*args)
+
     monkeypatch.setattr(verify, "run_procedure", counted_run)
-    report = theorem_a_check(
-        procedure, StepDensity.uniform(), ce2_p2_density(), n, tie=TieRule.seeded(7)
-    )
-    # The seeded rule's own run is the first enumerated outcome, so no run
-    # is repeated; ep enumerates its tied assignments without a run.
+    monkeypatch.setattr(procedures, "_knife_calls", counted_calls)
+    tie = TieRule.seeded(7)
+    report = theorem_a_check(procedure, StepDensity.uniform(), ce2_p2_density(), n, tie=tie)
     outcomes = report.details["enumerated_outcomes"]
     assert outcomes == (2 if procedure in ("cut-choose", "sp-e", "sp-p") else math.factorial(n))
-    assert len(runs) == (0 if procedure == "ep" else outcomes)
+    # The seeded rule's own run is the only run; every other outcome goes
+    # on from a tie event of an earlier one. ep enumerates its tied
+    # assignments without a run.
+    assert len(runs) == (0 if procedure == "ep" else 1)
+    assert len(steps) == (KNIFE_STEPS[n] if procedure == "moving-knife" else 0)
+    if procedure != "ep":
+        scenario = identical_players(ce2_p2_density(), n)
+        enumerated = verify._enumerate_outcomes(procedure, scenario, tie)
+        assert enumerated == fresh_tie_outcomes(procedure, scenario, tie)
 
 
 @pytest.mark.parametrize("procedure, n", SEEDED_CASES)
