@@ -2,10 +2,13 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -486,6 +489,15 @@ def test_cli_paper_ce_reports_are_byte_identical(case_id, capsys):
     assert main(["paper-ce", str(case_id)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PAPER_CE_SHA256[case_id]
+
+
+def test_module_entry_point_replays_ce3():
+    # The in-process calls never reach cli.py's `if __name__ == "__main__"`.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "fairslice.cli", "paper-ce", "3"]
+    result = subprocess.run(argv, env=env, capture_output=True, check=False)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == PINNED_PAPER_CE_SHA256[3]
 
 
 def test_ce6_replay_solves_one_lp_per_pareto_question(monkeypatch):
