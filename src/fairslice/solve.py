@@ -425,7 +425,10 @@ def _simplex_core(n: int, constraints: Sequence, cost: list[int]):
     is never stored: it is kept as its r integer multipliers e_i and its
     right-hand-side numerator, reduced by their gcd, over a positive d_i.
     Every tableau entry is the exact rational a dense ``Fraction`` tableau
-    would hold, so every pivot choice is the same.
+    would hold, so every pivot choice is the same. Each phase starts from
+    an objective row built in one pass (see ``_optimize``), and every
+    pivot, the drive-out's between the phases included, goes through
+    ``_pivot``.
 
     Returns each basic variable's value as (column, numerator,
     denominator), and the multipliers mu and alpha of the final objective
@@ -496,44 +499,73 @@ def _optimize(rows, dens, basis, columns, cost, r):
     it is zero on every basic column. Only the signs of its entries are
     read, so it is kept up to a positive factor, as alpha·cost + mu·M for
     an integer alpha > 0 and r integer multipliers mu, which are returned.
+    It is built in one pass: alpha is the lcm of d_i over the rows whose
+    basic column has nonzero cost, and mu = −Σ cost[b_i]·(alpha/d_i)·e_i,
+    both then reduced by their gcd. That is the one reduced form of the
+    rational row, so it is the row that eliminating the basic columns one
+    row at a time would leave.
+
+    Each pass prices the nonbasic columns in index order, read off a flag
+    per column that each pivot keeps, and sums each entry inline off the
+    column's (row, value) pairs. One loop over the rows then reads the
+    entering column's numerator in each and makes Bland's ratio test: a
+    row's ratio rhs/a is a quotient of its own numerators, so two ratios
+    compare by cross-multiplying, and a tie goes to the row whose basic
+    column has the lower index.
     """
-    mu, alpha = [0] * r, 1
-    for i, b in enumerate(basis):
-        f = alpha * cost[b] + _entry(mu, columns[b])
-        if f:
-            mu, alpha = _eliminate(mu, alpha, rows[i], dens[i], f)
+    alpha = lcm(*[d for d, b in zip(dens, basis) if cost[b]])
+    mu = [0] * r
+    for row, d, b in zip(rows, dens, basis):
+        if cost[b]:
+            c = cost[b] * (alpha // d)
+            mu = [m - c * a for m, a in zip(mu, row)]
+    g = gcd(alpha, *mu)
+    if g > 1:
+        mu, alpha = [m // g for m in mu], alpha // g
+    basic = [False] * len(columns)
+    for b in basis:
+        basic[b] = True
     while True:
-        basic = set(basis)
         for enter, column in enumerate(columns):
-            if enter not in basic:
-                f = alpha * cost[enter] + _entry(mu, column)
+            if not basic[enter]:
+                f = alpha * cost[enter]
+                for k, a in column:
+                    f += mu[k] * a
                 if f > 0:
                     break
         else:
             return mu, alpha
-        # A row's ratio rhs/a is a quotient of its own numerators, so two
-        # ratios compare by cross-multiplying.
-        col = [_entry(row, column) for row in rows]
+        col = []
         leave = None
-        for i, a in enumerate(col):
+        for i, row in enumerate(rows):
+            a = 0
+            for k, v in column:
+                a += row[k] * v
+            col.append(a)
             if a > 0:
                 if leave is not None:
-                    lhs, rhs = rows[i][r] * best_a, best_rhs * a
+                    lhs, rhs = row[r] * best_a, best_rhs * a
                     if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                         continue
-                leave, best_rhs, best_a = i, rows[i][r], a
+                leave, best_rhs, best_a = i, row[r], a
         if leave is None:
             raise UnboundedError("objective is unbounded above")
-        row, p = _pivot(rows, dens, basis, leave, enter, col)
-        mu, alpha = _eliminate(mu, alpha, row, p, f)
+        basic[basis[leave]], basic[enter] = False, True
+        nonzeros, p = _pivot(rows, dens, basis, leave, enter, col)
+        # mu has no right-hand side, so the pivot row's is left out.
+        if nonzeros[-1][0] == r:
+            nonzeros = nonzeros[:-1]
+        mu, alpha = _eliminate(mu, alpha, nonzeros, p, f)
 
 
 def _pivot(rows, dens, basis, leave, enter, col):
     """Make ``enter`` basic in row ``leave``, given each row's numerator
     ``col`` in that column: the row is negated if its entry is negative,
-    reduced by its gcd, and takes that entry as its denominator, and the
+    reduced by its gcd, and takes that entry as its denominator. Its
+    nonzero entries are listed once, as (index, value) pairs, and the
     column is then eliminated from every other row where it is nonzero.
-    Returns the new pivot row and its denominator."""
+    Returns that list, whose last pair is the right-hand side when that is
+    nonzero, and the new denominator."""
     row, p = rows[leave], col[leave]
     if p < 0:
         row, p = [-a for a in row], -p
@@ -542,24 +574,29 @@ def _pivot(rows, dens, basis, leave, enter, col):
     if g > 1:
         row, p = [a // g for a in row], p // g
     rows[leave], dens[leave], basis[leave] = row, p, enter
+    nonzeros = [(k, b) for k, b in enumerate(row) if b]
     for i, f in enumerate(col):
         if f and i != leave:
-            rows[i], dens[i] = _eliminate(rows[i], dens[i], row, p, f)
-    return row, p
+            rows[i], dens[i] = _eliminate(rows[i], dens[i], nonzeros, p, f)
+    return nonzeros, p
 
 
-def _eliminate(row, den, pivot_row, p, f):
+def _eliminate(row, den, nonzeros, p, f):
     """Subtract the multiple of a basic row that zeroes an entry.
 
     ``row`` holds numerators over ``den``, with numerator f in the pivot
-    column, and ``pivot_row`` is basic there with entry p over its own
-    denominator p, so row - (f/den)·pivot_row/p = (row·p - f·pivot_row) /
-    (den·p). The objective passes its multipliers mu as ``row`` and alpha
-    as ``den``: alpha·cost + mu·M updates the same way, and the zip, which
-    stops at the shorter list, leaves out the pivot row's right-hand side.
-    Returns the new numerators and denominator, reduced by their gcd.
+    column. The pivot row is basic there, with entry p over its own
+    denominator p, and ``nonzeros`` lists its nonzero entries as (index,
+    value) pairs. So row - (f/den)·pivot_row/p = (row·p - f·pivot_row) /
+    (den·p): row·p, or a copy of row when p is 1, less f times each listed
+    entry. The objective passes its multipliers mu as ``row``, alpha as
+    ``den``, and the list without the right-hand side: alpha·cost + mu·M
+    updates the same way. Returns the new numerators and denominator,
+    reduced by their gcd.
     """
-    new = [a * p - f * b for a, b in zip(row, pivot_row)]
+    new = row[:] if p == 1 else [a * p for a in row]
+    for k, b in nonzeros:
+        new[k] -= f * b
     den *= p
     g = gcd(den, *new)
     if g > 1:

@@ -472,18 +472,58 @@ def test_simplex_drops_redundant_equality_rows():
         assert check_point(redundant, result.point) is None
 
 
+def with_column_shapes(rng, lp, seed, zero_cost):
+    """The LP with two columns put in at random places: one that is zero
+    in every row, with objective entry ``zero_cost``, and one that is
+    nonzero in every row, with a random objective entry. The seed is 0 on
+    both, so it stays feasible."""
+    zero_at = rng.randint(0, lp.n_vars)
+    full_at = rng.randint(0, lp.n_vars + 1)
+
+    def widen(values, zero, full):
+        values = list(values)
+        values.insert(zero_at, zero)
+        values.insert(full_at, full)
+        return tuple(values)
+
+    full = [F(rng.choice((-4, -2, -1, 1, 2, 3, 5))) for _ in lp.constraints]
+    constraints = tuple(
+        LinearConstraint(widen(c.coeffs, ZERO, a), c.sense, c.rhs)
+        for c, a in zip(lp.constraints, full)
+    )
+    objective = widen(lp.objective, zero_cost, F(rng.randint(-3, 5)))
+    return LinearProgram(lp.n_vars + 2, objective, constraints), widen(seed, ZERO, ZERO)
+
+
+def test_a_zero_column_that_prices_positive_is_unbounded_in_both_solvers():
+    # A column with no nonzero entry always prices at its cost, so Bland's
+    # rule cannot stop at an optimum, and no row bounds the column when it
+    # enters.
+    rng = random.Random(53)
+    for _ in range(30):
+        lp, seed = with_column_shapes(rng, *random_lp(rng), F(rng.randint(1, 5)))
+        with pytest.raises(UnboundedError):
+            simplex_max(lp, seed)
+        with pytest.raises(UnboundedError):
+            dense_simplex(lp, seed)
+
+
 @st.composite
 def simplex_cases(draw):
     """An LP and a seed. A ``random_lp`` instance has rows of all three
     senses and negative right-hand sides; it is taken as drawn ("plain"),
     without its bounding row, so it may be unbounded ("open"), with one
-    seed coordinate moved, so the seed may be infeasible ("moved seed"), or
+    seed coordinate moved, so the seed may be infeasible ("moved seed"),
     with a sign-flipped duplicate == row and an all-zero == row
-    ("redundant"). Otherwise it is the improvement LP of a moving-knife or
-    a random allocation on a fine grid with zero-density pieces, for 2 to
-    4 players ("pareto")."""
+    ("redundant"), or with a column that is zero in every row, priced at 0
+    or above, and one that is nonzero in every row ("column shapes").
+    Otherwise it is the improvement LP of a moving-knife or a random
+    allocation on a fine grid with zero-density pieces, for 2 to 4
+    players ("pareto")."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(("plain", "open", "moved seed", "redundant", "pareto")))
+    kind = draw(
+        st.sampled_from(("plain", "open", "moved seed", "redundant", "column shapes", "pareto"))
+    )
     if kind == "pareto":
         scenario = fine_grid_scenario(rng, rng.randint(2, 4), rng.choice((4, 6, 8)))
         if rng.random() < 0.5:
@@ -499,6 +539,8 @@ def simplex_cases(draw):
         seed = (*seed[:j], seed[j] + F(rng.randint(-3, 3), 2), *seed[j + 1 :])
     elif kind == "redundant":
         lp = with_redundant_equalities(rng, lp, seed)[1]
+    elif kind == "column shapes":
+        lp, seed = with_column_shapes(rng, lp, seed, F(rng.choice((0, rng.randint(1, 5)))))
     return lp, seed
 
 
