@@ -612,23 +612,6 @@ class Scenario:
         for name, density in self.players:
             density.require_valid(f"density for {name!r}")
 
-    @cached_property
-    def _memo(self) -> dict:
-        """Answers of pure per-density queries, shared by every procedure
-        run on this object (all the tie branches of one enumeration run on
-        it). Like ``StepDensity._rows``, not a dataclass field, so equality
-        and hashing ignore it. It lives as long as the scenario, and keys
-        name a density by ``_density_keys``, never by ``id``, so a copy or
-        a pickle round trip carries answers that still hold."""
-        return {}
-
-    @cached_property
-    def _density_keys(self) -> tuple[int, ...]:
-        """Per player, the first player index holding the same density
-        object, so players declaring one object share its answers."""
-        first: dict[int, int] = {}
-        return tuple(first.setdefault(id(d), i) for i, (_, d) in enumerate(self.players))
-
     @classmethod
     def of(cls, declarations: Mapping[str, StepDensity]) -> "Scenario":
         return cls(tuple(declarations.items()))
@@ -682,8 +665,8 @@ class Allocation:
     @cached_property
     def _layout(self) -> tuple[tuple[Fraction, Fraction, str], ...]:
         """Every span as (lo, hi, owner), sorted by lo. Like
-        ``Scenario._memo``, not a dataclass field, so equality and hashing
-        ignore it."""
+        ``StepDensity._rows``, not a dataclass field, so equality and
+        hashing ignore it."""
         spans = [(iv.lo, iv.hi, name) for name, portion in self.portions for iv in portion.intervals]
         return tuple(sorted(spans, key=_FIRST))
 

@@ -179,25 +179,13 @@ def _settle(
     return finish(winner, (event,))
 
 
-def _median_point(scenario: Scenario, name: str, strict: bool) -> Fraction:
+def _median_point(density: StepDensity, name: str, strict: bool) -> Fraction:
     """The midpoint of the player's median interval; strict mode refuses a
-    nondegenerate interval, whose points are then equally good cuts.
-
-    The interval and its midpoint are kept in the scenario's memo under
-    the player's density key, so players declaring one density object, and
-    every run on the scenario, look them up once and do no arithmetic on a
-    hit. The interval is kept, so strict mode refuses on every call.
-    """
-    i = scenario.index(name)
-    key = ("median", scenario._density_keys[i])
-    entry = scenario._memo.get(key)
-    if entry is None:
-        median = scenario.players[i][1].median_interval()
-        entry = scenario._memo[key] = median, median.midpoint
-    median, midpoint = entry
+    nondegenerate interval, whose points are then equally good cuts."""
+    median = density.median_interval()
     if strict and median.lo != median.hi:
         raise NonUniqueMedianError(name, median)
-    return midpoint
+    return median.midpoint
 
 
 def _require_players(scenario: Scenario, exactly: bool = False) -> None:
@@ -227,7 +215,7 @@ def cut_and_choose(
     if cutter not in scenario.names:
         raise InvalidPlayersError(f"unknown cutter {cutter!r}")
     chooser = next(name for name in scenario.names if name != cutter)
-    cut = _median_point(scenario, cutter, strict)
+    cut = _median_point(scenario.density(cutter), cutter, strict)
     # The left piece is worth n/d to the chooser and the right one 1 - n/d.
     _, n, d = scenario.density(chooser)._mass_left(*cut.as_integer_ratio())
     tied = (chooser, cutter)
@@ -253,17 +241,20 @@ def moving_knife(
     into exact 1/n pieces. The tie rule settles simultaneous calls; the
     last player takes the remainder.
 
-    The run is ``_knife_steps`` from the knife at 0 with every player left.
+    The run is ``_knife_steps`` from the knife at 0 with every player left,
+    each keyed by the first player index holding the same density object,
+    and with an empty memo of calls that the run and its forks share.
     ``forks`` collects a ``Fork`` per tie event, which goes on from that
     event's step state, so enumerating the tie resolutions makes each
     step's calls once per node of the tie tree, not once per outcome.
     """
     _require_players(scenario)
+    first: dict[int, int] = {}
     remaining = [
-        (key, name, density)
-        for key, (name, density) in zip(scenario._density_keys, scenario.players)
+        (first.setdefault(id(density), i), name, density)
+        for i, (name, density) in enumerate(scenario.players)
     ]
-    return _knife_steps(scenario._memo, remaining, (0, 1), (), (), (), tie.resolver(), forks)
+    return _knife_steps({}, remaining, (0, 1), (), (), (), tie.resolver(), forks)
 
 
 def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
@@ -277,17 +268,17 @@ def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
     cross-multiplying.
 
     A call depends only on the density, the knife position and the count
-    of players left, so it is kept in the scenario's memo under those
-    three, the density named by its first player index and the position by
-    its reduced integer pair. Players declaring one density object share
-    their calls, and so do all the runs on the scenario: n identical
-    players make n - 1 calls in all, however many tie branches are walked.
-    The memo holds only states the runs visit.
+    of players left, so it is kept in the run's memo under those three,
+    the density named by its key and the position by its reduced integer
+    pair. Players declaring one density object share their calls, and so
+    do the run's forks: n identical players make n - 1 calls in all,
+    however many tie branches are walked. The memo holds only states the
+    run visits, and it dies with the run and its forks.
     """
     count = len(remaining)
     calls = []
     for key, name, density in remaining:
-        state = ("knife", key, pn, pd, count)
+        state = (key, pn, pd, count)
         point = memo.get(state)
         if point is None:
             _, n, d = density._mass_left(pn, pd)
@@ -313,15 +304,16 @@ def _knife_steps(
 ) -> ProcedureOutcome:
     """The knife's step loop, run from a step state to the last player.
 
-    The step state is the players left, as (density key, name, density),
-    the knife position as a reduced integer pair, and the cuts, order and
-    tie events so far. Each step makes its calls (``_knife_calls``), and the
-    earliest caller, or ``pick``'s choice among tied ones, takes the slice.
-    No step changes a state in place, so a tie event's fork keeps the state
-    the step started from, with the step's earliest call and tied players.
-    The fork goes on from there (``_knife_fork``): it passes those and its
-    own winner as ``settled``, so the step's calls are not made again, and
-    picks first-listed at later ties. The earliest call becomes a
+    The step state is the run's memo of calls, the players left, as
+    (density key, name, density), the knife position as a reduced integer
+    pair, and the cuts, order and tie events so far. Each step makes its
+    calls (``_knife_calls``), and the earliest caller, or ``pick``'s choice
+    among tied ones, takes the slice. No step changes a state in place, so
+    a tie event's fork keeps the state the step started from, with the
+    step's earliest call and tied players. The fork goes on from there
+    (``_knife_fork``): it passes those and its own winner as ``settled``,
+    so the step's calls are not made again, and picks first-listed at later
+    ties. The earliest call becomes a
     ``Fraction`` once per step, for the cut and any tie event.
     """
     pn, pd = position
@@ -436,27 +428,30 @@ def surplus_divide(
     """Two players: cut inside the interval between their median points.
 
     Each player's median point is the midpoint of their median interval
-    (strict mode refuses nondegenerate intervals). The player with the
-    smaller median takes the left side; coinciding medians are a tie for
-    the left piece. On the surplus between the medians, the equitable
-    variant equalizes the two surplus shares outright, the proportional
-    variant equalizes them relative to each player's value of the whole
-    surplus. The cut comes from one scan over both players' pieces from the
-    left median (``_surplus_cut``); when a whole interval balances, neither
-    player values any of it, so its midpoint is taken for symmetry at no
-    cost to either share. When only one player values the surplus it all
-    goes to that player; when neither does the cut lands mid-surplus. The
-    surplus masses come from the span kernel ``_mass_between`` and the
-    piece values from ``_mass_left``, as integer pairs, so no interval is
-    built. ``forks`` collects the tie's ``Fork``.
+    (strict mode refuses nondegenerate intervals); players declaring one
+    density object take one median. The player with the smaller median
+    takes the left side; coinciding medians are a tie for the left piece.
+    On the surplus between the medians, the equitable variant equalizes
+    the two surplus shares outright, the proportional variant equalizes
+    them relative to each player's value of the whole surplus. The cut
+    comes from one scan over both players' pieces from the left median
+    (``_surplus_cut``); when a whole interval balances, neither player
+    values any of it, so its midpoint is taken for symmetry at no cost to
+    either share. When only one player values the surplus it all goes to
+    that player; when neither does the cut lands mid-surplus. The surplus
+    masses come from the span kernel ``_mass_between`` and the piece values
+    from ``_mass_left``, as integer pairs, so no interval is built.
+    ``forks`` collects the tie's ``Fork``.
     """
     _require_players(scenario, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
         raise ValueError(f"unknown variant {variant!r}")
-    names = scenario.names
-    medians = {name: _median_point(scenario, name, strict) for name in names}
-    a = min(medians.values())
-    tied = tuple(name for name in names if medians[name] == a)
+    (first, d1), (second, d2) = scenario.players
+    m1 = _median_point(d1, first, strict)
+    m2 = m1 if d2 is d1 else _median_point(d2, second, strict)
+    medians = {first: m1, second: m2}
+    a = min(m1, m2)
+    tied = tuple(name for name in (first, second) if medians[name] == a)
     finish = partial(_surplus_split, scenario, variant, medians)
     return _settle(tie, a, tied, forks, finish)
 

@@ -355,17 +355,16 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
     """Exact two-phase revised simplex with Bland's rule on both pivot
     choices.
 
-    The seed is only used to certify feasibility up front; the optimum is
-    found from scratch. Bland's rule rules out cycling, so termination is
-    unconditional.
+    The seed is only used to certify feasibility up front
+    (``check_point``); the optimum is found from scratch. Bland's rule
+    rules out cycling, so termination is unconditional.
 
     This is the front end of ``_simplex_core``: each constraint is scaled
     to integers once, by the least common denominator of its right-hand
     side and nonzero coefficients, negated if its right-hand side is
     negative, and kept as its nonzero (column, coefficient) terms, sense,
-    right-hand side and scale; the seed is checked on those rows.
-    ``pareto_improve`` builds the same rows from its cell table and calls
-    the core itself.
+    right-hand side and scale. ``pareto_improve`` builds the same rows
+    from its cell table and calls the core itself.
 
     ``dual`` holds one value per constraint, read off the core's final
     objective row alpha·cost + mu·M, which is zero on the basic columns and
@@ -378,13 +377,10 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
     basic, so unless an artificial left the basis and came back it was
     never a pivot row, and its dual value is 0.
     """
-    point = tuple(as_rational(v) for v in seed)
+    violation = check_point(lp, seed)
+    if violation is not None:
+        raise InfeasibleSeedError(violation)
     n = lp.n_vars
-    # The seed, over one common denominator, is checked on the integer
-    # rows as they are built; check_point only words a refusal.
-    scale = lcm(*[v.denominator for v in point])
-    x = [v.numerator * (scale // v.denominator) for v in point]
-    feasible = len(x) == n and all(v >= 0 for v in x)
     rows, signs = [], []
     for c in lp.constraints:
         terms = [(j, a) for j, a in enumerate(c.coeffs) if a]
@@ -393,12 +389,8 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
         terms = [(j, sign * a.numerator * (den // a.denominator)) for j, a in terms]
         rhs = sign * c.rhs.numerator * (den // c.rhs.denominator)
         sense = SENSES[c.sense][1] if sign < 0 else c.sense
-        if feasible:
-            feasible = SENSES[sense][0](sum([a * x[j] for j, a in terms]), rhs * scale)
         rows.append((terms, sense, rhs, den))
         signs.append(sign)
-    if not feasible:
-        raise InfeasibleSeedError(check_point(lp, point))
     den = lcm(*[cj.denominator for cj in lp.objective])
     cost = [cj.numerator * (den // cj.denominator) for cj in lp.objective]
     basic, mu, alpha = _simplex_core(n, rows, cost)

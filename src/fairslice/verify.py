@@ -156,12 +156,10 @@ def _enumerate_outcomes(
     is the one that replaying each branch from the start would give, in
     the same order.
 
-    Every run works on the same ``scenario`` object, so the branches share
-    the answers its memo keeps: the moving knife's calls and the median
-    intervals with their midpoints (see ``_knife_calls`` and
-    ``_median_point``). Those depend on the declarations only, never on a
-    tie, and the memo dies with the scenario, so no answer passes from one
-    check to the next.
+    The forks of a run share its answers: the moving knife's memo of
+    calls (``_knife_calls``) and a two-player procedure's medians, which
+    depend on the declarations only, never on a tie. Nothing is kept on
+    the ``scenario``, so no answer passes from one check to the next.
     """
     if procedure == "ep":
         tied, _ = _ep_search(scenario, strict)

@@ -14,9 +14,9 @@ engine's integer walk, and ``dense_simplex`` is the simplex on a dense
 fraction-free tableau, the reference for the engine's revised simplex.
 The best-ordering oracle for the equal-value procedure solves every
 ordering and keeps the maximum, with no pruning. The tie-enumeration
-reference replays every branch from the start under a ``ScriptRule``, on a
-fresh scenario, so no branch reads an answer another branch left in a memo
-and none goes on from another's fork. The partition reference merges
+reference replays every branch from the start under a ``ScriptRule``, each
+as a run of its own, so no branch reads an answer another branch's run
+kept and none goes on from another's fork. The partition reference merges
 every span and sums the lengths, where ``Allocation`` sweeps its sorted
 spans.
 """
@@ -880,17 +880,16 @@ def fresh_tie_outcomes(procedure, scenario, tie, strict=False):
     """Every outcome across tie resolutions, in the order in which
     ``verify._enumerate_outcomes`` lists them for the procedures that run.
 
-    Each branch is replayed from the start on a fresh
-    ``Scenario(scenario.players)``, whose query memo starts empty, under a
-    ``ScriptRule`` naming the winners up to its branching tie. The seeded
-    run and every replay branch on each other winner at the tie events
-    past their script, depth first, last pushed first."""
+    Each branch is a run of its own from the start, with a memo that
+    starts empty, under a ``ScriptRule`` naming the winners up to its
+    branching tie. The seeded run and every replay branch on each other
+    winner at the tie events past their script, depth first, last pushed
+    first."""
     outcomes = []
     pending = [(tie, 0)]
     while pending:
         rule, scripted = pending.pop()
-        fresh = Scenario(scenario.players)
-        outcome = run_procedure(procedure, fresh, strict=strict, tie=rule)
+        outcome = run_procedure(procedure, scenario, strict=strict, tie=rule)
         outcomes.append(outcome)
         events = outcome.tie_events
         for i in range(scripted, len(events)):

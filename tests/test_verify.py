@@ -551,9 +551,9 @@ TWO_PLAYER = ("cut-choose", "sp-e", "sp-p")
 
 @st.composite
 def memo_cases(draw):
-    """A procedure that reads the scenario memo, on players some of whom
-    share one density object (or hold an equal copy), with zero-density
-    pieces allowed, under a seeded tie rule."""
+    """A procedure that shares answers within its run and forks, on
+    players some of whom share one density object (or hold an equal copy),
+    with zero-density pieces allowed, under a seeded tie rule."""
     procedure = draw(st.sampled_from(TWO_PLAYER + ("moving-knife",)))
     n = 2 if procedure in TWO_PLAYER else draw(st.integers(2, 4))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -584,7 +584,7 @@ def outcome_or_refusal(call, *args, **kwargs):
 def test_scenario_memo_never_changes_an_answer(case):
     procedure, warm, tie, strict = case
     enumerated = outcome_or_refusal(verify._enumerate_outcomes, procedure, warm, tie, strict)
-    assert warm._memo  # the checks below read a warm memo
+    assert set(vars(warm)) == {"players"}  # the runs kept nothing on it
     assert enumerated == outcome_or_refusal(fresh_tie_outcomes, procedure, warm, tie, strict)
     fresh_run = outcome_or_refusal(
         run_procedure, procedure, Scenario(warm.players), strict=strict, tie=tie
@@ -597,6 +597,51 @@ def test_scenario_memo_never_changes_an_answer(case):
         assert outcome_or_refusal(
             verify._enumerate_outcomes, procedure, scenario, tie, strict
         ) == enumerated
+
+
+def test_runs_and_checks_leave_their_scenario_a_plain_value(monkeypatch):
+    # A run keeps its answers to itself and its forks, so after every
+    # procedure run, tie enumeration and strategy check, refusals
+    # included, a scenario holds its players and nothing else.
+    built = []
+
+    def recorded(players):
+        scenario = Scenario(players)
+        built.append(scenario)
+        return scenario
+
+    monkeypatch.setattr(verify, "Scenario", recorded)
+    truth, other = StepDensity.uniform(), StepDensity.of((0, "1/2", "3/2"), ("1/2", 1, "1/2"))
+    refusals = set()
+    for procedure in procedures.PROCEDURE_NAMES:
+        n = 2 if procedure in TWO_PLAYER else 3
+        for strict, tie in itertools.product((False, True), (TIE_LOWEST, TieRule.seeded(7))):
+            for misreport in (ce2_p2_density(), truth):
+                answers = [
+                    outcome_or_refusal(
+                        theorem_a_check, procedure, truth, misreport, n, tie=tie, strict=strict
+                    ),
+                    outcome_or_refusal(
+                        weak_manipulation_search, procedure, truth, [misreport], [misreport, other],
+                        tie=tie, strict=strict,
+                    ),
+                ]
+                mixed = Scenario(tuple((f"p{i + 1}", (misreport, other)[i % 2]) for i in range(n)))
+                for scenario in (identical_players(misreport, n), mixed):
+                    answers += [
+                        outcome_or_refusal(
+                            run_procedure, procedure, scenario, strict=strict, tie=tie
+                        ),
+                        outcome_or_refusal(
+                            verify._enumerate_outcomes, procedure, scenario, tie, strict
+                        ),
+                    ]
+                    assert set(vars(scenario)) == {"players"}, (procedure, strict, tie)
+                refusals.update(a[0] for a in answers if isinstance(a, tuple))
+    assert NonUniqueMedianError in refusals
+    assert len(built) > 100
+    for scenario in built:
+        assert set(vars(scenario)) == {"players"}
 
 
 def test_theorem_a_propagates_strict_refusals():
