@@ -52,6 +52,7 @@ from .procedures import (
     moving_knife,
     run_procedure,
     surplus_divide,
+    tie_outcomes,
 )
 from .solve import (
     CellDecomposition,

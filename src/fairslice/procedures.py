@@ -5,6 +5,9 @@ contiguous outcome: its cuts, the left-to-right assignment of the pieces
 they induce, and any tie events it resolved. The outcome is those cuts and
 that ordering; its ``Allocation`` is built only when read. Scoring outcomes
 against true preferences belongs to the verify module.
+
+Each procedure's body is a generator of its outcomes across tie
+resolutions (``tie_outcomes``), and the procedure returns the first.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     AllocationError,
@@ -91,14 +94,6 @@ class TieEvent:
     winner: str
 
 
-# A run given a ``forks`` list appends one (event, go_on) pair per tie
-# event, in event order. ``go_on(winner, forks)`` returns the outcome of the
-# same run with ``winner`` taking that tie and the first-listed candidate
-# every later one, without redoing the work before the tie; it appends the
-# forks of its own later ties to ``forks``.
-Fork = tuple[TieEvent, Callable[[str, Optional[list]], "ProcedureOutcome"]]
-
-
 @dataclass(frozen=True)
 class ProcedureOutcome:
     """A contiguous outcome plus the diagnostics that produced it.
@@ -161,22 +156,20 @@ def _settle(
     tie: TieRule,
     location: Fraction,
     tied: tuple[str, ...],
-    forks: Optional[list[Fork]],
     finish: Callable[[str, tuple[TieEvent, ...]], ProcedureOutcome],
-) -> ProcedureOutcome:
-    """``finish(winner, events)`` for the single candidate, or for the
-    rule's pick among the tied ones with the tie event recorded.
+) -> Iterator[ProcedureOutcome]:
+    """``finish(winner, events)`` for the single candidate; for tied ones,
+    the rule's pick, then the other candidate, each with its tie event.
 
-    A two-player procedure has at most this one tie, so its fork goes on
-    by finishing the run with the other winner.
+    A two-player procedure has at most this one tie, so those are all its
+    outcomes.
     """
     if len(tied) == 1:
-        return finish(tied[0], ())
+        yield finish(tied[0], ())
+        return
     winner = tie.resolver()(tied)
-    event = TieEvent(location, tied, winner)
-    if forks is not None:
-        forks.append((event, lambda other, _: finish(other, (TieEvent(location, tied, other),))))
-    return finish(winner, (event,))
+    for name in (winner, *(other for other in tied if other != winner)):
+        yield finish(name, (TieEvent(location, tied, name),))
 
 
 def _median_point(density: StepDensity, name: str, strict: bool) -> Fraction:
@@ -199,8 +192,6 @@ def cut_and_choose(
     cutter: str,
     strict: bool = False,
     tie: TieRule = TIE_LOWEST,
-    *,
-    forks: Optional[list[Fork]] = None,
 ) -> ProcedureOutcome:
     """Two players: the cutter halves the cake by declared value, the other
     player takes the piece they declare more valuable.
@@ -209,8 +200,15 @@ def cut_and_choose(
     in strict mode a nondegenerate interval is refused instead, since no
     single cut point is then uniquely optimal. On indifference the chooser
     takes the left piece (the tie rule can override, and the tie is
-    recorded either way). ``forks`` collects the tie's ``Fork``.
+    recorded either way).
     """
+    return next(_cut_and_choose(scenario, cutter, strict, tie))
+
+
+def _cut_and_choose(
+    scenario: Scenario, cutter: str, strict: bool, tie: TieRule
+) -> Iterator[ProcedureOutcome]:
+    """``cut_and_choose``'s outcomes across its tie (``_settle``)."""
     _require_players(scenario, exactly=True)
     if cutter not in scenario.names:
         raise InvalidPlayersError(f"unknown cutter {cutter!r}")
@@ -226,12 +224,10 @@ def cut_and_choose(
         right_owner = chooser if left_owner == cutter else cutter
         return _outcome((left_owner, right_owner), (cut,), events=events)
 
-    return _settle(tie, cut, tied, forks, finish)
+    yield from _settle(tie, cut, tied, finish)
 
 
-def moving_knife(
-    scenario: Scenario, tie: TieRule = TIE_LOWEST, *, forks: Optional[list[Fork]] = None
-) -> ProcedureOutcome:
+def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutcome:
     """Sweep a knife from 0; whoever calls first takes the slice and exits.
 
     Each remaining player calls where the slice reaches their share of what
@@ -240,21 +236,8 @@ def moving_knife(
     of the whole by their own declaration and splits identical declarations
     into exact 1/n pieces. The tie rule settles simultaneous calls; the
     last player takes the remainder.
-
-    The run is ``_knife_steps`` from the knife at 0 with every player left,
-    each keyed by the first player index holding the same density object,
-    and with an empty memo of calls that the run and its forks share.
-    ``forks`` collects a ``Fork`` per tie event, which goes on from that
-    event's step state, so enumerating the tie resolutions makes each
-    step's calls once per node of the tie tree, not once per outcome.
     """
-    _require_players(scenario)
-    first: dict[int, int] = {}
-    remaining = [
-        (first.setdefault(id(density), i), name, density)
-        for i, (name, density) in enumerate(scenario.players)
-    ]
-    return _knife_steps({}, remaining, (0, 1), (), (), (), tie.resolver(), forks)
+    return next(_moving_knife(scenario, tie))
 
 
 def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
@@ -271,9 +254,9 @@ def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
     of players left, so it is kept in the run's memo under those three,
     the density named by its key and the position by its reduced integer
     pair. Players declaring one density object share their calls, and so
-    do the run's forks: n identical players make n - 1 calls in all,
-    however many tie branches are walked. The memo holds only states the
-    run visits, and it dies with the run and its forks.
+    do the tie branches walked from the run: n identical players make
+    n - 1 calls in all, however many branches are drawn. The memo holds
+    only states the walk visits, and it dies with the walk.
     """
     count = len(remaining)
     calls = []
@@ -291,58 +274,52 @@ def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
     return earliest, tuple(name for point, name in calls if point == earliest)
 
 
-def _knife_steps(
-    memo: dict,
-    remaining: list,
-    position: tuple[int, int],
-    cuts: tuple[Fraction, ...],
-    order: tuple[str, ...],
-    events: tuple[TieEvent, ...],
-    pick: TieResolver,
-    forks: Optional[list[Fork]],
-    settled: Optional[tuple] = None,
-) -> ProcedureOutcome:
-    """The knife's step loop, run from a step state to the last player.
+def _moving_knife(scenario: Scenario, tie: TieRule) -> Iterator[ProcedureOutcome]:
+    """``moving_knife``'s outcomes, walked with one memo of calls and one
+    pending stack of step states.
 
-    The step state is the run's memo of calls, the players left, as
-    (density key, name, density), the knife position as a reduced integer
-    pair, and the cuts, order and tie events so far. Each step makes its
-    calls (``_knife_calls``), and the earliest caller, or ``pick``'s choice
-    among tied ones, takes the slice. No step changes a state in place, so
-    a tie event's fork keeps the state the step started from, with the
-    step's earliest call and tied players. The fork goes on from there
-    (``_knife_fork``): it passes those and its own winner as ``settled``,
-    so the step's calls are not made again, and picks first-listed at later
-    ties. The earliest call becomes a
-    ``Fraction`` once per step, for the cut and any tie event.
+    A step state is the players left, as (density key, name, density),
+    each keyed by the first player index holding its density object, the
+    knife position as a reduced integer pair, and the cuts, order and tie
+    events so far. Each step makes its calls (``_knife_calls``), and the
+    earliest caller, or the rule's pick among tied ones, takes the slice.
+    No step changes a state in place, so a tie pushes the step's state,
+    earliest call and tied players once per other caller, who takes the
+    tie there and first-listed picks later. Entries are popped only after
+    the current run has yielded: only the rule's own run draws from the
+    rule, and no branch makes its step's calls again.
     """
-    pn, pd = position
-    while len(remaining) > 1:
-        if settled is None:
-            earliest, tied = _knife_calls(memo, remaining, pn, pd)
-            winner = tied[0] if len(tied) == 1 else pick(tied)
-            branching = forks is not None
-        else:  # a fork's own tie: the run that forked branches on its winners
-            earliest, tied, winner = settled
-            settled, branching = None, False
-        cut = Fraction(*earliest)
-        if len(tied) > 1:
-            event = TieEvent(cut, tied, winner)
-            if branching:
-                state = (memo, remaining, (pn, pd), cuts, order, events)
-                forks.append((event, partial(_knife_fork, state, earliest, tied)))
-            events += (event,)
-        cuts += (cut,)
-        order += (winner,)
-        remaining = [entry for entry in remaining if entry[1] != winner]
-        pn, pd = earliest
-    return _outcome(order + (remaining[0][1],), cuts, events=events)
-
-
-def _knife_fork(state: tuple, earliest, tied, winner: str, forks: Optional[list[Fork]]):
-    """A knife run from a tie event's step state with ``winner`` taking
-    that tie and the first-listed caller every later one."""
-    return _knife_steps(*state, _first_listed, forks, (earliest, tied, winner))
+    _require_players(scenario)
+    first: dict[int, int] = {}
+    remaining = [
+        (first.setdefault(id(density), i), name, density)
+        for i, (name, density) in enumerate(scenario.players)
+    ]
+    memo: dict = {}
+    pick = tie.resolver()
+    pending = [(remaining, (0, 1), (), (), (), None)]
+    while pending:
+        remaining, (pn, pd), cuts, order, events, settled = pending.pop()
+        while len(remaining) > 1:
+            if settled is None:
+                earliest, tied = _knife_calls(memo, remaining, pn, pd)
+                winner = tied[0]
+                if len(tied) > 1:
+                    winner = pick(tied)
+                    state = (remaining, (pn, pd), cuts, order, events)
+                    pending += [(*state, (earliest, tied, o)) for o in tied if o != winner]
+            else:  # a branch's own tie, whose other callers are pushed already
+                earliest, tied, winner = settled
+                settled = None
+            cut = Fraction(*earliest)
+            if len(tied) > 1:
+                events += (TieEvent(cut, tied, winner),)
+            cuts += (cut,)
+            order += (winner,)
+            remaining = [entry for entry in remaining if entry[1] != winner]
+            pn, pd = earliest
+        yield _outcome(order + (remaining[0][1],), cuts, events=events)
+        pick = _first_listed
 
 
 def _surplus_cut(
@@ -422,8 +399,6 @@ def surplus_divide(
     variant: str = EQUITABLE,
     strict: bool = False,
     tie: TieRule = TIE_LOWEST,
-    *,
-    forks: Optional[list[Fork]] = None,
 ) -> ProcedureOutcome:
     """Two players: cut inside the interval between their median points.
 
@@ -441,8 +416,14 @@ def surplus_divide(
     that player; when neither does the cut lands mid-surplus. The surplus
     masses come from the span kernel ``_mass_between`` and the piece values
     from ``_mass_left``, as integer pairs, so no interval is built.
-    ``forks`` collects the tie's ``Fork``.
     """
+    return next(_surplus_divide(scenario, variant, strict, tie))
+
+
+def _surplus_divide(
+    scenario: Scenario, variant: str, strict: bool, tie: TieRule
+) -> Iterator[ProcedureOutcome]:
+    """``surplus_divide``'s outcomes across its tie (``_settle``)."""
     _require_players(scenario, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
         raise ValueError(f"unknown variant {variant!r}")
@@ -453,7 +434,7 @@ def surplus_divide(
     a = min(m1, m2)
     tied = tuple(name for name in (first, second) if medians[name] == a)
     finish = partial(_surplus_split, scenario, variant, medians)
-    return _settle(tie, a, tied, forks, finish)
+    yield from _settle(tie, a, tied, finish)
 
 
 def _surplus_split(
@@ -561,8 +542,45 @@ def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     whose greedy chain at the best value so far cannot settle them
     (``_ep_search``).
     """
-    names, solution = _ep_search(scenario, strict)[0][0]
-    return _outcome(names, solution.cuts, solution.common_value)
+    return next(_equitability(scenario, strict))
+
+
+def _equitability(scenario: Scenario, strict: bool) -> Iterator[ProcedureOutcome]:
+    """``equitability``'s outcomes: it has no runtime ties, so they are the
+    assignments tied at the best common value, the lenient answer first."""
+    tied, _ = _ep_search(scenario, strict)
+    for names, solution in tied:
+        yield _outcome(names, solution.cuts, solution.common_value)
+
+
+def tie_outcomes(
+    name: str,
+    scenario: Scenario,
+    *,
+    strict: bool = False,
+    tie: TieRule = TIE_LOWEST,
+    cutter: Optional[str] = None,
+) -> Iterator[ProcedureOutcome]:
+    """Every outcome the named procedure can reach across tie resolutions,
+    each once, drawn lazily; names are the wire-format ones.
+
+    The first is the one ``tie`` itself gives. The rest walk the tie tree
+    depth first, each tie event's other winners last-listed first, with
+    first-listed picks at later ties, and no branch redoes the work before
+    its tie.
+    """
+    if name == "cut-choose":
+        cutter = scenario.names[0] if cutter is None else cutter
+        return _cut_and_choose(scenario, cutter, strict, tie)
+    if name == "moving-knife":
+        return _moving_knife(scenario, tie)
+    if name == "sp-e":
+        return _surplus_divide(scenario, EQUITABLE, strict, tie)
+    if name == "sp-p":
+        return _surplus_divide(scenario, PROPORTIONAL, strict, tie)
+    if name == "ep":
+        return _equitability(scenario, strict)
+    raise ValueError(f"unknown procedure {name!r}; expected one of {PROCEDURE_NAMES}")
 
 
 def run_procedure(
@@ -572,20 +590,6 @@ def run_procedure(
     strict: bool = False,
     tie: TieRule = TIE_LOWEST,
     cutter: Optional[str] = None,
-    forks: Optional[list[Fork]] = None,
 ) -> ProcedureOutcome:
-    """Dispatch on the wire-format procedure names used by documents and
-    the command line. ``forks`` collects a ``Fork`` per tie event; ``ep``
-    has none."""
-    if name == "cut-choose":
-        cutter = scenario.names[0] if cutter is None else cutter
-        return cut_and_choose(scenario, cutter, strict=strict, tie=tie, forks=forks)
-    if name == "moving-knife":
-        return moving_knife(scenario, tie=tie, forks=forks)
-    if name == "sp-e":
-        return surplus_divide(scenario, EQUITABLE, strict=strict, tie=tie, forks=forks)
-    if name == "sp-p":
-        return surplus_divide(scenario, PROPORTIONAL, strict=strict, tie=tie, forks=forks)
-    if name == "ep":
-        return equitability(scenario, strict=strict)
-    raise ValueError(f"unknown procedure {name!r}; expected one of {PROCEDURE_NAMES}")
+    """The named procedure's outcome: the first of ``tie_outcomes``."""
+    return next(tie_outcomes(name, scenario, strict=strict, tie=tie, cutter=cutter))

@@ -22,14 +22,7 @@ from .measures import (
     _require_owners,
     declared_values,
 )
-from .procedures import (
-    TIE_LOWEST,
-    ProcedureOutcome,
-    TieRule,
-    _ep_search,
-    _outcome,
-    run_procedure,
-)
+from .procedures import TIE_LOWEST, ProcedureOutcome, TieRule, run_procedure, tie_outcomes
 from .solve import DominationWitness, _pareto_scored
 
 
@@ -138,50 +131,6 @@ def pareto_optimal_check(
     )
 
 
-def _enumerate_outcomes(
-    procedure: str, scenario: Scenario, tie: TieRule, strict: bool = False
-) -> list[ProcedureOutcome]:
-    """Every outcome the procedure can produce across tie resolutions.
-
-    The first outcome is always the one ``tie`` itself gives. The
-    equal-value procedure has no runtime ties; its only freedom is the
-    choice among assignments tied at the maximal common value, so those are
-    enumerated directly, the lenient answer first. The other procedures run
-    once under ``tie``, and the tie tree is walked from there, depth first:
-    each run hands back a ``Fork`` per tie event it settled itself, and
-    every other winner at that event continues from the fork, taking the
-    first-listed candidate at later ties and forking at those in turn. So
-    each outcome is reached exactly once, no run redoes the work before its
-    fork, and only the first run draws from ``tie``'s generator. The list
-    is the one that replaying each branch from the start would give, in
-    the same order.
-
-    The forks of a run share its answers: the moving knife's memo of
-    calls (``_knife_calls``) and a two-player procedure's medians, which
-    depend on the declarations only, never on a tie. Nothing is kept on
-    the ``scenario``, so no answer passes from one check to the next.
-    """
-    if procedure == "ep":
-        tied, _ = _ep_search(scenario, strict)
-        return [_outcome(names, s.cuts, s.common_value) for names, s in tied]
-    outcomes = []
-    pending = [None]
-    while pending:
-        branch = pending.pop()
-        forks = []
-        if branch is None:
-            outcome = run_procedure(procedure, scenario, strict=strict, tie=tie, forks=forks)
-        else:
-            go_on, winner = branch
-            outcome = go_on(winner, forks)
-        outcomes.append(outcome)
-        for event, go_on in forks:
-            for alternative in event.tied:
-                if alternative != event.winner:
-                    pending.append((go_on, alternative))
-    return outcomes
-
-
 def _piece_value(density: StepDensity, outcome: ProcedureOutcome, name: str) -> Fraction:
     """The density's mass on ``name``'s piece of a contiguous outcome.
 
@@ -211,34 +160,30 @@ def theorem_a_check(
     under the single ``truth`` measure. Because the portions partition the
     cake, the minimum true value is at most 1/n in every run, so no player
     can be assured of beating the fair share this way. Under a seeded tie
-    rule the check also enumerates every tie resolution and confirms that
+    rule the check also draws every other tie resolution and confirms that
     some outcome leaves the first player at or below 1/n, the randomized
-    form of the same argument. The first enumerated outcome is the rule's
-    own run, and it is the one scored.
+    form of the same argument. The outcomes come from one ``tie_outcomes``
+    walk, whose first is the rule's own run, the one scored.
     """
     if type(n) is not int or n < 2:
         raise InvalidPlayersError(f"need at least 2 players, as an int; got {n!r}")
     truth.require_valid("truth")
     misreport.require_valid("misreport")
     scenario = Scenario(tuple((f"p{i + 1}", misreport) for i in range(n)))
-    if tie.mode == "seeded":
-        outcomes = _enumerate_outcomes(procedure, scenario, tie, strict)
-        outcome = outcomes[0]
-    else:
-        outcomes = None
-        outcome = run_procedure(procedure, scenario, strict=strict, tie=tie)
+    outcomes = tie_outcomes(procedure, scenario, strict=strict, tie=tie)
+    outcome = next(outcomes)
     values = {name: _piece_value(truth, outcome, name) for name in scenario.names}
     share = Fraction(1, n)
     verdicts = {"min_value_le_fair_share": min(values.values()) <= share}
     details: dict = {"fair_share": share, "procedure": procedure}
-    if outcomes is not None:
+    if tie.mode == "seeded":
         distinguished = scenario.names[0]
-        # outcomes[0] is the scored run, whose value is already in values
+        rest = list(outcomes)  # the scored run's value is already in values
         can_end_le = values[distinguished] <= share or any(
-            _piece_value(truth, o, distinguished) <= share for o in outcomes[1:]
+            _piece_value(truth, o, distinguished) <= share for o in rest
         )
         verdicts["distinguished_player_can_end_le_fair_share"] = can_end_le
-        details["enumerated_outcomes"] = len(outcomes)
+        details["enumerated_outcomes"] = 1 + len(rest)
     return PropertyReport(
         check="theorem-a",
         values=values,

@@ -16,9 +16,9 @@ The best-ordering oracle for the equal-value procedure solves every
 ordering and keeps the maximum, with no pruning. The tie-enumeration
 reference replays every branch from the start under a ``ScriptRule``, each
 as a run of its own, so no branch reads an answer another branch's run
-kept and none goes on from another's fork. The partition reference merges
-every span and sums the lengths, where ``Allocation`` sweeps its sorted
-spans.
+kept and none goes on from another's step state. The partition reference
+merges every span and sums the lengths, where ``Allocation`` sweeps its
+sorted spans.
 """
 
 from __future__ import annotations
@@ -878,7 +878,7 @@ class ScriptRule:
 
 def fresh_tie_outcomes(procedure, scenario, tie, strict=False):
     """Every outcome across tie resolutions, in the order in which
-    ``verify._enumerate_outcomes`` lists them for the procedures that run.
+    ``tie_outcomes`` yields them for the procedures with runtime ties.
 
     Each branch is a run of its own from the start, with a memo that
     starts empty, under a ``ScriptRule`` naming the winners up to its

@@ -26,8 +26,9 @@ from fairslice import (
     moving_knife,
     run_procedure,
     surplus_divide,
+    tie_outcomes,
 )
-from fairslice import measures, procedures, solve, verify
+from fairslice import measures, procedures, solve
 from fairslice.procedures import TIE_LOWEST, TieEvent, _ep_search, _outcome
 from helpers import (
     ScriptRule,
@@ -267,7 +268,7 @@ def test_moving_knife_tie_branches_agree_with_scan_oracle(case):
     assert len(set(branches)) == len(branches)
     fresh = [knife_branch(o) for o in fresh_tie_outcomes("moving-knife", scenario, tie)]
     assert sorted(fresh) == sorted(branches)
-    replayed = verify._enumerate_outcomes("moving-knife", scenario, tie)
+    replayed = list(tie_outcomes("moving-knife", scenario, tie=tie))
     assert sorted(knife_branch(o) for o in replayed) == sorted(branches)
 
 

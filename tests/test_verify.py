@@ -31,6 +31,7 @@ from fairslice import (
     run_procedure,
     surplus_divide,
     theorem_a_check,
+    tie_outcomes,
     weak_manipulation_search,
 )
 from fairslice import procedures, solve, verify
@@ -453,32 +454,35 @@ KNIFE_STEPS = {2: 1, 3: 4, 4: 17, 5: 86}
 
 @pytest.mark.parametrize("procedure, n", SEEDED_CASES + [("moving-knife", 5)])
 def test_theorem_a_seeded_runs_each_outcome_once(procedure, n, monkeypatch):
-    runs, steps = [], []
-    run, knife_calls = verify.run_procedure, procedures._knife_calls
+    walks, steps = [], []
+    walk, knife_calls = verify.tie_outcomes, procedures._knife_calls
 
-    def counted_run(*args, **kwargs):
-        runs.append(args)
-        return run(*args, **kwargs)
+    def counted_walk(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
 
     def counted_calls(*args):
         steps.append(args)
         return knife_calls(*args)
 
-    monkeypatch.setattr(verify, "run_procedure", counted_run)
+    monkeypatch.setattr(verify, "tie_outcomes", counted_walk)
     monkeypatch.setattr(procedures, "_knife_calls", counted_calls)
     tie = TieRule.seeded(7)
     report = theorem_a_check(procedure, StepDensity.uniform(), ce2_p2_density(), n, tie=tie)
     outcomes = report.details["enumerated_outcomes"]
     assert outcomes == (2 if procedure in ("cut-choose", "sp-e", "sp-p") else math.factorial(n))
-    # The seeded rule's own run is the only run; every other outcome goes
-    # on from a tie event of an earlier one. ep enumerates its tied
-    # assignments without a run.
-    assert len(runs) == (0 if procedure == "ep" else 1)
+    # One walk yields the seeded rule's own run, then every other outcome
+    # from a tie event of an earlier one; ep yields its tied assignments.
+    assert len(walks) == 1
     assert len(steps) == (KNIFE_STEPS[n] if procedure == "moving-knife" else 0)
+    scenario = identical_players(ce2_p2_density(), n)
     if procedure != "ep":
-        scenario = identical_players(ce2_p2_density(), n)
-        enumerated = verify._enumerate_outcomes(procedure, scenario, tie)
+        enumerated = list(tie_outcomes(procedure, scenario, tie=tie))
         assert enumerated == fresh_tie_outcomes(procedure, scenario, tie)
+    # A plain run walks no branch: the knife takes one step per cut.
+    steps.clear()
+    run_procedure(procedure, scenario, tie=tie)
+    assert len(steps) == (n - 1 if procedure == "moving-knife" else 0)
 
 
 @pytest.mark.parametrize("procedure, n", SEEDED_CASES)
@@ -500,7 +504,7 @@ def test_moving_knife_tie_enumeration_reaches_every_ordering_once(n):
     scenario = identical_players(ce2_p2_density(), n)
     for seed in range(5):
         tie = TieRule.seeded(seed)
-        outcomes = verify._enumerate_outcomes("moving-knife", scenario, tie)
+        outcomes = list(tie_outcomes("moving-knife", scenario, tie=tie))
         orderings = [outcome.ordering for outcome in outcomes]
         assert len(orderings) == math.factorial(n)
         assert set(orderings) == set(itertools.permutations(scenario.names))
@@ -551,7 +555,7 @@ TWO_PLAYER = ("cut-choose", "sp-e", "sp-p")
 
 @st.composite
 def memo_cases(draw):
-    """A procedure that shares answers within its run and forks, on
+    """A procedure that shares answers across its tie branches, on
     players some of whom share one density object (or hold an equal copy),
     with zero-density pieces allowed, under a seeded tie rule."""
     procedure = draw(st.sampled_from(TWO_PLAYER + ("moving-knife",)))
@@ -583,7 +587,9 @@ def outcome_or_refusal(call, *args, **kwargs):
 @given(memo_cases())
 def test_scenario_memo_never_changes_an_answer(case):
     procedure, warm, tie, strict = case
-    enumerated = outcome_or_refusal(verify._enumerate_outcomes, procedure, warm, tie, strict)
+    enumerated = outcome_or_refusal(
+        lambda: list(tie_outcomes(procedure, warm, strict=strict, tie=tie))
+    )
     assert set(vars(warm)) == {"players"}  # the runs kept nothing on it
     assert enumerated == outcome_or_refusal(fresh_tie_outcomes, procedure, warm, tie, strict)
     fresh_run = outcome_or_refusal(
@@ -595,14 +601,15 @@ def test_scenario_memo_never_changes_an_answer(case):
             run_procedure, procedure, scenario, strict=strict, tie=tie
         ) == fresh_run
         assert outcome_or_refusal(
-            verify._enumerate_outcomes, procedure, scenario, tie, strict
+            lambda: list(tie_outcomes(procedure, scenario, strict=strict, tie=tie))
         ) == enumerated
 
 
 def test_runs_and_checks_leave_their_scenario_a_plain_value(monkeypatch):
-    # A run keeps its answers to itself and its forks, so after every
-    # procedure run, tie enumeration and strategy check, refusals
-    # included, a scenario holds its players and nothing else.
+    # A walk of a procedure's tie tree keeps its answers to itself, so
+    # after every procedure run, tie enumeration and strategy check,
+    # refusals included, a scenario holds its players and nothing else. A
+    # run is the first outcome its walk yields, under either rule.
     built = []
 
     def recorded(players):
@@ -628,18 +635,27 @@ def test_runs_and_checks_leave_their_scenario_a_plain_value(monkeypatch):
                 ]
                 mixed = Scenario(tuple((f"p{i + 1}", (misreport, other)[i % 2]) for i in range(n)))
                 for scenario in (identical_players(misreport, n), mixed):
+                    run = outcome_or_refusal(
+                        run_procedure, procedure, scenario, strict=strict, tie=tie
+                    )
                     answers += [
+                        run,
                         outcome_or_refusal(
-                            run_procedure, procedure, scenario, strict=strict, tie=tie
-                        ),
-                        outcome_or_refusal(
-                            verify._enumerate_outcomes, procedure, scenario, tie, strict
+                            lambda: list(tie_outcomes(procedure, scenario, strict=strict, tie=tie))
                         ),
                     ]
+                    assert outcome_or_refusal(
+                        lambda: next(tie_outcomes(procedure, scenario, strict=strict, tie=tie))
+                    ) == run, (procedure, strict, tie)
                     assert set(vars(scenario)) == {"players"}, (procedure, strict, tie)
                 refusals.update(a[0] for a in answers if isinstance(a, tuple))
     assert NonUniqueMedianError in refusals
     assert len(built) > 100
+    expected = f"unknown procedure 'bogus'; expected one of {procedures.PROCEDURE_NAMES}"
+    for call in (run_procedure, lambda *args: next(tie_outcomes(*args))):
+        with pytest.raises(ValueError) as err:
+            call("bogus", mixed)
+        assert str(err.value) == expected
     for scenario in built:
         assert set(vars(scenario)) == {"players"}
 
@@ -695,7 +711,7 @@ def test_piece_value_equals_the_mass_of_the_portion(data):
     tie = TieRule.seeded(data.draw(st.integers(0, 2**64 - 1), label="tie seed"))
     for procedure in names:
         try:
-            outcomes = verify._enumerate_outcomes(procedure, scenario, tie)
+            outcomes = list(tie_outcomes(procedure, scenario, tie=tie))
         except NoFeasibleOrderingError:
             continue
         for outcome in outcomes:
