@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EPUndefinedError, MismatchError, OutputTooLargeError, ParseError
@@ -26,8 +27,8 @@ from .measures import (
     Scenario,
     StepDensity,
     _literal_entry,
+    _literal_value,
     _piece_row,
-    as_rational,
     declared_values,
 )
 from .procedures import (
@@ -57,10 +58,17 @@ _SEED_RE = re.compile(r"0|[1-9][0-9]*")
 # ---------------------------------------------------------------------------
 
 
-def parse_rational(value, path: str) -> Fraction:
+def parse_rational(value, path: Optional[str]) -> list:
+    """The literal table entry of one document value (see
+    ``measures._literal_entry``): its reduced integer pair, with no
+    ``Fraction`` built. The one reader of a document literal. A
+    ``ParseError`` is prefixed with ``path``, or left bare when ``path`` is
+    None."""
     try:
-        return as_rational(value)
+        return _literal_entry(value)
     except ParseError as exc:
+        if path is None:
+            raise
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -140,25 +148,70 @@ def _load_json(source: Union[str, dict], path: str) -> dict:
     return _require_mapping(parsed, path)
 
 
+# The value types a literal table keys; a bool or a float is never looked
+# up, since True == 1 == 1.0 would find the entry of the integer 1.
+_TABLE_TYPES = {str, int}
+
+
 def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
     """Read a list of objects holding the rationals ``keys`` into
-    ``make(*entries)``, one ``_literal_entry`` per key; a ``ValueError``
-    from ``make`` names the entry.
+    ``make(*entries)``, one literal table entry per key (see
+    ``measures._literal_value``: its reduced integer pair); a
+    ``ValueError`` from ``make`` names the entry.
 
-    ``literals`` is the document's literal table: it maps each string
-    literal already read, anywhere in the document, to its entry, so a
-    literal that repeats (each ``from`` is the previous ``to``) is parsed
-    once and its entries share one tuple and one ``Fraction``. Each entry
-    is checked to be an object holding every key, so a missing key is
-    reported before any literal of its entry is read; then each string
-    literal takes one table lookup. A literal the table misses is parsed,
-    and its path built, only then, so a bad literal is reported at its
-    first path. Only strings are kept: a JSON ``true`` hashes equal to
-    ``1``, so a table keyed by any value could hand it a bare integer's
-    entry.
+    ``literals`` is the document's literal table: it maps each string or
+    integer literal already read, anywhere in the document, to its entry,
+    so a literal that repeats (each ``from`` is the previous ``to``) is
+    parsed once and its pieces share one entry, and so one ``Fraction``
+    once read. A valid list is read by column (``_by_column``); a list
+    with a fault goes to ``_first_fault``, which names the first one as an
+    entry-by-entry read meets it.
     """
+    entries = _require_list(doc, path)
+    rows = _by_column(entries, keys, make, literals)
+    if rows is None:
+        return _first_fault(entries, path, keys, make, literals)
+    return rows
+
+
+def _by_column(entries: list, keys: Sequence[str], make, literals: dict) -> Optional[tuple]:
+    """``_spans`` on a valid list, or None at a fault: one comprehension
+    per key, the literals the table lacks parsed once each in entry order,
+    then one table lookup per column. A literal that fails to parse keeps
+    its bare ``ParseError`` in the table, for ``_first_fault`` to report at
+    its path without parsing it again."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        columns = [[entry[key] for entry in entries] for key in keys]
+    except KeyError:
+        return None
+    if not set(map(type, chain.from_iterable(columns))) <= _TABLE_TYPES:
+        return None
+    for literal in dict.fromkeys(chain.from_iterable(zip(*columns))):
+        if literal not in literals:
+            try:
+                literals[literal] = parse_rational(literal, None)
+            except ParseError as exc:
+                literals[literal] = exc
+                return None
+    try:
+        return tuple(map(make, *[map(literals.__getitem__, column) for column in columns]))
+    except ValueError:
+        return None
+
+
+def _first_fault(entries: list, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
+    """``_spans`` entry by entry: in each entry, a non-object, then a
+    missing key in key order, then a bad literal in key order, then
+    ``make``'s ``ValueError``. A literal the table lacks is parsed, and its
+    path built, only then, so a bad literal is reported at its first path;
+    one the column read already failed to parse is reported from its table
+    slot, not parsed again. Raises at the first fault; a list with none
+    (one holding an object or a value whose type ``_by_column`` leaves to
+    it, such as a dict subclass) is read as ``_spans`` reads it."""
     out = []
-    for k, entry in enumerate(_require_list(doc, path)):
+    for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             _require_mapping(entry, f"{path}[{k}]")  # raises
         for key in keys:
@@ -167,11 +220,14 @@ def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
         values = []
         for key in keys:
             literal = entry[key]
-            value = literals.get(literal) if type(literal) is str else None
+            kept = type(literal) in _TABLE_TYPES
+            value = literals.get(literal) if kept else None
             if value is None:
-                value = _literal_entry(parse_rational(literal, f"{path}[{k}].{key}"))
-                if type(literal) is str:
+                value = parse_rational(literal, f"{path}[{k}].{key}")
+                if kept:
                     literals[literal] = value
+            elif isinstance(value, ParseError):
+                raise ParseError(f"{path}[{k}].{key}: {value}")
             values.append(value)
         try:
             out.append(make(*values))
@@ -180,8 +236,8 @@ def _spans(doc, path: str, keys: Sequence[str], make, literals: dict) -> tuple:
     return tuple(out)
 
 
-def _interval(lo: tuple, hi: tuple) -> Interval:
-    return Interval(lo[2], hi[2])
+def _interval(lo: list, hi: list) -> Interval:
+    return Interval(_literal_value(lo), _literal_value(hi))
 
 
 def _pieces_from(doc, path: str, literals: dict) -> StepDensity:

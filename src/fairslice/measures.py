@@ -37,6 +37,24 @@ _MAX_INTEGER_CHARS = 4300
 _FIRST = itemgetter(0)
 
 
+def _literal_ints(text: str) -> tuple[int, int]:
+    """The one reader of a rational literal string: its numerator and
+    positive denominator, not reduced. ``as_rational`` and
+    ``_literal_entry`` share it, so both read one grammar, under one
+    length cap, with one set of error texts."""
+    stripped = text.strip()
+    numerator, _, denominator = stripped.partition("/")
+    longest = max(len(numerator), len(denominator))
+    if longest > _MAX_INTEGER_CHARS:
+        raise ParseError(
+            f"integer of {longest} characters in a rational literal exceeds "
+            f"the {_MAX_INTEGER_CHARS}-character limit"
+        )
+    if not _RATIONAL_RE.fullmatch(stripped):
+        raise ParseError(f"not a rational literal: {text!r}")
+    return int(numerator), int(denominator) if denominator else 1
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Convert an int, Fraction, or ``"p/q"`` string to an exact Fraction.
 
@@ -46,19 +64,7 @@ def as_rational(value: RationalLike) -> Fraction:
     # Strings first: documents hold mostly string literals, and a failed
     # isinstance test against Fraction goes through ABCMeta.
     if isinstance(value, str):
-        text = value.strip()
-        numerator, _, denominator = text.partition("/")
-        longest = max(len(numerator), len(denominator))
-        if longest > _MAX_INTEGER_CHARS:
-            raise ParseError(
-                f"integer of {longest} characters in a rational literal exceeds "
-                f"the {_MAX_INTEGER_CHARS}-character limit"
-            )
-        if not _RATIONAL_RE.fullmatch(text):
-            raise ParseError(f"not a rational literal: {value!r}")
-        if denominator:
-            return Fraction(int(numerator), int(denominator))
-        return Fraction(int(text))
+        return Fraction(*_literal_ints(value))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -229,21 +235,36 @@ def _bounds_error(lo: Fraction, hi: Fraction) -> ValueError:
     return ValueError(f"piece bounds [{lo}, {hi}] outside [0, 1]")
 
 
-def _literal_entry(value: Fraction) -> tuple[int, int, Fraction]:
-    """A document literal as ``StepDensity._from_rows`` reads it: the
-    value's reduced integer pair (the denominator positive), then the
-    value."""
-    n, d = value.as_integer_ratio()
-    return n, d, value
+def _literal_value(entry: list) -> Fraction:
+    """The value of a document literal's table entry, the list ``[n, d]``
+    of its reduced integer pair (the denominator positive), which ``_index``
+    reads at 0 and 1. Its ``Fraction`` is built on the first read and
+    appended to the entry, so every piece and interval holding the entry
+    shares that one object."""
+    if len(entry) == 2:
+        entry.append(Fraction(*entry))
+    return entry[2]
 
 
-def _piece_row(lo: tuple, hi: tuple, density: tuple) -> tuple:
+def _literal_entry(value) -> list:
+    """The table entry of one document value (see ``_literal_value``): a
+    string read by ``_literal_ints``, anything else by ``as_rational``,
+    with their ``ParseError`` texts. No ``Fraction`` is built for a
+    string."""
+    if isinstance(value, str):
+        n, d = _literal_ints(value)
+        g = gcd(n, d)
+        return [n // g, d // g]
+    return list(as_rational(value).as_integer_ratio())
+
+
+def _piece_row(lo: list, hi: list, density: list) -> tuple:
     """One piece of a document as its three ``_literal_entry`` entries.
     Its bounds are checked to lie in [0, 1] on their integers, with the
     error ``Piece`` gives; the rest is left to ``StepDensity.validate``."""
     if 0 <= lo[0] <= lo[1] and 0 <= hi[0] <= hi[1]:
         return lo, hi, density
-    raise _bounds_error(lo[2], hi[2])
+    raise _bounds_error(_literal_value(lo), _literal_value(hi))
 
 
 def _index(ratios) -> tuple[tuple[DensityViolation, ...], tuple[tuple[int, ...], ...]]:
@@ -252,7 +273,7 @@ def _index(ratios) -> tuple[tuple[DensityViolation, ...], tuple[tuple[int, ...],
 
     Each ratio is indexable with its reduced numerator at 0 and its
     positive denominator at 1 (a bare ``as_integer_ratio`` pair, or a
-    document literal's table entry, which holds its Fraction after them).
+    document literal's table entry, see ``_literal_value``).
     Violations come in the order ``validate`` gives; the index is the
     ``_rows`` tuple. The cumulative mass adds density·(hi - lo) of each
     piece on its own bounds, so the total is defined for pieces that do
@@ -340,11 +361,13 @@ class StepDensity:
     A density built from ``Piece``s feeds the sweep its pieces' integer
     ratios and keeps no table besides the index. A density read from a
     document is built by ``_from_rows``: it keeps only its rows of
-    literal-table entries, each bound and density as its reduced integer
-    pair and the document's one Fraction for that literal. The sweep reads
-    their pairs, and ``pieces`` is built from their shared Fractions on
-    first read, so ingest builds no ``Piece``; equality, hashing and
-    ``repr`` read ``pieces`` and so build it.
+    literal-table entries (``_literal_value``), each bound and density as its
+    reduced integer pair and nothing else. The sweep reads those pairs;
+    ``pieces`` is built on first read, from the one ``Fraction`` each
+    entry builds and keeps when first read, which every piece of the
+    document holding that literal shares. So ingest builds no ``Piece``
+    and no ``Fraction``; equality, hashing and ``repr`` read ``pieces`` and
+    so build them.
 
     The index replaced a tuple of cumulative-mass Fractions rather than
     joining it, because memory is what it costs: a density of up to eight
@@ -379,7 +402,8 @@ class StepDensity:
         """The ``pieces`` of a density built by ``_from_rows``, on first
         read (see the ``cached_property`` bound to ``pieces`` below)."""
         rows = self.__dict__["_parsed_rows"]
-        return tuple([Piece(lo[2], hi[2], rate[2]) for lo, hi, rate in rows])
+        value = _literal_value
+        return tuple([Piece(value(lo), value(hi), value(rate)) for lo, hi, rate in rows])
 
     def _ratios(self):
         """Each piece's (lo, hi, density) ratios, as ``_index`` reads them."""

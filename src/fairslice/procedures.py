@@ -489,16 +489,26 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     share its index, and the search itself keeps nothing.
 
     Strict mode must name every infeasible ordering, and the CE3 replay
-    reports them too, so those callers set ``walk_all`` (strict mode
-    implies it) and every ordering is walked; a pruned search lists only
-    the infeasible orderings it happened to walk. The tied list is the same
-    either way. Strict mode raises when any assignment is infeasible;
-    either mode raises when none is feasible.
+    reports them too (it sets ``walk_all``), so both walk every ordering
+    when one can be infeasible; a pruned search lists only the infeasible
+    orderings it happened to walk. The tied list is the same either way. Strict mode
+    raises when any assignment is infeasible; either mode raises when none
+    is feasible.
+
+    Strict mode walks every ordering only when some density has a
+    zero-density piece, by this lemma: if no density has one, every
+    ordering's equal-value system has a root. Each cdf F_i is then
+    continuous and strictly increasing, so each chained cut is continuous
+    and increasing in t wherever the chain is defined, and so is the last
+    piece's value L(t). L(0) = 1 > 0. As t rises to where the chain first
+    fails, some cut reaches 1, every later cut follows it, and L falls to
+    0 < t. By the intermediate value theorem L(t) = t somewhere between,
+    so no ordering is infeasible and the pruned search loses nothing.
     """
     _require_players(scenario)
-    walk_all = walk_all or strict
     names = scenario.names
     densities = [density for _, density in scenario.players]
+    walk_all = walk_all or (strict and any(0 in density._rows[2] for density in densities))
     best = None
     tied = []
     infeasible = []
@@ -535,12 +545,13 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
 def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     """Solve the equal-value system for the assignments of pieces.
 
-    Strict mode walks all n! assignments and raises if any is infeasible,
-    naming all of them. Lenient mode returns the feasible assignment with
-    the largest common value, breaking ties toward the lexicographically
-    smallest permutation in scenario order; it walks only the assignments
-    whose greedy chain at the best value so far cannot settle them
-    (``_ep_search``).
+    Strict mode raises if any assignment is infeasible, naming all of them;
+    it walks all n! assignments when some density has a zero-density
+    piece, the only case in which one can be. Lenient mode returns the
+    feasible assignment with the largest common value, breaking ties
+    toward the lexicographically smallest permutation in scenario order;
+    it walks only the assignments whose greedy chain at the best value so
+    far cannot settle them (``_ep_search``).
     """
     return next(_equitability(scenario, strict))
 

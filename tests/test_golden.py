@@ -71,6 +71,15 @@ def wide_gap():
     return {"players": [gap, wide_player("p2", 256, 1)]}
 
 
+def early_bound_late_literal():
+    # The column read of p2's pieces meets the bad literal of entry 40
+    # first; the entry-by-entry read names the bound of entry 3 before it.
+    faulty = wide_player("p2", 64, 1)
+    faulty["pieces"][3]["to"] = "65/64"
+    faulty["pieces"][40]["density"] = "7/0"
+    return {"players": [wide_player("p1", 64, 0), faulty]}
+
+
 def long_two_span():
     p, q, r = 10**50 + 7, 10**45 + 13, 10**55 + 19
     players = [
@@ -367,6 +376,12 @@ GOLDEN = [
         "error [INVALID_DENSITY]: invalid density for 'p1': "
         "GAP_OR_OVERLAP: pieces 99 and 100 do not abut: 25/64 vs 201/512; "
         "TOTAL_MASS_NOT_ONE: total mass is 276/277\n",
+    ),
+    (
+        "early-bound-late-literal", {"faults.json": early_bound_late_literal()},
+        "run faults.json --procedure moving-knife",
+        2, "",
+        "error [PARSE_ERROR]: players[1].pieces[3]: piece bounds [3/64, 65/64] outside [0, 1]\n",
     ),
 ]
 

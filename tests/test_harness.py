@@ -1253,6 +1253,94 @@ def test_a_bad_literal_held_by_two_players_is_reported_where_it_first_appears():
     assert str(err.value) == "players[0].pieces[1].to: not a rational literal: '2/x'"
 
 
+def sixteenths(density="1"):
+    return [{"from": f"{j}/16", "to": f"{j + 1}/16", "density": density} for j in range(16)]
+
+
+def with_faults(*faults):
+    """Sixteen valid pieces with ``(entry, key, value)`` replacements; a
+    key of None replaces the whole entry, a value of None drops the key."""
+    entries = sixteenths()
+    for k, key, value in faults:
+        if key is None:
+            entries[k] = value
+        elif value is None:
+            del entries[k][key]
+        else:
+            entries[k][key] = value
+    return entries
+
+
+@pytest.mark.parametrize("faults, message", [
+    (
+        [(0, "to", "17/16"), (3, "density", "1/0")],
+        "players[1].pieces[0]: piece bounds [0, 17/16] outside [0, 1]",
+    ),
+    (
+        [(1, "from", "x/16"), (2, "to", None)],
+        "players[1].pieces[1].from: not a rational literal: 'x/16'",
+    ),
+    (
+        [(0, "density", "2/-3"), (2, None, ["2/16", "3/16", "1"])],
+        "players[1].pieces[0].density: not a rational literal: '2/-3'",
+    ),
+    (
+        [(5, "from", "-1/16"), (9, "to", True), (12, None, "piece")],
+        "players[1].pieces[5]: piece bounds [-1/16, 3/8] outside [0, 1]",
+    ),
+])
+def test_a_list_with_several_faults_reports_its_first(faults, message, string_parses):
+    """Faults are taken in entry order; within an entry a non-object, then
+    a missing key, then a bad literal, then a bound. No string literal is
+    parsed twice, on the error path either."""
+    players = [
+        {"name": "A", "pieces": sixteenths()},
+        {"name": "B", "pieces": with_faults(*faults)},
+    ]
+    with pytest.raises(ParseError) as err:
+        load_document(doc(players))
+    assert str(err.value) == message
+    assert len(string_parses) == len(set(string_parses))
+
+
+def test_a_loaded_document_builds_no_fraction_until_read(monkeypatch):
+    """Ingest keeps each string literal as its integer pair; reading
+    ``pieces`` builds one Fraction per literal, shared by every player and
+    the truth block that hold it."""
+    k = 64
+    players = []
+    for i, name in enumerate("ABC"):
+        weights = [(j * j + i) % 5 + 1 for j in range(k)]
+        players.append({"name": name, "pieces": [
+            {"from": f"{j}/{k}", "to": f"{j + 1}/{k}", "density": f"{w * k}/{sum(weights)}"}
+            for j, w in enumerate(weights)
+        ]})
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        built.append(value)
+        return value
+
+    monkeypatch.setattr(F, "__new__", counted)
+    loaded = load_document(json.dumps(doc(players, truth=players[::-1])))
+    assert built == []
+    densities = [d for block in (loaded.scenario, loaded.truth) for _, d in block.players]
+    held = {}
+    for density, player in zip(densities, players + players[::-1]):
+        for piece, entry in zip(density.pieces, player["pieces"]):
+            for value, key in zip((piece.lo, piece.hi, piece.density), ("from", "to", "density")):
+                assert held.setdefault(entry[key], value) is value
+    assert len(built) == len(held)
+    assert sorted(map(id, built)) == sorted(map(id, held.values()))
+    portions = {"A": [{"from": "0/64", "to": "5/64"}], "B": [{"from": "5/64", "to": "64/64"}]}
+    built.clear()
+    allocation = load_allocation({"schema": "fairslice/1", "portions": portions})
+    assert len(built) == 3  # one per distinct literal
+    assert allocation.portion("A").intervals[0].hi is allocation.portion("B").intervals[0].lo
+
+
 def test_true_after_the_literal_one_is_still_refused_as_a_boolean():
     # True and 1 are equal and hash equal, so a table that also kept bare
     # integers, or looked up any value, would hand back the Fraction of 1.

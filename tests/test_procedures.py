@@ -535,9 +535,9 @@ def test_equitability_ce3_strict_names_infeasible_orderings(ce3):
 
 
 @st.composite
-def positive_scenarios(draw):
-    """n = 2 to 4 players on the 1/24 grid, every density positive."""
-    n = draw(st.integers(2, 4))
+def positive_scenarios(draw, most=4):
+    """n = 2 to ``most`` players on the 1/24 grid, every density positive."""
+    n = draw(st.integers(2, most))
     return Scenario(
         tuple((f"p{i + 1}", draw_grid_density(draw, 24, min_weight=1)) for i in range(n))
     )
@@ -551,6 +551,51 @@ def test_equitability_strict_never_raises_on_positive_densities(scenario):
     outcome = equitability(scenario, strict=True)
     values = declared_values(scenario, outcome.allocation)
     assert set(values.values()) == {outcome.common_value}
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_scenarios(most=5))
+def test_strict_ep_equals_lenient_ep_on_positive_densities(scenario):
+    # The lemma in _ep_search: with no zero-density piece the full walk
+    # finds no infeasible ordering, so the pruned strict search loses none.
+    tied, infeasible = _ep_search(scenario, walk_all=True)
+    assert infeasible == []
+    assert _ep_search(scenario, strict=True) == _ep_search(scenario) == (tied, [])
+    assert equitability(scenario, strict=True) == equitability(scenario)
+
+
+def test_strict_ep_walks_every_ordering_once_a_piece_has_zero_density(monkeypatch, ce3):
+    calls = _count_walks(monkeypatch)
+    positive = StepDensity.of((0, "1/2", "1/2"), ("1/2", 1, "3/2"))
+    one_zero = StepDensity.of((0, "1/4", 0), ("1/4", 1, "4/3"))
+    scenario = Scenario((("a", positive), ("b", StepDensity.uniform()), ("c", one_zero)))
+    assert equitability(scenario, strict=True) == equitability(scenario)
+    strict_walks = calls[: factorial(3)]
+    assert sorted(ordering for ordering, _, _ in strict_walks) == list(permutations(range(3)))
+    assert all(start == 0 for _, start, _ in strict_walks)
+    calls.clear()
+    with pytest.raises(EPUndefinedError) as err:
+        equitability(ce3, strict=True)
+    assert len(calls) == factorial(3)
+    assert err.value.infeasible_orderings == (
+        ("P1", "P2", "P3"),
+        ("P1", "P3", "P2"),
+        ("P3", "P1", "P2"),
+        ("P3", "P2", "P1"),
+    )
+
+
+def test_strict_ep_prunes_its_walks_on_positive_densities(monkeypatch):
+    scenario = Scenario(tuple(
+        (f"p{i + 1}", StepDensity.of((0, "1/2", F(2 * w, w + 1)), ("1/2", 1, F(2, w + 1))))
+        for i, w in enumerate((1, 2, 3, 5))
+    ))
+    calls = _count_walks(monkeypatch)
+    strict = equitability(scenario, strict=True)
+    strict_walks = len(calls)
+    calls.clear()
+    assert equitability(scenario) == strict
+    assert strict_walks == len(calls) < factorial(4)
 
 
 def test_equitability_ce3_lenient(ce3):
