@@ -474,13 +474,24 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     Returns the (ordering names, solution) pairs tied at the best common
     value t*, in permutation order (the first is the lenient answer), and
     the infeasible orderings that were walked. The search keeps t* and
-    decides a later ordering by one greedy chain at t*, read as the last
+    decides each ordering by one greedy chain at t*, read as the last
     piece's value L(t*). L is non-increasing, and a chain that fails at t*
     fails at every larger target, so a failed chain or L(t*) < t* leaves no
     root at or above t* and the ordering is skipped. L(t*) == t* makes t*
     the root and the chained cuts its solution, exactly as the walk would
     return them. Only L(t*) > t* needs the walk, whose root then beats t*,
     so the walk starts at t* and skips every segment below it.
+
+    Before any root is found, t* is the floor 1/n, the fair share at which
+    identical players meet, so no walk starts from 0 when some ordering
+    reaches 1/n. An ordering whose chain at 1/n fails or gives L < 1/n has
+    no root at or above 1/n; it is deferred, and once a root is found it
+    can neither beat nor tie it. A walk from 1/n that finds no root proves
+    the ordering infeasible, since L(t) - t is strictly decreasing and so
+    L(t) >= L(1/n) > 1/n > t below 1/n. Only when no ordering reaches 1/n
+    does the same scan run once more, with no floor, over the deferred
+    orderings: the first is walked from 0, as the search did before the
+    floor. The tied list, its order and every cut are the same either way.
 
     The chain at t* only has to tell the sign of L(t*) - t*, so it runs on
     integers (``solve._chain``), and its cuts become ``Fraction``s only for
@@ -490,10 +501,12 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
 
     Strict mode must name every infeasible ordering, and the CE3 replay
     reports them too (it sets ``walk_all``), so both walk every ordering
-    when one can be infeasible; a pruned search lists only the infeasible
-    orderings it happened to walk. The tied list is the same either way. Strict mode
-    raises when any assignment is infeasible; either mode raises when none
-    is feasible.
+    from 0 when one can be infeasible. A pruned search lists only the
+    orderings its walks found infeasible: one walked from 1/n or t* with
+    no root above its start, or, in the pass with no floor, one walked
+    from 0. It names no ordering that a chain skipped or deferred, so on
+    CE3 it names none. Strict mode raises when any assignment is
+    infeasible; either mode raises when none is feasible.
 
     Strict mode walks every ordering only when some density has a
     zero-density piece, by this lemma: if no density has one, every
@@ -509,30 +522,39 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     names = scenario.names
     densities = [density for _, density in scenario.players]
     walk_all = walk_all or (strict and any(0 in density._rows[2] for density in densities))
-    best = None
     tied = []
     infeasible = []
-    for perm in itertools.permutations(range(scenario.n)):
-        ordered_names = tuple(names[i] for i in perm)
-        if best is not None and not walk_all:
-            ordered = [densities[i] for i in perm]
-            settled = solve._chain(ordered, best.numerator, best.denominator)
-            if settled is None or settled[0] < 0:
-                continue
-            if settled[0] == 0:
-                cuts = tuple([Fraction(xn, xd) for xn, xd in settled[1]])
-                solution = solve.EqualValueSolution(cuts, best)
-            else:  # L(t*) > t*, so the root lies above t*: walk from there.
-                solution = solve.equal_value_solve(scenario, perm, start=best)
-        else:
-            solution = solve.equal_value_solve(scenario, perm)
-        if solution is None:
-            infeasible.append(ordered_names)
-        elif best is None or solution.common_value > best:
-            best = solution.common_value
-            tied = [(ordered_names, solution)]
-        elif solution.common_value == best:
-            tied.append((ordered_names, solution))
+    pending = itertools.permutations(range(scenario.n))
+    # The first pass starts t* at the floor 1/n; the second, over the
+    # orderings the first deferred, has no floor.
+    for best in (None,) if walk_all else (Fraction(1, scenario.n), None):
+        deferred = []
+        for perm in pending:
+            ordered_names = tuple(names[i] for i in perm)
+            if best is not None and not walk_all:
+                ordered = [densities[i] for i in perm]
+                settled = solve._chain(ordered, best.numerator, best.denominator)
+                if settled is None or settled[0] < 0:
+                    if not tied:
+                        deferred.append(perm)
+                    continue
+                if settled[0] == 0:
+                    cuts = tuple([Fraction(xn, xd) for xn, xd in settled[1]])
+                    solution = solve.EqualValueSolution(cuts, best)
+                else:  # L(t*) > t*, so the root lies above t*: walk from there.
+                    solution = solve.equal_value_solve(scenario, perm, start=best)
+            else:
+                solution = solve.equal_value_solve(scenario, perm)
+            if solution is None:
+                infeasible.append(ordered_names)
+            elif best is None or solution.common_value > best:
+                best = solution.common_value
+                tied = [(ordered_names, solution)]
+            elif solution.common_value == best:
+                tied.append((ordered_names, solution))
+        if tied:
+            break
+        pending = deferred
     if strict and infeasible:
         raise EPUndefinedError(infeasible)
     if not tied:
@@ -551,7 +573,14 @@ def equitability(scenario: Scenario, strict: bool = False) -> ProcedureOutcome:
     feasible assignment with the largest common value, breaking ties
     toward the lexicographically smallest permutation in scenario order;
     it walks only the assignments whose greedy chain at the best value so
-    far cannot settle them (``_ep_search``).
+    far cannot settle them (``_ep_search``). That best value starts at the
+    fair share 1/n: an assignment whose chain there fails or leaves the
+    last piece less than 1/n has no root at or above 1/n, and is deferred.
+    A walk from 1/n that finds no root proves its assignment infeasible,
+    as the last piece's value minus t strictly decreases in t. Only when
+    no assignment reaches 1/n are the deferred ones searched from 0. The
+    lenient search's infeasible list names only the assignments whose walk
+    found no root, and this function does not return it.
     """
     return next(_equitability(scenario, strict))
 

@@ -4,14 +4,16 @@ The oracles here deliberately avoid the code paths they check: the density
 queries are plain linear scans over the pieces (no cumulative-mass index),
 the surplus-cut oracle scans a residual over the merged breakpoints, the
 LP oracle enumerates vertices by brute force, the two-player Pareto
-oracle sweeps threshold allocations by density ratio, the Pareto
-certificate check recomputes the cells and the dual value by scans, and
-the equal-value oracle scans a coarse grid and refines a bracket with
-exact chords, on top of the scan queries, and the moving-knife oracle
-follows every tie branch on scan queries. ``fraction_walk`` is the
-equal-value walk written in ``Fraction`` arithmetic, the reference for the
-engine's integer walk, and ``dense_simplex`` is the simplex on a dense
-fraction-free tableau, the reference for the engine's revised simplex.
+oracle sweeps threshold allocations by density ratio, the one-cut
+domination oracle reads scan quantiles at both ends of the cuts that keep
+both players' values, the Pareto certificate check recomputes the cells
+and the dual value by scans, and the equal-value oracle scans a coarse
+grid and refines a bracket with exact chords, on top of the scan
+queries, and the moving-knife oracle follows every tie branch on scan
+queries. ``fraction_walk`` is the equal-value walk written in
+``Fraction`` arithmetic, the reference for the engine's integer walk, and
+``dense_simplex`` is the simplex on a dense fraction-free tableau, the
+reference for the engine's revised simplex.
 The best-ordering oracle for the equal-value procedure solves every
 ordering and keeps the maximum, with no pruning. The tie-enumeration
 reference replays every branch from the start under a ``ScriptRule``, each
@@ -47,6 +49,7 @@ from fairslice import (
     equal_value_solve,
     run_procedure,
 )
+from fairslice import solve
 from fairslice.solve import (
     SENSES,
     EqualValueSolution,
@@ -708,6 +711,32 @@ def check_pareto_certificate(scenario, allocation, weights):
     return dual - sum(lam * b for lam, b in zip(weights, base)) == sum(base)
 
 
+def one_cut_dominated(scenario, outcome):
+    """Whether some one-cut allocation of a two-player scenario gives both
+    players at least their ``outcome`` values and one of them more.
+
+    Let P hold the left piece and Q the right one. The cuts that keep both
+    values run from P's leftmost quantile at P's value to the rightmost
+    point where Q's right piece still holds Q's value. P gains most at the
+    right end and Q at the left end, so a gain exists iff one end gives it.
+    """
+    (cut,) = outcome.cuts
+    left, right = outcome.ordering
+    density = dict(scenario.players)
+    value = {
+        left: scan_mass(density[left], ZERO, cut),
+        right: scan_mass(density[right], cut, ONE),
+    }
+    for p, q in ((left, right), (right, left)):
+        lo = scan_quantile_left(density[p], value[p])
+        hi = scan_plateau_end(density[q], ONE - value[q])
+        if lo <= hi and (
+            scan_mass(density[p], ZERO, hi) > value[p] or scan_mass(density[q], lo, ONE) > value[q]
+        ):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Equal-value oracle: coarse grid scan plus exact chord refinement
 # ---------------------------------------------------------------------------
@@ -836,6 +865,21 @@ def fraction_walk(scenario, ordering, start=ZERO):
             raise AssertionError("equal-value walk lost its root")
         t = t_next
     raise AssertionError("equal-value walk failed to terminate")
+
+
+def count_walks(monkeypatch):
+    """Record (ordering, start, solution) for every equal-value walk the
+    engine makes through ``solve.equal_value_solve``, in call order."""
+    calls = []
+    walk = solve.equal_value_solve
+
+    def counted(scenario, ordering, **kwargs):
+        solution = walk(scenario, ordering, **kwargs)
+        calls.append((tuple(ordering), kwargs.get("start", ZERO), solution))
+        return solution
+
+    monkeypatch.setattr(solve, "equal_value_solve", counted)
+    return calls
 
 
 def exhaustive_ep_best(scenario):

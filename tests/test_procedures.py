@@ -32,16 +32,20 @@ from fairslice import measures, procedures, solve
 from fairslice.procedures import TIE_LOWEST, TieEvent, _ep_search, _outcome
 from helpers import (
     ScriptRule,
+    count_walks,
     draw_grid_density,
     exhaustive_ep_best,
     fine_grid_scenario,
     fresh_tie_outcomes,
+    one_cut_dominated,
     random_scenario,
+    scan_greedy_cuts,
     scan_mass,
     scan_moving_knife,
     scan_plateau_end,
     scan_quantile_left,
     scan_surplus_cut,
+    weighted_density,
 )
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -564,8 +568,31 @@ def test_strict_ep_equals_lenient_ep_on_positive_densities(scenario):
     assert equitability(scenario, strict=True) == equitability(scenario)
 
 
+@settings(max_examples=100, deadline=None)
+@given(positive_scenarios(most=2))
+def test_two_player_outcomes_on_positive_densities_are_not_one_cut_dominated(scenario):
+    # Lemma 2: with strictly positive densities no proportional one-cut
+    # outcome is dominated by a one-cut allocation, and every outcome here
+    # is proportional, ep's too, its best value being at least 1/2.
+    for name in ("cut-choose", "moving-knife", "sp-e", "sp-p", "ep"):
+        for outcome in tie_outcomes(name, scenario):
+            assert not one_cut_dominated(scenario, outcome), name
+
+
+def test_one_cut_oracle_finds_a_dominated_outcome_on_a_zero_weight_grid():
+    # The cutter values nothing on [1/4, 3/4] and cuts mid-plateau at 1/2.
+    # The uniform chooser is indifferent and takes the left piece; a cut at
+    # 3/4 would give the chooser 3/4 and still leave the cutter 1/2.
+    quarters = [F(j, 4) for j in range(5)]
+    scenario = pair(weighted_density(quarters, [1, 0, 0, 1]), StepDensity.uniform())
+    outcome = cut_and_choose(scenario, "p1")
+    assert (outcome.ordering, outcome.cuts) == (("p2", "p1"), (HALF,))
+    assert one_cut_dominated(scenario, outcome)
+    assert not one_cut_dominated(scenario, _outcome(("p2", "p1"), (F(3, 4),)))
+
+
 def test_strict_ep_walks_every_ordering_once_a_piece_has_zero_density(monkeypatch, ce3):
-    calls = _count_walks(monkeypatch)
+    calls = count_walks(monkeypatch)
     positive = StepDensity.of((0, "1/2", "1/2"), ("1/2", 1, "3/2"))
     one_zero = StepDensity.of((0, "1/4", 0), ("1/4", 1, "4/3"))
     scenario = Scenario((("a", positive), ("b", StepDensity.uniform()), ("c", one_zero)))
@@ -590,7 +617,7 @@ def test_strict_ep_prunes_its_walks_on_positive_densities(monkeypatch):
         (f"p{i + 1}", StepDensity.of((0, "1/2", F(2 * w, w + 1)), ("1/2", 1, F(2, w + 1))))
         for i, w in enumerate((1, 2, 3, 5))
     ))
-    calls = _count_walks(monkeypatch)
+    calls = count_walks(monkeypatch)
     strict = equitability(scenario, strict=True)
     strict_walks = len(calls)
     calls.clear()
@@ -692,31 +719,19 @@ def test_pruned_ep_search_raises_when_no_ordering_is_feasible():
         equitability(scenario)
 
 
-def _count_walks(monkeypatch):
-    """Record (ordering, start, solution) for every equal-value walk."""
-    calls = []
-    walk = solve.equal_value_solve
-
-    def counted(scenario, ordering, **kwargs):
-        solution = walk(scenario, ordering, **kwargs)
-        calls.append((ordering, kwargs.get("start", ZERO), solution))
-        return solution
-
-    monkeypatch.setattr(solve, "equal_value_solve", counted)
-    return calls
-
-
-def test_lenient_equitability_walks_identical_players_once(monkeypatch):
+def test_lenient_equitability_settles_identical_players_without_a_walk(monkeypatch):
+    # Identical players meet at the floor 1/n, so each chain there gives
+    # L = 1/n and settles its ordering with no walk.
     scenario = Scenario(tuple((f"p{i}", StepDensity.uniform()) for i in range(1, 4)))
-    calls = _count_walks(monkeypatch)
+    calls = count_walks(monkeypatch)
     outcome = equitability(scenario)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert outcome.cuts == (F(1, 3), F(2, 3))
     assert len(_ep_search(scenario)[0]) == 6
 
 
 def test_strict_and_full_ep_search_walk_every_ordering(monkeypatch, ce3):
-    calls = _count_walks(monkeypatch)
+    calls = count_walks(monkeypatch)
     tied, infeasible = _ep_search(ce3, walk_all=True)
     assert len(calls) == 6
     assert ("P1", "P3", "P2") in infeasible
@@ -724,7 +739,6 @@ def test_strict_and_full_ep_search_walk_every_ordering(monkeypatch, ce3):
         equitability(ce3, strict=True)
     assert len(calls) == 12
     assert err.value.infeasible_orderings == tuple(infeasible)
-    assert tied[0][0] == equitability(ce3).ordering
     # A walk from the best value so far would call the orderings whose
     # root lies below it infeasible, so these walks all start at 0.
     assert all(start == 0 for _, start, _ in calls)
@@ -734,13 +748,20 @@ def test_strict_and_full_ep_search_walk_every_ordering(monkeypatch, ce3):
         ("P3", "P1", "P2"),
         ("P3", "P2", "P1"),
     ]
+    lenient_tied, lenient_infeasible = _ep_search(ce3)
+    assert lenient_tied == tied
+    assert tied[0][0] == equitability(ce3).ordering
+    # The pruned search walks only the orderings whose chain at 1/3 or at
+    # t* leaves the root above it, and on CE3 each such walk finds it.
+    assert lenient_infeasible == []
 
 
 def test_pruned_ep_search_walks_from_the_best_value_so_far(monkeypatch, ce3, ce5):
-    calls = _count_walks(monkeypatch)
+    calls = count_walks(monkeypatch)
     rng = random.Random(13)
-    scenarios = [ce3, ce5] + [random_scenario(rng, rng.choice((3, 4))) for _ in range(40)]
-    warm = 0
+    scenarios = [ce3, ce5, *_below_the_floor_scenarios()]
+    scenarios += [random_scenario(rng, rng.choice((3, 4))) for _ in range(40)]
+    raised = fallbacks = 0
     for scenario in scenarios:
         calls.clear()
         try:
@@ -748,22 +769,96 @@ def test_pruned_ep_search_walks_from_the_best_value_so_far(monkeypatch, ce3, ce5
         except NoFeasibleOrderingError:
             pass
         # Chains settle ties and losers without moving the best value, so
-        # the best value at each walk is the largest root walked before it.
-        best = None
-        for _, start, solution in calls:
+        # each walk starts at the largest root walked before it, or at the
+        # floor 1/n before any root. Only a floor pass with no root is
+        # followed by the pass with no floor, whose first walk starts at 0.
+        floor = F(1, scenario.n)
+        best = floor
+        for ordering, start, solution in calls:
+            if start == 0:
+                assert _ordering_below_the_floor(scenario, ordering)
+                if best == floor:
+                    fallbacks += 1
+                    best = None
             assert start == (ZERO if best is None else best)
             if solution is not None:
                 assert solution.common_value > start
                 best = solution.common_value
-            warm += start > 0
-    assert warm > 0
+            raised += start > floor
+    assert raised > 0 and fallbacks > 0
+
+
+def _ordering_below_the_floor(scenario, perm):
+    """Whether the ordering has no root at or above 1/n: its chain there
+    fails or leaves the last piece less than 1/n (scan oracle)."""
+    floor = F(1, scenario.n)
+    cuts = scan_greedy_cuts(scenario, perm, floor)
+    return cuts is None or scan_mass(scenario.players[perm[-1]][1], cuts[-1], ONE) < floor
+
+
+def _below_the_floor_scenarios():
+    """Two scenarios whose best common value lies below 1/n: two players
+    on thirds, and two players holding all their value on [0, 1/3] with a
+    third, uniform one."""
+    thirds = [ZERO, F(1, 3), F(2, 3), ONE]
+    two = pair(weighted_density(thirds, [0, 3, 0]), weighted_density(thirds, [2, 0, 1]))
+    front = StepDensity.of((0, "1/3", 3), ("1/3", 1, 0))
+    three = Scenario((("p1", front), ("p2", front), ("p3", StepDensity.uniform())))
+    return two, three
+
+
+def test_pruned_ep_search_walks_from_zero_only_when_no_ordering_reaches_the_floor(monkeypatch):
+    # Both best values lie below 1/n. The floor pass walks from 1/n only the
+    # orderings whose chain there leaves L > 1/n, and no such walk finds a
+    # root. The pass with no floor then walks the deferred orderings, the
+    # first from 0, and a chain at t* settles the others.
+    calls = count_walks(monkeypatch)
+    two, three = _below_the_floor_scenarios()
+    pinned = [
+        (two, [((1, 0), HALF, None), ((0, 1), ZERO, F(1, 3))], [("p2", "p1")]),
+        (
+            three,
+            [((0, 1, 2), F(1, 3), None), ((1, 0, 2), F(1, 3), None), ((0, 2, 1), ZERO, F(1, 5))],
+            [("p1", "p2", "p3"), ("p2", "p1", "p3")],
+        ),
+    ]
+    for scenario, walks, named in pinned:
+        calls.clear()
+        tied, infeasible = _ep_search(scenario)
+        expected = exhaustive_ep_best(scenario)
+        assert [(names, s.cuts, s.common_value) for names, s in tied] == expected
+        assert [
+            (ordering, start, None if solution is None else solution.common_value)
+            for ordering, start, solution in calls
+        ] == walks
+        assert infeasible == named
+    assert equitability(two) == _outcome(("p1", "p2"), (F(4, 9),), F(1, 3))
+    assert len(_ep_search(three)[0]) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(ep_scenarios(), st.fractions(0, 1, max_denominator=48))
+def test_walk_from_any_start_returns_the_root_above_it(scenario, drawn):
+    # The contract the floor relies on: a walk from s returns the from-0
+    # solution when that root lies above s, and None otherwise, for s = 0,
+    # 1/n, the root itself and a drawn rational. So a walk from 1/n that
+    # returns None leaves no root above 1/n, nor, with L(1/n) > 1/n, below.
+    for perm in permutations(range(scenario.n)):
+        solution = solve.equal_value_solve(scenario, perm)
+        starts = {ZERO, F(1, scenario.n), drawn}
+        if solution is not None:
+            starts.add(solution.common_value)
+        for start in starts:
+            above = solution is not None and solution.common_value > start
+            expected = solution if above else None
+            assert solve.equal_value_solve(scenario, perm, start=start) == expected
 
 
 def test_lenient_search_asks_quantiles_only_to_check_walked_roots(monkeypatch):
     # Chains at the best value and the walks' root checks run on the
     # integer cut kernel, so the search asks no public quantile, and it
     # leaves nothing on a density beyond its cached index and verdict.
-    calls = _count_walks(monkeypatch)
+    calls = count_walks(monkeypatch)
     queries = []
     quantile = StepDensity.quantile
 

@@ -39,6 +39,7 @@ from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.procedures import TIE_LOWEST, _outcome
 from helpers import (
     QUARTER_POOL,
+    count_walks,
     draw_long_density,
     fine_grid_scenario,
     fresh_tie_outcomes,
@@ -403,26 +404,21 @@ def test_theorem_a_seeded_covers_all_procedures():
         assert report.passed, (procedure, n)
 
 
-def test_theorem_a_seeded_ep_walks_once_and_validates_each_density_once(monkeypatch):
-    walks, validated = [], []
-    walk, validate = solve.equal_value_solve, StepDensity.validate
-
-    def counted_walk(scenario, ordering, **kwargs):
-        walks.append((ordering, kwargs.get("start", 0)))
-        return walk(scenario, ordering, **kwargs)
+def test_theorem_a_seeded_ep_makes_no_walk_and_validates_each_density_once(monkeypatch):
+    validated = []
+    validate = StepDensity.validate
 
     def counted_validate(self):
         validated.append(self)
         return validate(self)
 
-    monkeypatch.setattr(solve, "equal_value_solve", counted_walk)
+    walks = count_walks(monkeypatch)
     monkeypatch.setattr(StepDensity, "validate", counted_validate)
     truth = StepDensity.of((0, "1/3", 3), ("1/3", 1, 0))
     report = theorem_a_check("ep", truth, ce2_p2_density(), 3, tie=TieRule.seeded(5))
-    # Identical players tie in every ordering: one walk finds the common
-    # value and one chain per other ordering confirms it.
-    assert len(walks) == 1
-    assert walks[0][1] == 0  # the first walk has no best value to start from
+    # Identical players tie in every ordering at the floor 1/n: one chain
+    # per ordering settles it there, and no walk is needed.
+    assert len(walks) == 0
     # truth and misreport once each: the three players share the misreport
     # object, whose verdict is kept after its first validation
     assert len(validated) == 2
