@@ -483,12 +483,21 @@ class StepDensity:
         cumulative mass is below the level (``left``) or at most at it,
         at lo_k + (level - cum_k) / density_k; a right cut past the last
         piece is 1.
+
+        At the anchor 0 (sn == 0), where every greedy chain, knife step and
+        quantile from 0 starts, the search starts at piece 0 and the mass
+        left of s is 0/1, with no ``_mass_left`` search: a validated
+        density's first piece starts at 0 and its cumulative mass there is
+        0, so the level and the cut are the same reduced pairs.
         """
         if left and not tn:
             return sn, sd
         bn, bd, rn, rd, cn, cd = self._rows
-        j, basen, based = self._mass_left(sn, sd)
-        ln, ld = basen * td + tn * based, based * td
+        if sn:
+            j, basen, based = self._mass_left(sn, sd)
+            ln, ld = basen * td + tn * based, based * td
+        else:
+            j, ln, ld = 0, tn, td
         g = gcd(ln, ld)
         ln, ld = ln // g, ld // g
         if ln * cd[-1] > cn[-1] * ld:

@@ -530,10 +530,9 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
     for best in (None,) if walk_all else (Fraction(1, scenario.n), None):
         deferred = []
         for perm in pending:
-            ordered_names = tuple(names[i] for i in perm)
             if best is not None and not walk_all:
                 ordered = [densities[i] for i in perm]
-                settled = solve._chain(ordered, best.numerator, best.denominator)
+                settled = solve._chain(ordered, *best.as_integer_ratio())
                 if settled is None or settled[0] < 0:
                     if not tied:
                         deferred.append(perm)
@@ -545,6 +544,8 @@ def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False)
                     solution = solve.equal_value_solve(scenario, perm, start=best)
             else:
                 solution = solve.equal_value_solve(scenario, perm)
+            # Named only here: a skipped or deferred ordering needs no name.
+            ordered_names = tuple([names[i] for i in perm])
             if solution is None:
                 infeasible.append(ordered_names)
             elif best is None or solution.common_value > best:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import InvalidPlayersError
@@ -78,28 +79,40 @@ def envy_free_check(
     """Does anyone value another player's portion above their own?
 
     Each viewer scores every portion in one sweep over the allocation's
-    spans sorted by left end, with one cdf per span end. The spans tile
-    [0, 1] in that order (``Allocation`` checks it), so each span starts
-    where the previous one ends, at 0 for the first, and its value is the
-    cdf at its end minus the cdf at the previous end. A contiguous outcome
-    of n portions costs n cdf calls per viewer, not the 2n of ``mass``.
+    spans sorted by left end, on integers, with one ``_mass_left`` per span
+    end. The spans tile [0, 1] in that order (``Allocation`` checks it), so
+    each span starts where the previous one ends, at 0 for the first, and
+    its value is the mass left of its end minus the mass left of the
+    previous end, an integer pair. A contiguous outcome of n portions costs
+    n ``_mass_left`` calls per viewer, not the 2n of ``mass``. A portion of
+    several spans sums its pairs, reduced by one gcd per added span. Each
+    verdict compares the pairs by cross-multiplying, and each matrix entry
+    is the one ``Fraction`` built from its pair.
     """
     _require_owners(scenario, allocation)
+    names = scenario.names
+    ends = [(hi.as_integer_ratio(), owner) for _, hi, owner in allocation._layout]
     matrix = {}
+    verdicts = {}
     for viewer, density in _scored(scenario, truth).players:
         scores: dict = {}
-        below = ZERO
-        for _, hi, owner in allocation._layout:
-            above = density._cdf(hi)
-            gained = above - below
-            scores[owner] = scores[owner] + gained if owner in scores else gained
-            below = above
-        matrix[viewer] = {owner: scores.get(owner, ZERO) for owner in scenario.names}
-    values = {name: matrix[name][name] for name in scenario.names}
-    verdicts = {
-        viewer: all(matrix[viewer][viewer] >= matrix[viewer][owner] for owner in scenario.names)
-        for viewer in scenario.names
-    }
+        bn, bd = 0, 1
+        for (xn, xd), owner in ends:
+            _, an, ad = density._mass_left(xn, xd)
+            gn, gd = an * bd - bn * ad, ad * bd
+            if owner in scores:
+                sn, sd = scores[owner]
+                gn, gd = sn * gd + gn * sd, sd * gd
+                g = gcd(gn, gd)
+                gn, gd = gn // g, gd // g
+            scores[owner] = gn, gd
+            bn, bd = an, ad
+        on, od = scores.get(viewer, (0, 1))
+        verdicts[viewer] = all(n * od <= on * d for n, d in scores.values())
+        matrix[viewer] = {
+            owner: Fraction(*scores[owner]) if owner in scores else ZERO for owner in names
+        }
+    values = {name: matrix[name][name] for name in names}
     return PropertyReport(
         check="envy-free",
         values=values,
@@ -131,19 +144,25 @@ def pareto_optimal_check(
     )
 
 
-def _piece_value(density: StepDensity, outcome: ProcedureOutcome, name: str) -> Fraction:
-    """The density's mass on ``name``'s piece of a contiguous outcome.
+def _piece_mass(density: StepDensity, outcome: ProcedureOutcome, name: str) -> tuple[int, int]:
+    """The density's mass on ``name``'s piece of a contiguous outcome, as
+    a reduced integer pair n/d with d > 0.
 
     The piece runs between the bounds on either side of ``name``'s place
     in the ordering (0, the cuts, 1), so its mass is the span kernel's
-    ``_mass_between`` pair as one Fraction, with no ``Allocation`` built.
-    Equal cuts give 0, as an empty portion does.
+    ``_mass_between`` pair, with no ``Allocation`` built. Equal cuts give
+    0, as an empty portion does.
     """
     i = outcome.ordering.index(name)
     cuts = outcome.cuts
     lo = cuts[i - 1] if i else ZERO
     hi = cuts[i] if i < len(cuts) else ONE
-    return Fraction(*density._mass_between(lo, hi))
+    return density._mass_between(lo, hi)
+
+
+def _piece_value(density: StepDensity, outcome: ProcedureOutcome, name: str) -> Fraction:
+    """``_piece_mass`` as one Fraction."""
+    return Fraction(*_piece_mass(density, outcome, name))
 
 
 def theorem_a_check(
@@ -179,8 +198,9 @@ def theorem_a_check(
     if tie.mode == "seeded":
         distinguished = scenario.names[0]
         rest = list(outcomes)  # the scored run's value is already in values
+        # m/d <= 1/n as m·n <= d, with no Fraction per outcome.
         can_end_le = values[distinguished] <= share or any(
-            _piece_value(truth, o, distinguished) <= share for o in rest
+            m * n <= d for m, d in (_piece_mass(truth, o, distinguished) for o in rest)
         )
         verdicts["distinguished_player_can_end_le_fair_share"] = can_end_le
         details["enumerated_outcomes"] = 1 + len(rest)

@@ -39,6 +39,7 @@ from helpers import (
     scan_mass,
     scan_plateau_end,
     scan_quantile_left,
+    weighted_density,
 )
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -554,6 +555,39 @@ def test_index_queries_match_scan_reference(d, s, data):
     assert d.median_interval() == Interval(
         scan_quantile_left(d, HALF), scan_plateau_end(d, HALF)
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cut_from_anchor_zero_matches_the_scan(data):
+    """``_cut`` from the anchor 0, given as 0/1 and as 0/d with d > 1,
+    equals the scans on both sides for t = 0, a drawn t and the total
+    mass, on densities that open with zero to three zero-density pieces.
+    A right cut at 0 before a positive first piece, or any target short of
+    the first positive piece's mass, tells piece 0 apart from any later
+    start of the search."""
+    zeros = data.draw(st.integers(0, 3), label="leading zero pieces")
+    interior = data.draw(
+        st.lists(st.sampled_from(BREAK_POOL), min_size=zeros, max_size=zeros + 4, unique=True),
+        label="interior",
+    )
+    bounds = [ZERO, *sorted(interior), ONE]
+    rest = len(bounds) - 2 - zeros
+    weights = [0] * zeros + [
+        data.draw(st.integers(1, 5), label="first positive weight"),
+        *data.draw(st.lists(st.integers(0, 5), min_size=rest, max_size=rest), label="weights"),
+    ]
+    d = weighted_density(bounds, [F(w) for w in weights])
+    drawn = data.draw(st.fractions(0, 1, max_denominator=60), label="t")
+    for sd in (1, data.draw(st.integers(2, 10**6), label="anchor denominator")):
+        for t in (ZERO, drawn, ONE):
+            tn, td = t.as_integer_ratio()
+            left = scan_quantile_left(d, t)
+            assert d._cut(tn, td, 0, sd, True) == (
+                left.as_integer_ratio() if tn else (0, sd)
+            ), (sd, t)
+            right = scan_plateau_end(d, t)
+            assert d._cut(tn, td, 0, sd, False) == right.as_integer_ratio(), (sd, t)
 
 
 @settings(max_examples=100, deadline=None)

@@ -228,19 +228,38 @@ def test_envy_matrix_equals_the_mass_of_each_portion(data):
         assert proportional_check(scenario, allocation, profile).values == diagonal
 
 
-def test_envy_sweep_takes_one_cdf_per_span_end(monkeypatch):
-    # The spans tile [0, 1], so n portions cost n cdf calls per viewer.
-    calls = []
-    cdf = StepDensity._cdf
-
-    def counted(density, x):
-        calls.append(x)
-        return cdf(density, x)
-
-    monkeypatch.setattr(StepDensity, "_cdf", counted)
+def test_envy_sweep_takes_one_mass_left_per_span_end(monkeypatch):
+    # The spans tile [0, 1], so n portions cost n _mass_left calls per viewer.
     scenario = Scenario(tuple((f"p{i}", StepDensity.uniform()) for i in range(1, 4)))
-    envy_free_check(scenario, contiguous_allocation(scenario.names, (F(1, 3), F(2, 3))))
+    allocation = contiguous_allocation(scenario.names, (F(1, 3), F(2, 3)))
+    calls = []
+    mass_left = StepDensity._mass_left
+
+    def counted(density, xn, xd):
+        calls.append((xn, xd))
+        return mass_left(density, xn, xd)
+
+    monkeypatch.setattr(StepDensity, "_mass_left", counted)
+    envy_free_check(scenario, allocation)
     assert len(calls) == 3 * 3
+
+
+@pytest.mark.parametrize("case", ["ce5-ep", "ce6-sp-e"])
+def test_envy_matrix_of_a_pareto_witness_equals_the_mass_of_each_portion(case, ce5, ce6):
+    """The CE5 and CE6 witnesses give every player two spans, so the sweep
+    adds a second pair to each owner's running sum."""
+    if case == "ce5-ep":
+        scenario, outcome = ce5, equitability(ce5)
+    else:
+        scenario, outcome = ce6, surplus_divide(ce6)
+    allocation = solve.pareto_improve(scenario, outcome.allocation).allocation
+    assert all(len(portion.intervals) > 1 for _, portion in allocation.portions)
+    report = envy_free_check(scenario, allocation)
+    for viewer, density in scenario.players:
+        for owner in scenario.names:
+            assert report.matrix[viewer][owner] == density.mass(allocation.portion(owner))
+    assert report.values == dict.fromkeys(scenario.names, F(4, 5))
+    assert report.passed
 
 
 # --- Pareto checks ----------------------------------------------------------------
