@@ -14,8 +14,10 @@ The Pareto path builds its cells once, as one integer table
 (``decompose``): the cell bounds over one common denominator, each
 player's weight on each cell as an integer pair, and each cell's owner.
 The closure compares cross-multiplied rates from it, the improvement LP's
-sparse integer rows go from it straight into the simplex core, and the
-witness is laid out from the core's integer basic values. ``simplex_max``
+sparse integer rows go from it straight into the simplex core, with the
+allocation's own basis as a start that skips Phase 1 when it proves the
+optimum unique, and the witness is laid out from the core's integer basic
+values. ``simplex_max``
 is the core's front end for a public ``LinearProgram``: it scales the
 ``Fraction`` rows to the same integers and also reports the LP's dual.
 
@@ -403,7 +405,7 @@ def simplex_max(lp: LinearProgram, seed: Sequence) -> SimplexResult:
     return SimplexResult(value=value, point=tuple(solution), dual=tuple(dual))
 
 
-def _simplex_core(n: int, constraints: Sequence, cost: list[int]):
+def _simplex_core(n: int, constraints: Sequence, cost: list[int], start=None):
     """The two-phase revised simplex on integer rows: Phase 1 from the
     slack and artificial basis when some row is not <=, then Phase 2 on the
     integer objective ``cost`` of the n variables.
@@ -415,41 +417,66 @@ def _simplex_core(n: int, constraints: Sequence, cost: list[int]):
     these rows, with their slack and artificial columns, is stored as
     sparse columns of (row, value) pairs. Tableau row i is e_i·M / d_i and
     is never stored: it is kept as its r integer multipliers e_i and its
-    right-hand-side numerator, reduced by their gcd, over a positive d_i.
+    right-hand-side numerator over a positive d_i (see ``_eliminate``).
     Every tableau entry is the exact rational a dense ``Fraction`` tableau
     would hold, so every pivot choice is the same. Each phase starts from
     an objective row built in one pass (see ``_optimize``), and every
     pivot, the drive-out's between the phases included, goes through
     ``_pivot``.
 
+    ``start``, when given, is a feasible basis as three lists: the basic
+    column of each row, its multipliers and right-hand-side numerator, and
+    its denominator (see ``_owner_basis``). Phase 2 then runs from it over
+    the variables and slacks alone, and its optimum is returned if every
+    nonbasic column prices strictly below zero: that optimal point is
+    unique, so the two-phase path, whatever its pivots, would reach the
+    same values. Otherwise the warm tableau is dropped and the two-phase
+    path runs as it would with no start.
+
     Returns each basic variable's value as (column, numerator,
     denominator), and the multipliers mu and alpha of the final objective
     row alpha·cost + mu·M (see ``_optimize``).
     """
     r = len(constraints)
-    # Columns: the n variables, a slack for each inequality, then an
-    # artificial for each row that is not <=.
+    # Columns: the n variables, a slack for each inequality, then, on the
+    # two-phase path, an artificial for each row that is not <=.
     columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    slacks, arts = [], []
-    first_art = n + sum(sense != "==" for _, sense, _, _ in constraints)
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    basis: list[int] = []
-    for i, (terms, sense, rhs, den) in enumerate(constraints):
+    for i, (terms, sense, _, den) in enumerate(constraints):
         for j, a in terms:
             columns[j].append((i, a))
+    columns += [
+        [(i, den if sense == "<=" else -den)]
+        for i, (_, sense, _, den) in enumerate(constraints)
+        if sense != "=="
+    ]
+    first_art = len(columns)
+    cost = cost + [0] * (first_art - n)
+
+    if start is not None:
+        basis, rows, dens = start
+        mu, alpha = _optimize(rows, dens, basis, columns, cost, r)
+        in_basis = set(basis)
+        if all(
+            j in in_basis or alpha * cost[j] + _entry(mu, column) < 0
+            for j, column in enumerate(columns)
+        ):
+            return [(b, row[r], den) for row, den, b in zip(rows, dens, basis) if b < n], mu, alpha
+
+    rows, dens, basis = [], [], []
+    arts: list[list[tuple[int, int]]] = []
+    slack = n
+    for i, (_, sense, rhs, den) in enumerate(constraints):
         row = [0] * (r + 1)
         row[i], row[r] = 1, rhs
         rows.append(row)
         dens.append(den)
-        if sense != "==":
-            slacks.append([(i, den if sense == "<=" else -den)])
         if sense == "<=":
-            basis.append(n + len(slacks) - 1)
+            basis.append(slack)
         else:
             basis.append(first_art + len(arts))
             arts.append([(i, den)])
-    columns += slacks + arts
+        slack += sense != "=="
+    columns += arts
 
     if arts:
         _optimize(rows, dens, basis, columns, [0] * first_art + [-1] * len(arts), r)
@@ -470,7 +497,7 @@ def _simplex_core(n: int, constraints: Sequence, cost: list[int]):
         # No artificial column is basic now, and none may enter again.
         del columns[first_art:]
 
-    mu, alpha = _optimize(rows, dens, basis, columns, cost + [0] * (first_art - n), r)
+    mu, alpha = _optimize(rows, dens, basis, columns, cost, r)
     basic = [(b, row[r], den) for row, den, b in zip(rows, dens, basis) if b < n]
     return basic, mu, alpha
 
@@ -494,8 +521,8 @@ def _optimize(rows, dens, basis, columns, cost, r):
     It is built in one pass: alpha is the lcm of d_i over the rows whose
     basic column has nonzero cost, and mu = −Σ cost[b_i]·(alpha/d_i)·e_i,
     both then reduced by their gcd. That is the one reduced form of the
-    rational row, so it is the row that eliminating the basic columns one
-    row at a time would leave.
+    rational row, so eliminating the basic columns one row at a time would
+    leave it up to a positive factor.
 
     Each pass prices the nonbasic columns in index order, read off a flag
     per column that each pivot keeps, and sums each entry inline off the
@@ -584,16 +611,21 @@ def _eliminate(row, den, nonzeros, p, f):
     entry. The objective passes its multipliers mu as ``row``, alpha as
     ``den``, and the list without the right-hand side: alpha·cost + mu·M
     updates the same way. Returns the new numerators and denominator,
-    reduced by their gcd.
+    reduced by their gcd only once the denominator passes 60 bits (two
+    CPython digits): below that, the gcd over the row costs more than the
+    digits it saves. Every rational is the same either way, and a pivot
+    choice reads only signs and ratios within one row, so the pivots and
+    the vertex are too; ``_pivot`` still reduces its pivot row.
     """
     new = row[:] if p == 1 else [a * p for a in row]
     for k, b in nonzeros:
         new[k] -= f * b
     den *= p
-    g = gcd(den, *new)
-    if g > 1:
-        new = [a // g for a in new]
-        den //= g
+    if den >> 60:
+        g = gcd(den, *new)
+        if g > 1:
+            new = [a // g for a in new]
+            den //= g
     return new, den
 
 
@@ -823,6 +855,45 @@ def _improvement_lp(dec: CellDecomposition):
     return rows, cost, scale, base
 
 
+def _owner_basis(dec: CellDecomposition, rows: list) -> tuple[list, list, list]:
+    """The allocation's own basis of its improvement LP, the integer
+    ``rows`` of ``_improvement_lp``, as ``_simplex_core`` takes a start:
+    the basic columns, the rows' multipliers and right-hand sides, and
+    their denominators.
+
+    Cell row c has its owner's share x_{o(c),c} basic, with multipliers
+    e_c over 1, so it reads 1. Player row i has its surplus slack basic,
+    with multipliers Σ_c a_ic·e_c − e_{m+i} over den_i, reduced by their
+    gcd, where c runs over the cells i owns and a_ic is i's integer weight
+    on c in that row. It reads Σ_c a_ic less the row's right-hand side,
+    which ``_owned_values`` makes 0. So the basis is the seed point, and
+    it is feasible.
+    """
+    m, n = len(dec.bounds) - 1, len(dec.weights)
+    r = m + n
+    basis, tableau, dens = [], [], []
+    for c, owner in enumerate(dec.owners):
+        row = [0] * (r + 1)
+        row[c] = row[r] = 1
+        basis.append(owner * m + c)
+        tableau.append(row)
+        dens.append(1)
+    for i in range(n):
+        terms, _, rhs, den = rows[m + i]
+        row = [0] * (r + 1)
+        for j, a in terms:
+            c = j - i * m
+            if dec.owners[c] == i:
+                row[c] = a
+        row[m + i] = -1
+        row[r] = sum(row[:m]) - rhs
+        g = gcd(den, *row)
+        basis.append(n * m + i)
+        tableau.append([a // g for a in row])
+        dens.append(den // g)
+    return basis, tableau, dens
+
+
 def build_improvement_lp(scenario: Scenario, allocation: Allocation):
     """LP whose optimum exceeds the current total value iff the allocation
     is Pareto dominated.
@@ -891,10 +962,14 @@ def pareto_improve(
     table's owners (see ``pareto_weights``), with no LP. Only a dominated
     allocation solves ``build_improvement_lp``: its integer rows go from
     the same table straight to ``_simplex_core``, with no ``Fraction``
-    row, and its Bland-rule optimum is the witness. Each share x_ic of a
-    cell is laid out left to right in player order, so each piece bound
-    is one ``Fraction``, and each player's value is Σ_c x_ic·w_ic, summed
-    on integer pairs from the table with no scan of a density.
+    row, and its two-phase Bland-rule optimum is the witness. The core
+    also gets the allocation's own basis (``_owner_basis``); Phase 2 from
+    it stands in for both phases only when every nonbasic column prices
+    strictly below zero, where the optimum is unique and so is the
+    witness. Each share x_ic of a cell is laid out left to right in player
+    order, from the nonzero basic values only, so each piece bound is one
+    ``Fraction``, and each player's value is Σ_c x_ic·w_ic, summed on
+    integer pairs from the table with no scan of a density.
     """
     return _pareto_scored(scenario, allocation)[0]
 
@@ -903,12 +978,13 @@ def _pareto_scored(
     scenario: Scenario, allocation: Allocation
 ) -> tuple[Optional[DominationWitness], list[tuple[int, int]]]:
     """``pareto_improve``'s answer and each player's current value, as a
-    reduced pair in player order, from one cell table."""
+    reduced pair in player order, from one cell table and, for a dominated
+    allocation, one ``_simplex_core`` call started at its owners' basis."""
     dec = decompose(scenario, allocation)
     if _rate_closure(dec) is not None:
         return None, _owned_values(dec)
     rows, cost, _, base = _improvement_lp(dec)
-    basic, _, _ = _simplex_core(len(cost), rows, cost)
+    basic, _, _ = _simplex_core(len(cost), rows, cost, _owner_basis(dec, rows))
     shares = {b: (num, den) for b, num, den in basic if num}
 
     n, m = scenario.n, len(dec.bounds) - 1

@@ -32,6 +32,7 @@ from fairslice import (
     pareto_improve,
     pareto_weights,
     simplex_max,
+    surplus_divide,
     utilitarian_bound,
 )
 from fairslice import solve
@@ -972,14 +973,14 @@ def test_pareto_improve_hands_the_core_the_rows_simplex_max_builds(case):
     # pareto_improve builds its integer rows from the cell table, and
     # simplex_max scales build_improvement_lp's Fraction LP: the core must
     # receive the same rows, term for term, and the same objective, so it
-    # takes the same pivots to the same witness.
+    # reaches the same witness. pareto_improve also hands it a start basis.
     scenario, allocation = case
     lp, seed, dec, base = build_improvement_lp(scenario, allocation)
     handed = []
     core = solve._simplex_core
 
     def spied(*args):
-        handed.append(args)
+        handed.append(args[:3])
         return core(*args)
 
     with mock.patch.object(solve, "_simplex_core", spied):
@@ -1008,6 +1009,99 @@ def test_pareto_improve_on_long_rational_cuts():
     lp, seed, dec, _ = build_improvement_lp(scenario, allocation)
     assert max(len(str(b)) for b in dec.bounds) >= 60
     assert simplex_max(lp, seed).value == sum(witness.value_vector.values(), ZERO)
+
+
+@settings(max_examples=100, deadline=None)
+@given(improvement_cases())
+def test_owner_basis_inverts_its_columns_at_the_seed_point(case):
+    # The start that pareto_improve hands the core: each row's multipliers
+    # times a basic column give its denominator on its own column and 0 on
+    # the others, and its right-hand side reads build_improvement_lp's
+    # seed, every owner share 1 and every player's surplus 0.
+    scenario, allocation = case
+    lp, seed, dec, _ = build_improvement_lp(scenario, allocation)
+    rows = solve._improvement_lp(dec)[0]
+    basis, tableau, dens = solve._owner_basis(dec, rows)
+    r, n = len(rows), scenario.n
+    assert len(set(basis)) == len(basis) == len(tableau) == len(dens) == r
+
+    def column(j):
+        if j < lp.n_vars:
+            return [dict(terms).get(j, 0) for terms, *_ in rows]
+        # Player i's surplus slack: -den_i in its row, m + i = r - n + i.
+        i = j - lp.n_vars
+        return [-rows[k][3] if k == r - n + i else 0 for k in range(r)]
+
+    point = [ZERO] * (lp.n_vars + n)
+    for b, row, d in zip(basis, tableau, dens):
+        assert d > 0
+        for other in basis:
+            assert sum(e * a for e, a in zip(row, column(other))) == (d if other == b else 0)
+        point[b] = F(row[r], d)
+    assert tuple(point[: lp.n_vars]) == seed
+    assert point[lp.n_vars :] == [ZERO] * n
+
+
+@settings(max_examples=100, deadline=None)
+@given(improvement_cases())
+def test_pareto_improve_equals_the_witness_of_the_core_with_no_start(case):
+    # The start skips Phase 1 only where its optimum is unique, so the
+    # witness is the one laid out from the two-phase path's vertex.
+    scenario, allocation = case
+    core = solve._simplex_core
+
+    def cold(n, rows, cost, start=None):
+        return core(n, rows, cost)
+
+    with mock.patch.object(solve, "_simplex_core", cold):
+        expected = pareto_improve(scenario, allocation)
+    assert pareto_improve(scenario, allocation) == expected
+
+
+def test_pareto_improve_keeps_the_two_phase_witness_when_the_optimum_is_not_unique():
+    # Both players value the first third alike, so every split of it is
+    # optimal: the allocation's own basis reaches an optimum at which that
+    # third's shares price at zero. The witness stays the two-phase one,
+    # which gives the gain to P1; the warm vertex would give it to P2.
+    third = F(1, 3)
+    p1 = StepDensity.of((0, third, F(6, 7)), (third, 2 * third, F(6, 7)), (2 * third, 1, F(9, 7)))
+    p2 = StepDensity.of((0, third, F(6, 7)), (third, 2 * third, F(9, 7)), (2 * third, 1, F(6, 7)))
+    scenario = Scenario((("P1", p1), ("P2", p2)))
+    allocation = Allocation.of({"P1": IntervalSet.of((HALF, 1)), "P2": IntervalSet.of((0, HALF))})
+    witness = pareto_improve(scenario, allocation)
+    assert witness.allocation == Allocation.of(
+        {
+            "P1": IntervalSet.of((0, F(1, 4)), (2 * third, 1)),
+            "P2": IntervalSet.of((F(1, 4), 2 * third)),
+        }
+    )
+    assert witness.gains == {"P1": F(1, 14), "P2": ZERO}
+
+
+@pytest.mark.parametrize("case", ["ce2-halves", "ce5-ep", "ce6-sp-e"])
+def test_certified_witnesses_take_no_phase_one_pivot(case, ce2, ce5, ce6):
+    # These witnesses are their LPs' unique optima, which the allocation's
+    # own basis reaches in Phase 2 alone: no pivot has an artificial
+    # column, numbered after the variables and the players' slacks, basic
+    # or entering.
+    if case == "ce2-halves":
+        scenario, allocation = ce2, contiguous_allocation(("P2", "P1"), (HALF,))
+    elif case == "ce5-ep":
+        scenario, allocation = ce5, equitability(ce5).allocation
+    else:
+        scenario, allocation = ce6, surplus_divide(ce6).allocation
+    first_art = build_improvement_lp(scenario, allocation)[0].n_vars + scenario.n
+    pivots = []
+    pivot = solve._pivot
+
+    def spied(rows, dens, basis, leave, enter, col):
+        pivots.append(max(enter, *basis))
+        return pivot(rows, dens, basis, leave, enter, col)
+
+    with mock.patch.object(solve, "_pivot", spied):
+        witness = pareto_improve(scenario, allocation)
+    assert witness is not None and pivots
+    assert max(pivots) < first_art
 
 
 @settings(max_examples=100, deadline=None)

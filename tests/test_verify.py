@@ -514,6 +514,22 @@ def test_theorem_a_seeded_scores_the_seeded_run(procedure, n):
         }, (procedure, n, seed)
 
 
+def test_theorem_a_seeded_counts_an_outcome_at_exactly_the_fair_share(monkeypatch):
+    # A stub walk: the scored run gives p1 3/5 of the uniform truth, above
+    # the fair share 1/2, and the only other outcome gives p1 exactly 1/2.
+    # p1 can end at the fair share, so the verdict holds, but only with <=.
+    def stub(procedure, scenario, strict=False, tie=TIE_LOWEST):
+        yield _outcome(("p1", "p2"), (F(3, 5),))
+        yield _outcome(("p1", "p2"), (HALF,))
+
+    monkeypatch.setattr(verify, "tie_outcomes", stub)
+    uniform = StepDensity.uniform()
+    report = theorem_a_check("cut-choose", uniform, uniform, 2, tie=TieRule.seeded(1))
+    assert report.values == {"p1": F(3, 5), "p2": F(2, 5)}
+    assert report.verdicts["distinguished_player_can_end_le_fair_share"] is True
+    assert report.details["enumerated_outcomes"] == 2
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_moving_knife_tie_enumeration_reaches_every_ordering_once(n):
     scenario = identical_players(ce2_p2_density(), n)
