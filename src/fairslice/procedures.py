@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -152,24 +152,19 @@ def _outcome(
     return ProcedureOutcome(tuple(cuts), tuple(ordering), common_value, tuple(events))
 
 
-def _settle(
-    tie: TieRule,
-    location: Fraction,
-    tied: tuple[str, ...],
-    finish: Callable[[str, tuple[TieEvent, ...]], ProcedureOutcome],
-) -> Iterator[ProcedureOutcome]:
-    """``finish(winner, events)`` for the single candidate; for tied ones,
-    the rule's pick, then the other candidate, each with its tie event.
-
-    A two-player procedure has at most this one tie, so those are all its
-    outcomes.
-    """
+def _choices(pick: TieResolver, location: Fraction, tied: tuple[str, ...]):
+    """Each way one decision can go, as (winner, tie events, pick for later
+    ties): the single candidate with no event; for tied ones, the pick's
+    own, then each other candidate, last-listed first, with first-listed
+    picks at later ties, each with its tie event."""
     if len(tied) == 1:
-        yield finish(tied[0], ())
+        yield tied[0], (), pick
         return
-    winner = tie.resolver()(tied)
-    for name in (winner, *(other for other in tied if other != winner)):
-        yield finish(name, (TieEvent(location, tied, name),))
+    winner = pick(tied)
+    yield winner, (TieEvent(location, tied, winner),), pick
+    for other in reversed(tied):
+        if other != winner:
+            yield other, (TieEvent(location, tied, other),), _first_listed
 
 
 def _median_point(density: StepDensity, name: str, strict: bool) -> Fraction:
@@ -208,7 +203,7 @@ def cut_and_choose(
 def _cut_and_choose(
     scenario: Scenario, cutter: str, strict: bool, tie: TieRule
 ) -> Iterator[ProcedureOutcome]:
-    """``cut_and_choose``'s outcomes across its tie (``_settle``)."""
+    """``cut_and_choose``'s outcomes across its tie (``_choices``)."""
     _require_players(scenario, exactly=True)
     if cutter not in scenario.names:
         raise InvalidPlayersError(f"unknown cutter {cutter!r}")
@@ -220,11 +215,9 @@ def _cut_and_choose(
     if 2 * n != d:
         tied = (chooser,) if 2 * n > d else (cutter,)
 
-    def finish(left_owner, events):
+    for left_owner, events, _ in _choices(tie.resolver(), cut, tied):
         right_owner = chooser if left_owner == cutter else cutter
-        return _outcome((left_owner, right_owner), (cut,), events=events)
-
-    yield from _settle(tie, cut, tied, finish)
+        yield _outcome((left_owner, right_owner), (cut,), events=events)
 
 
 def moving_knife(scenario: Scenario, tie: TieRule = TIE_LOWEST) -> ProcedureOutcome:
@@ -275,19 +268,19 @@ def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
 
 
 def _moving_knife(scenario: Scenario, tie: TieRule) -> Iterator[ProcedureOutcome]:
-    """``moving_knife``'s outcomes, walked with one memo of calls and one
-    pending stack of step states.
+    """``moving_knife``'s outcomes, walked depth first with one memo of
+    calls and a stack of tied steps.
 
     A step state is the players left, as (density key, name, density),
     each keyed by the first player index holding its density object, the
     knife position as a reduced integer pair, and the cuts, order and tie
     events so far. Each step makes its calls (``_knife_calls``), and the
-    earliest caller, or the rule's pick among tied ones, takes the slice.
-    No step changes a state in place, so a tie pushes the step's state,
-    earliest call and tied players once per other caller, who takes the
-    tie there and first-listed picks later. Entries are popped only after
-    the current run has yielded: only the rule's own run draws from the
-    rule, and no branch makes its step's calls again.
+    earliest caller takes the slice. A tied step pushes its state and its
+    ``_choices``, and the walk takes the first at once; after each outcome
+    it goes on with the next choice of the deepest step that has one. An
+    untied step pushes nothing, so a branch is built only when drawn, and
+    no branch makes its step's calls again. The walk is a loop, not
+    recursion, so no recursion limit bounds the player count.
     """
     _require_players(scenario)
     first: dict[int, int] = {}
@@ -297,29 +290,33 @@ def _moving_knife(scenario: Scenario, tie: TieRule) -> Iterator[ProcedureOutcome
     ]
     memo: dict = {}
     pick = tie.resolver()
-    pending = [(remaining, (0, 1), (), (), (), None)]
-    while pending:
-        remaining, (pn, pd), cuts, order, events, settled = pending.pop()
-        while len(remaining) > 1:
-            if settled is None:
-                earliest, tied = _knife_calls(memo, remaining, pn, pd)
-                winner = tied[0]
-                if len(tied) > 1:
-                    winner = pick(tied)
-                    state = (remaining, (pn, pd), cuts, order, events)
-                    pending += [(*state, (earliest, tied, o)) for o in tied if o != winner]
-            else:  # a branch's own tie, whose other callers are pushed already
-                earliest, tied, winner = settled
-                settled = None
+    knife, cuts, order, events = (0, 1), (), (), ()
+    stack = []
+    while True:
+        if len(remaining) > 1:
+            earliest, tied = _knife_calls(memo, remaining, *knife)
             cut = Fraction(*earliest)
+            choices = _choices(pick, cut, tied)
             if len(tied) > 1:
-                events += (TieEvent(cut, tied, winner),)
-            cuts += (cut,)
-            order += (winner,)
-            remaining = [entry for entry in remaining if entry[1] != winner]
-            pn, pd = earliest
-        yield _outcome(order + (remaining[0][1],), cuts, events=events)
-        pick = _first_listed
+                stack.append((remaining, earliest, cut, cuts, order, events, choices))
+            choice = next(choices)
+        else:
+            yield _outcome(order + (remaining[0][1],), cuts, events=events)
+            while stack:
+                *state, choices = stack[-1]
+                choice = next(choices, None)
+                if choice is not None:
+                    break
+                stack.pop()
+            else:
+                return
+            remaining, earliest, cut, cuts, order, events = state
+        winner, tie_events, pick = choice
+        cuts += (cut,)
+        order += (winner,)
+        events += tie_events
+        remaining = [entry for entry in remaining if entry[1] != winner]
+        knife = earliest
 
 
 def _surplus_cut(
@@ -423,49 +420,39 @@ def surplus_divide(
 def _surplus_divide(
     scenario: Scenario, variant: str, strict: bool, tie: TieRule
 ) -> Iterator[ProcedureOutcome]:
-    """``surplus_divide``'s outcomes across its tie (``_settle``)."""
+    """``surplus_divide``'s outcomes across its tie (``_choices``): once
+    ``left`` holds the side left of its median a, the cut lies in [a, b],
+    b being the other player's median."""
     _require_players(scenario, exactly=True)
     if variant not in (EQUITABLE, PROPORTIONAL):
         raise ValueError(f"unknown variant {variant!r}")
     (first, d1), (second, d2) = scenario.players
     m1 = _median_point(d1, first, strict)
     m2 = m1 if d2 is d1 else _median_point(d2, second, strict)
-    medians = {first: m1, second: m2}
+    sides = ((first, d1, m1), (second, d2, m2))
     a = min(m1, m2)
-    tied = tuple(name for name in (first, second) if medians[name] == a)
-    finish = partial(_surplus_split, scenario, variant, medians)
-    yield from _settle(tie, a, tied, finish)
-
-
-def _surplus_split(
-    scenario: Scenario, variant: str, medians: dict, left: str, events: tuple
-) -> ProcedureOutcome:
-    """``surplus_divide`` once ``left`` holds the side left of its median
-    ``a``: the cut inside [a, b], b being the other player's median."""
-    names = scenario.names
-    right = names[1] if left == names[0] else names[0]
-    a, b = medians[left], medians[right]
-    left_density = scenario.density(left)
-    right_density = scenario.density(right)
-    if a == b:
-        cut = a
-    else:
-        mass_left = left_density._mass_between(a, b)
-        mass_right = right_density._mass_between(a, b)
-        if not mass_left[0] and not mass_right[0]:
-            cut = (a + b) / 2
-        elif not mass_left[0]:
+    tied = tuple(name for name, _, median in sides if median == a)
+    for left, events, _ in _choices(tie.resolver(), a, tied):
+        (_, left_density, _), (right, right_density, b) = sides if left == first else sides[::-1]
+        if a == b:
             cut = a
-        elif not mass_right[0]:
-            cut = b
         else:
-            cut = _surplus_cut(left_density, right_density, a, variant, mass_left, mass_right)
-    # The left piece is worth ln/ld to its owner, the right one 1 - rn/rd.
-    cn, cd = cut.as_integer_ratio()
-    _, ln, ld = left_density._mass_left(cn, cd)
-    _, rn, rd = right_density._mass_left(cn, cd)
-    common = Fraction(ln, ld) if ln * rd == (rd - rn) * ld else None
-    return _outcome((left, right), (cut,), common, events)
+            mass_left = left_density._mass_between(a, b)
+            mass_right = right_density._mass_between(a, b)
+            if not mass_left[0] and not mass_right[0]:
+                cut = (a + b) / 2
+            elif not mass_left[0]:
+                cut = a
+            elif not mass_right[0]:
+                cut = b
+            else:
+                cut = _surplus_cut(left_density, right_density, a, variant, mass_left, mass_right)
+        # The left piece is worth ln/ld to its owner, the right one 1 - rn/rd.
+        cn, cd = cut.as_integer_ratio()
+        _, ln, ld = left_density._mass_left(cn, cd)
+        _, rn, rd = right_density._mass_left(cn, cd)
+        common = Fraction(ln, ld) if ln * rd == (rd - rn) * ld else None
+        yield _outcome((left, right), (cut,), common, events)
 
 
 def _ep_search(scenario: Scenario, strict: bool = False, walk_all: bool = False):

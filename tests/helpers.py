@@ -97,15 +97,16 @@ def random_scenario(rng, n, max_pieces=4, pool=BREAK_POOL, allow_zero=True):
     )
 
 
-def fine_grid_scenario(rng, n, k):
-    """n players, each with k equal-width pieces of integer weight 0-5 (not
-    all zero), normalized; zero weights give zero-density plateaus. ``k``
-    may also be a sequence giving each player's piece count."""
+def fine_grid_scenario(rng, n, k, min_weight=0):
+    """n players, each with k equal-width pieces of integer weight
+    ``min_weight``-5 (not all zero), normalized; with the default, zero
+    weights give zero-density plateaus. ``k`` may also be a sequence giving
+    each player's piece count."""
     counts = [k] * n if isinstance(k, int) else list(k)
     players = []
     for i, k in enumerate(counts):
         while True:
-            weights = [rng.randint(0, 5) for _ in range(k)]
+            weights = [rng.randint(min_weight, 5) for _ in range(k)]
             if any(weights):
                 break
         total = sum(weights)
@@ -879,6 +880,23 @@ def count_walks(monkeypatch):
         return solution
 
     monkeypatch.setattr(solve, "equal_value_solve", counted)
+    return calls
+
+
+def count_queries(monkeypatch, *names):
+    """Record every call of the named ``StepDensity`` methods, by default
+    ``median_interval`` and ``_cut``, the integer cut kernel that each
+    knife call runs once. Calls a method makes of another are counted too:
+    ``_cut`` from an anchor past 0 makes one ``_mass_left``."""
+    calls = dict.fromkeys(names or ("_cut", "median_interval"), 0)
+    for name in calls:
+        query = getattr(StepDensity, name)
+
+        def counted(self, *args, _name=name, _query=query, **kwargs):
+            calls[_name] += 1
+            return _query(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepDensity, name, counted)
     return calls
 
 

@@ -32,6 +32,7 @@ from fairslice import measures, procedures, solve
 from fairslice.procedures import TIE_LOWEST, TieEvent, _ep_search, _outcome
 from helpers import (
     ScriptRule,
+    count_queries,
     count_walks,
     draw_grid_density,
     exhaustive_ep_best,
@@ -231,6 +232,17 @@ def test_moving_knife_identical_measures_split_exactly():
             assert value == F(1, n)
 
 
+def test_moving_knife_walk_is_not_bounded_by_the_recursion_limit():
+    # More players than CPython's default recursion limit of 1,000: every
+    # step is a tie of all the players left, and the run takes each in turn.
+    n = 1100
+    uniform = StepDensity.uniform()
+    scenario = Scenario(tuple((f"p{i}", uniform) for i in range(n)))
+    outcome = moving_knife(scenario)
+    assert outcome.cuts == tuple(F(k, n) for k in range(1, n))
+    assert outcome.ordering == scenario.names
+
+
 @st.composite
 def knife_cases(draw):
     """Two to five players on fine grids (k from 4 to 24) of integer
@@ -274,6 +286,8 @@ def test_moving_knife_tie_branches_agree_with_scan_oracle(case):
     assert sorted(fresh) == sorted(branches)
     replayed = list(tie_outcomes("moving-knife", scenario, tie=tie))
     assert sorted(knife_branch(o) for o in replayed) == sorted(branches)
+    # The one walk yields the fresh runs' outcomes in their order.
+    assert replayed == fresh_tie_outcomes("moving-knife", scenario, tie)
 
 
 # --- surplus division ---------------------------------------------------------
@@ -883,6 +897,59 @@ def test_lenient_search_asks_quantiles_only_to_check_walked_roots(monkeypatch):
             for _, density in scenario.players:
                 assert set(vars(density)) == {"pieces", "_rows", "_violations"}
     assert settled > 0
+
+
+# --- query counts --------------------------------------------------------------
+
+
+def positive_grid_scenarios(seed, n):
+    """40 scenarios of n players on strictly positive fine grids, each
+    player holding a density object of their own."""
+    rng = random.Random(seed)
+    return [
+        fine_grid_scenario(rng, n, rng.choice((4, 8, 24, 64)), min_weight=1) for _ in range(40)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_moving_knife_query_counts_on_distinct_densities(n, monkeypatch):
+    # Each step asks every player left for one call: n + (n - 1) + ... + 2
+    # cut queries, the Dubins-Spanier count. Each call reads the mass left
+    # of the knife, and each cut from a knife past 0 reads it once more.
+    scenarios = positive_grid_scenarios(n, n)
+    calls = count_queries(monkeypatch, "_cut", "_mass_left")
+    for scenario in scenarios:
+        calls.update(dict.fromkeys(calls, 0))
+        moving_knife(scenario)
+        assert calls == {"_cut": n * (n + 1) // 2 - 1, "_mass_left": n * n - 2}
+
+
+@pytest.mark.parametrize("procedure", ["cut-choose", "sp-e", "sp-p"])
+def test_two_player_query_counts(procedure, monkeypatch):
+    # Each median interval is two cuts. Cut and choose reads the chooser's
+    # value of the left piece once. Surplus division reads each player's
+    # mass of the surplus (two ends each) and of their piece; when the
+    # medians coincide there is no surplus, and only the pieces are read.
+    cases = []
+    for scenario in positive_grid_scenarios(7, 2):
+        density = scenario.density("p1")
+        a, b = (scenario.density(name).median_interval().midpoint for name in ("p1", "p2"))
+        cases += [
+            (scenario, 2, a != b),
+            (pair(density, StepDensity(density.pieces)), 2, False),
+            (pair(density, density), 1, False),
+        ]
+    assert any(differ for _, _, differ in cases)
+    calls = count_queries(monkeypatch, "_cut", "_mass_left", "median_interval")
+    for scenario, medians, differ in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        run_procedure(procedure, scenario)
+        if procedure == "cut-choose":
+            expected = {"_cut": 2, "_mass_left": 1, "median_interval": 1}
+        else:
+            mass_left = 6 if differ else 2
+            expected = {"_cut": 2 * medians, "_mass_left": mass_left, "median_interval": medians}
+        assert calls == expected, scenario
 
 
 # --- shared outcome invariants --------------------------------------------------

@@ -39,6 +39,7 @@ from fairslice.harness import ce5_block_allocation, ce6_block_allocation
 from fairslice.procedures import TIE_LOWEST, _outcome
 from helpers import (
     QUARTER_POOL,
+    count_queries,
     count_walks,
     draw_long_density,
     fine_grid_scenario,
@@ -541,21 +542,6 @@ def test_moving_knife_tie_enumeration_reaches_every_ordering_once(n):
         assert set(orderings) == set(itertools.permutations(scenario.names))
         assert len({outcome.cuts for outcome in outcomes}) == 1
         assert outcomes[0] == run_procedure("moving-knife", scenario, tie=tie)
-
-
-def count_queries(monkeypatch):
-    """Record every ``median_interval`` call and every call of ``_cut``,
-    the integer cut kernel that each knife call runs once."""
-    calls = {"_cut": 0, "median_interval": 0}
-    for name in calls:
-        query = getattr(StepDensity, name)
-
-        def counted(self, *args, _name=name, _query=query, **kwargs):
-            calls[_name] += 1
-            return _query(self, *args, **kwargs)
-
-        monkeypatch.setattr(StepDensity, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("n", [3, 4])
