@@ -245,16 +245,18 @@ def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
 
     A call depends only on the density, the knife position and the count
     of players left, so it is kept in the run's memo under those three,
-    the density named by its key and the position by its reduced integer
-    pair. Players declaring one density object share their calls, and so
+    the density keyed by its ``id`` and the position by its reduced
+    integer pair. An ``id`` names one object while it lives, and the walk
+    holds the scenario's players, so every density keyed outlives the
+    memo. Players declaring one density object share their calls, and so
     do the tie branches walked from the run: n identical players make
     n - 1 calls in all, however many branches are drawn. The memo holds
     only states the walk visits, and it dies with the walk.
     """
     count = len(remaining)
     calls = []
-    for key, name, density in remaining:
-        state = (key, pn, pd, count)
+    for name, density in remaining:
+        state = (id(density), pn, pd, count)
         point = memo.get(state)
         if point is None:
             _, n, d = density._mass_left(pn, pd)
@@ -268,55 +270,54 @@ def _knife_calls(memo: dict, remaining: list, pn: int, pd: int):
 
 
 def _moving_knife(scenario: Scenario, tie: TieRule) -> Iterator[ProcedureOutcome]:
-    """``moving_knife``'s outcomes, walked depth first with one memo of
-    calls and a stack of tied steps.
+    """``moving_knife``'s outcomes, walked depth first along one path,
+    with one memo of calls and a stack of tied steps.
 
-    A step state is the players left, as (density key, name, density),
-    each keyed by the first player index holding its density object, the
-    knife position as a reduced integer pair, and the cuts, order and tie
-    events so far. Each step makes its calls (``_knife_calls``), and the
-    earliest caller takes the slice. A tied step pushes its state and its
-    ``_choices``, and the walk takes the first at once; after each outcome
-    it goes on with the next choice of the deepest step that has one. An
-    untied step pushes nothing, so a branch is built only when drawn, and
-    no branch makes its step's calls again. The walk is a loop, not
+    The path is three lists: the cuts, their owners and the tie events so
+    far. Each step makes its calls from the last cut (``_knife_calls``),
+    and the earliest caller takes the slice. A tied step pushes its depth,
+    the count of owners before it, and its ``_choices``, and the walk
+    takes the first choice at once; after each outcome it goes on with the
+    next choice of the deepest step that has one. Backtracking there
+    truncates the path to the step's own cut, the owners before it, and
+    one tie event per tied step below it, since each tied step records
+    one. The players left are rebuilt from the owners, in scenario order.
+    An untied step pushes nothing, so a branch is built only when drawn,
+    and no branch makes its step's calls again. The walk is a loop, not
     recursion, so no recursion limit bounds the player count.
     """
     _require_players(scenario)
-    first: dict[int, int] = {}
-    remaining = [
-        (first.setdefault(id(density), i), name, density)
-        for i, (name, density) in enumerate(scenario.players)
-    ]
     memo: dict = {}
     pick = tie.resolver()
-    knife, cuts, order, events = (0, 1), (), (), ()
+    remaining = list(scenario.players)
+    cuts, owners, events = [], [], []
     stack = []
     while True:
         if len(remaining) > 1:
+            knife = cuts[-1].as_integer_ratio() if cuts else (0, 1)
             earliest, tied = _knife_calls(memo, remaining, *knife)
-            cut = Fraction(*earliest)
-            choices = _choices(pick, cut, tied)
+            cuts.append(Fraction(*earliest))
+            choices = _choices(pick, cuts[-1], tied)
             if len(tied) > 1:
-                stack.append((remaining, earliest, cut, cuts, order, events, choices))
-            choice = next(choices)
+                stack.append((len(owners), choices))
+            winner, tie_events, pick = next(choices)
+            remaining = [player for player in remaining if player[0] != winner]
         else:
-            yield _outcome(order + (remaining[0][1],), cuts, events=events)
+            yield _outcome((*owners, remaining[0][0]), cuts, events=events)
             while stack:
-                *state, choices = stack[-1]
+                depth, choices = stack[-1]
                 choice = next(choices, None)
                 if choice is not None:
                     break
                 stack.pop()
             else:
                 return
-            remaining, earliest, cut, cuts, order, events = state
-        winner, tie_events, pick = choice
-        cuts += (cut,)
-        order += (winner,)
+            winner, tie_events, pick = choice
+            del cuts[depth + 1 :], owners[depth:], events[len(stack) - 1 :]
+            taken = {*owners, winner}
+            remaining = [player for player in scenario.players if player[0] not in taken]
+        owners.append(winner)
         events += tie_events
-        remaining = [entry for entry in remaining if entry[1] != winner]
-        knife = earliest
 
 
 def _surplus_cut(

@@ -182,7 +182,8 @@ def theorem_a_check(
     rule the check also draws every other tie resolution and confirms that
     some outcome leaves the first player at or below 1/n, the randomized
     form of the same argument. The outcomes come from one ``tie_outcomes``
-    walk, whose first is the rule's own run, the one scored.
+    walk, whose first is the rule's own run, the one scored; the others
+    are drawn one at a time and none is kept.
     """
     if type(n) is not int or n < 2:
         raise InvalidPlayersError(f"need at least 2 players, as an int; got {n!r}")
@@ -197,13 +198,16 @@ def theorem_a_check(
     details: dict = {"fair_share": share, "procedure": procedure}
     if tie.mode == "seeded":
         distinguished = scenario.names[0]
-        rest = list(outcomes)  # the scored run's value is already in values
-        # m/d <= 1/n as m·n <= d, with no Fraction per outcome.
-        can_end_le = values[distinguished] <= share or any(
-            m * n <= d for m, d in (_piece_mass(truth, o, distinguished) for o in rest)
-        )
+        # The scored run's value is already in values; each other outcome
+        # is scored only until the verdict is known, and counted, as drawn.
+        can_end_le = values[distinguished] <= share
+        drawn = 1
+        for drawn, other in enumerate(outcomes, 2):
+            if not can_end_le:
+                m, d = _piece_mass(truth, other, distinguished)
+                can_end_le = m * n <= d  # m/d <= 1/n, with no Fraction
         verdicts["distinguished_player_can_end_le_fair_share"] = can_end_le
-        details["enumerated_outcomes"] = 1 + len(rest)
+        details["enumerated_outcomes"] = drawn
     return PropertyReport(
         check="theorem-a",
         values=values,

@@ -26,6 +26,7 @@ sorted spans.
 from __future__ import annotations
 
 import functools
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, permutations
@@ -898,6 +899,19 @@ def count_queries(monkeypatch, *names):
 
         monkeypatch.setattr(StepDensity, name, counted)
     return calls
+
+
+def traced_peak_mb(fn):
+    """The peak of the memory Python allocates while ``fn()`` runs, in MB
+    (10**6 bytes), read by tracemalloc, which traces only this process.
+    What exists before the call is not traced, so the peak is the call's
+    own."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 10**6
+    finally:
+        tracemalloc.stop()
 
 
 def exhaustive_ep_best(scenario):

@@ -262,6 +262,38 @@ def test_load_densities():
     assert densities[1].cdf(HALF) == ONE
 
 
+class Entry(dict):
+    """A dict subclass, as a document built in Python may hold."""
+
+
+def rebuilt(document, literal, entry):
+    """``document`` with each span object (a piece or a portion's interval)
+    rebuilt as ``entry`` of its rationals passed through ``literal``."""
+    if isinstance(document, list):
+        return [rebuilt(item, literal, entry) for item in document]
+    if not isinstance(document, dict):
+        return document
+    if "from" in document:
+        return entry({key: literal(value) for key, value in document.items()})
+    return {key: rebuilt(value, literal, entry) for key, value in document.items()}
+
+
+@pytest.mark.parametrize(
+    "literal, entry", [(F, dict), (lambda value: value, Entry)], ids=["fractions", "dict-subclass"]
+)
+def test_load_reads_python_built_documents_as_their_json_text(literal, entry):
+    # Neither a Fraction nor a dict subclass comes out of json.loads, so
+    # the column read declines both, and the entry-by-entry read, finding
+    # no fault, reads the spans as the column read would.
+    densities = {"schema": "fairslice/1", "densities": [p["pieces"] for p in CE2_DOC["players"]]}
+    for load, document in (
+        (load_document, CE2_DOC),
+        (load_allocation, HALVES_DOC),
+        (load_densities, densities),
+    ):
+        assert load(rebuilt(document, literal, entry)) == load(json.dumps(document))
+
+
 # --- round trips ------------------------------------------------------------------
 
 
@@ -347,6 +379,18 @@ def test_emit_report_empty_has_schema_header():
 def test_emit_report_renders_exact_and_approximate():
     text = emit_report({"share": F(9, 20)})
     assert "9/20 (0.45)" in text
+
+
+def test_emit_report_renders_a_scenario_as_each_players_pieces():
+    results = json.loads(emit_report(load_scenario(CE2_DOC)))["results"]
+    assert results == {
+        "P1": [{"from": "0 (0)", "to": "1 (1)", "density": "1 (1)"}],
+        "P2": [
+            {"from": "0 (0)", "to": "1/4 (0.25)", "density": "2 (2)"},
+            {"from": "1/4 (0.25)", "to": "3/4 (0.75)", "density": "0 (0)"},
+            {"from": "3/4 (0.75)", "to": "1 (1)", "density": "2 (2)"},
+        ],
+    }
 
 
 def test_emit_report_deterministic():

@@ -46,6 +46,7 @@ from helpers import (
     scan_plateau_end,
     scan_quantile_left,
     scan_surplus_cut,
+    traced_peak_mb,
     weighted_density,
 )
 
@@ -241,6 +242,17 @@ def test_moving_knife_walk_is_not_bounded_by_the_recursion_limit():
     outcome = moving_knife(scenario)
     assert outcome.cuts == tuple(F(k, n) for k in range(1, n))
     assert outcome.ordering == scenario.names
+
+
+def test_moving_knife_plain_run_holds_one_path():
+    # 400 players who all hold one density tie at every step, so a plain
+    # run takes 399 tied steps and draws no other branch. Its answer's tie
+    # events alone name n(n + 1)/2 - 1 = 80,199 players; the walk adds a
+    # stack entry per tied step and no copy of its path.
+    n = 400
+    uniform = StepDensity.uniform()
+    scenario = Scenario(tuple((f"p{i}", uniform) for i in range(n)))
+    assert traced_peak_mb(lambda: moving_knife(scenario)) < 2
 
 
 @st.composite

@@ -47,6 +47,7 @@ from helpers import (
     random_allocation,
     random_density,
     random_scenario,
+    traced_peak_mb,
 )
 
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -554,6 +555,20 @@ def test_theorem_a_seeded_moving_knife_makes_each_call_once(n, monkeypatch):
     # All n! branches visit the same knife positions; the identical players
     # share one call per (position, players left), n - 1 in all.
     assert calls == {"_cut": n - 1, "median_interval": 0}
+
+
+def test_theorem_a_seeded_moving_knife_keeps_no_drawn_outcome():
+    # 7! = 5,040 outcomes are drawn and counted; none is kept, so the
+    # check holds one outcome and the walk's one path at a time.
+    truth = StepDensity.of((0, HALF, 2), (HALF, 1, 0))
+    uniform = StepDensity.uniform()
+    reports = []
+
+    def check():
+        reports.append(theorem_a_check("moving-knife", truth, uniform, 7, tie=TieRule.seeded(3)))
+
+    assert traced_peak_mb(check) < 1
+    assert reports[0].details["enumerated_outcomes"] == math.factorial(7)
 
 
 @pytest.mark.parametrize("procedure", ["cut-choose", "sp-e", "sp-p"])
